@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class AttackScript:
 
     def max_round(self) -> int:
         return max(self.rounds, default=0)
-
-    def measures_anything(self) -> bool:
-        return any(a.measure is not None for acts in self.rounds.values() for a in acts)
 
 
 EMPTY_SCRIPT = AttackScript({})

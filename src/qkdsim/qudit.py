@@ -1,16 +1,18 @@
 """Multi-qudit pure states over named d-level registers.
 
 Amplitudes live in a flat complex vector indexed in mixed radix, first
-register label most significant.  The mod-d shift and controlled-add gates
-are applied as exact index permutations, so they never touch amplitude
-values; every gate kind can also be expanded to an explicit dense unitary,
-which doubles as an independent cross-check path.
+register label most significant.  Gates run on one of two kernels.  shift,
+controlled-add and phase are monomial matrices, applied through one cached
+table per (layout, gate): a source index that permutes the amplitudes
+without touching their values, and a phase vector for the phase gate.
+Fourier and dense gates apply their matrix to the target axes.  Every gate
+kind can also be expanded to an explicit dense unitary, which doubles as an
+independent cross-check path.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -289,73 +291,66 @@ def to_dense(gate: GateSpec, d: int) -> GateSpec:
     return GateSpec.dense(gate.registers, gate_unitary(gate, d))
 
 
-def _stride(layout: RegisterLayout, axis: int) -> int:
-    return layout.d ** (len(layout) - 1 - axis)
+@lru_cache(maxsize=128)
+def _gate_table(layout: RegisterLayout, kind: str, control: str | None, target: str,
+                s: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(source index or None, phase vector or None) of a shift, cadd or phase gate.
 
-
-def _permuted(state: PureState, source: np.ndarray) -> np.ndarray:
-    return state.amplitudes[source]
+    s is already reduced mod d.  The output amplitudes are
+    amps[source] * phase, with a factor left out (None) where it is the
+    identity: multiplying by a phase of 1 would turn -0.0 into +0.0.
+    """
+    d = layout.d
+    # strides first, so an unknown register raises even for the identity
+    control_stride = None if control is None else _split(layout, control)[2]
+    stride = _split(layout, target)[2]
+    if s == 0:
+        return None, None
+    i = np.arange(layout.dim)
+    tv = (i // stride) % d
+    if kind == "phase":
+        source, phase = None, _phase_table(d)[(s * tv) % d]
+        phase.setflags(write=False)
+    else:
+        add = s if control_stride is None else s * ((i // control_stride) % d)
+        source, phase = i + (((tv - add) % d) - tv) * stride, None
+        source.setflags(write=False)
+    return source, phase
 
 
 def apply_gate(state: PureState, gate: GateSpec) -> PureState:
     """Apply one gate and return the new state.
 
-    shift and cadd are pure index permutations: the output amplitudes are
-    bit-identical copies of the input ones.
+    shift, cadd and phase are monomial: a cached source index and phase
+    vector.  shift and cadd are pure index permutations, so the output
+    amplitudes are bit-identical copies of the input ones.  fourier and
+    dense apply their matrix to the target axes.
     """
     layout = state.layout
     d = layout.d
-    for reg in gate.registers:
-        layout.axis(reg)
+    if gate.kind not in ("fourier", "dense"):
+        source, phase = _gate_table(layout, gate.kind, gate.control, gate.targets[0], gate.s % d)
+        if source is None and phase is None:
+            return state
+        out = state.amplitudes if source is None else state.amplitudes[source]
+        if phase is not None:
+            out = out * phase
+        return PureState._trusted(layout, out)
 
-    if gate.kind == "shift":
-        s = gate.s % d
-        if s == 0:
-            return PureState(layout, state.amplitudes)
-        st = _stride(layout, layout.axis(gate.targets[0]))
-        i = np.arange(layout.dim)
-        tv = (i // st) % d
-        out = _permuted(state, i + (((tv - s) % d) - tv) * st)
-        return PureState(layout, out)
-
-    if gate.kind == "cadd":
-        s = gate.s % d
-        if s == 0:
-            return PureState(layout, state.amplitudes)
-        sc = _stride(layout, layout.axis(gate.control))
-        st = _stride(layout, layout.axis(gate.targets[0]))
-        i = np.arange(layout.dim)
-        cv = (i // sc) % d
-        tv = (i // st) % d
-        out = _permuted(state, i + (((tv - s * cv) % d) - tv) * st)
-        return PureState(layout, out)
-
-    if gate.kind == "phase":
-        st = _stride(layout, layout.axis(gate.targets[0]))
-        i = np.arange(layout.dim)
-        tv = (i // st) % d
-        out = state.amplitudes * _phase_table(d)[(gate.s * tv) % d]
-        return PureState(layout, out)
-
-    if gate.kind == "fourier":
-        ax = layout.axis(gate.targets[0])
-        out = np.tensordot(_fourier_matrix(d), state.tensor, axes=(1, ax))
-        return PureState(layout, np.moveaxis(out, 0, ax).reshape(-1))
-
-    # dense
+    matrix = _fourier_matrix(d) if gate.kind == "fourier" else gate.matrix
     axes = tuple(layout.axis(t) for t in gate.targets)
     side = d ** len(axes)
-    if gate.matrix.shape[0] != side:
+    if matrix.shape[0] != side:
         raise NonUnitaryMatrix(
-            f"dense matrix side {gate.matrix.shape[0]} does not match d^targets = {side}"
+            f"dense matrix side {matrix.shape[0]} does not match d^targets = {side}"
         )
     rest = tuple(a for a in range(len(layout)) if a not in axes)
     perm = axes + rest
     folded = np.transpose(state.tensor, perm).reshape(side, -1)
-    out = gate.matrix @ folded
+    out = matrix @ folded
     inverse = np.argsort(perm)
     out = np.transpose(out.reshape((d,) * len(layout)), inverse)
-    return PureState(layout, out.reshape(-1))
+    return PureState._trusted(layout, out.reshape(-1))
 
 
 def apply_gate_dense(state: PureState, gate: GateSpec) -> PureState:

@@ -1,11 +1,13 @@
 """Command-line contract: exit codes, precedence rules, byte determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import qkdsim.cli as cli
+from qkdsim.adversary import PRESETS, TIMINGS, action_from_obj
 from qkdsim.errors import InvariantViolation
 
 REPO = Path(__file__).parent.parent
@@ -74,6 +76,31 @@ class TestValidate:
             tmp_path, d=2, rounds=1, keys=[0],
             attack={"script": {"rounds": {"1": [{"op": "warp", "target": "k"}]}}})
         assert cli.main(["validate", path]) == 1
+
+    def test_readme_examples_are_accepted(self, tmp_path):
+        """The README's JSON blocks load: scenarios through load_scenario,
+        action lists through action_from_obj; its preset and timing lists
+        name exactly what the code accepts."""
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        scenarios = actions = 0
+        for i, block in enumerate(re.findall(r"```json\n(.*?)```", readme, re.S)):
+            doc = json.loads(block)
+            if isinstance(doc, list):
+                for obj in doc:
+                    action_from_obj(obj)
+                actions += len(doc)
+            else:
+                path = tmp_path / f"readme_{i}.json"
+                path.write_text(block, encoding="utf-8")
+                cli.load_scenario(str(path))
+                scenarios += 1
+        assert scenarios >= 3 and actions >= 6
+
+        def listed(prefix):
+            sentence = re.search(rf"^{prefix}(.*?)\.$", readme, re.M | re.S).group(1)
+            return set(re.findall(r"`(\w+)`", sentence))
+        assert listed("Attack presets:") == set(PRESETS)
+        assert listed("Timings:") == set(TIMINGS)
 
 
 class TestRun:

@@ -5,6 +5,9 @@ definition-chasing oracles written here from scratch (digit loops, no shared
 index helpers), so the two paths can only agree if both are right.
 """
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from qkdsim.qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _gate_table,
     apply_gate,
     apply_gate_dense,
     basis_state,
@@ -98,6 +102,13 @@ def random_state(layout, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     return PureState(layout, amps / np.linalg.norm(amps))
+
+
+def signed_zero_state(layout, seed):
+    """random_state with every third amplitude replaced by -0.0 - 0.0j."""
+    amps = random_state(layout, seed).amplitudes.copy()
+    amps[::3] = complex(-0.0, -0.0)
+    return PureState(layout, amps)
 
 
 def pair_state(d):
@@ -182,24 +193,35 @@ class TestPermutationGates:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_shift_permutes_amplitudes_bit_identically(self, d):
-        layout = RegisterLayout(d, ("a", "k"))
-        state = random_state(layout, seed=d)
-        out = apply_gate(state, GateSpec.shift("k", 1))
-        for i, z in enumerate(state.amplitudes):
-            a, k = digits(i, d, 2)
-            j = a * d + (k + 1) % d
-            # exact complex equality: permutations must not round
-            assert out.amplitudes[j] == z
+        for labels in (("a", "k"), ("k", "x", "a")):
+            layout = RegisterLayout(d, labels)
+            ax = labels.index("k")
+            state = signed_zero_state(layout, seed=d)
+            for s in (1, 0, d, -1):
+                out = apply_gate(state, GateSpec.shift("k", s))
+                expected = np.empty_like(state.amplitudes)
+                for i, z in enumerate(state.amplitudes):
+                    v = digits(i, d, len(labels))
+                    v[ax] = (v[ax] + s) % d
+                    expected[layout.index_of(v)] = z
+                # exact bytes: permutations must not round or touch signed zeros
+                assert out.amplitudes.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_cadd_permutes_amplitudes_bit_identically(self, d):
-        layout = RegisterLayout(d, ("c", "t", "x"))
-        state = random_state(layout, seed=10 + d)
-        out = apply_gate(state, GateSpec.controlled_add("c", "t", 2))
-        for i, z in enumerate(state.amplitudes):
-            c, t, x = digits(i, d, 3)
-            j = (c * d + (t + 2 * c) % d) * d + x
-            assert out.amplitudes[j] == z
+        # ("t", "x", "c") puts the control after its target
+        for labels in (("c", "t", "x"), ("t", "x", "c")):
+            layout = RegisterLayout(d, labels)
+            c_ax, t_ax = labels.index("c"), labels.index("t")
+            state = signed_zero_state(layout, seed=10 + d)
+            for s in (2, 0, d, -1):
+                out = apply_gate(state, GateSpec.controlled_add("c", "t", s))
+                expected = np.empty_like(state.amplitudes)
+                for i, z in enumerate(state.amplitudes):
+                    v = digits(i, d, 3)
+                    v[t_ax] = (v[t_ax] + s * v[c_ax]) % d
+                    expected[layout.index_of(v)] = z
+                assert out.amplitudes.tobytes() == expected.tobytes()
 
     def test_dense_cyclic_matrix_equals_shift(self):
         cyclic = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -262,12 +284,41 @@ class TestGateSpecs:
         GateSpec.controlled_add("a", "k", 2),
         GateSpec.phase("k", 2),
         GateSpec.fourier("k"),
-    ])
+    ] + [make(s) for s in (0, 3, -1) for make in (
+        lambda s: GateSpec.shift("k", s),
+        lambda s: GateSpec.controlled_add("a", "k", s),
+        lambda s: GateSpec.phase("k", s),
+    )])
     def test_fast_path_matches_dense_path(self, gate):
-        state = random_state(RegisterLayout(3, ("a", "k")), seed=9)
-        fast = apply_gate(state, gate)
-        dense = apply_gate_dense(state, gate)
-        assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) <= 1e-12
+        # ("k", "x", "a") puts the cadd control after its target
+        for labels in (("a", "k"), ("k", "x", "a")):
+            layout = RegisterLayout(3, labels)
+            state = random_state(layout, seed=9)
+            fast = apply_gate(state, gate)
+            dense = apply_gate_dense(state, gate)
+            assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) <= 1e-12
+            assert not fast.amplitudes.flags.writeable
+            if gate.kind != "fourier":
+                table = _gate_table(layout, gate.kind, gate.control, gate.targets[0], gate.s % 3)
+                assert not any(a.flags.writeable for a in table if a is not None)
+                # s = 0 mod d is the identity: the input comes back untouched
+                assert (fast is state) == (gate.s % 3 == 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    @pytest.mark.parametrize("target", ["a", "k"])
+    def test_fourier_on_basis_matches_closed_form(self, d, target):
+        layout = RegisterLayout(d, ("a", "k"))
+        ax = layout.labels.index(target)
+        for v in range(d):
+            rest = (v + 1) % d
+            values = [rest, rest]
+            values[ax] = v
+            out = apply_gate(basis_state(layout, values), GateSpec.fourier(target))
+            expected = np.zeros(layout.dim, dtype=complex)
+            for j in range(d):
+                values[ax] = j
+                expected[layout.index_of(values)] = cmath.exp(2j * math.pi * j * v / d) / math.sqrt(d)
+            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-15
 
     def test_to_dense_keeps_registers(self):
         gate = to_dense(GateSpec.controlled_add("a", "k", 1), 3)

@@ -28,9 +28,8 @@ from .qudit import (
     PureState,
     RegisterLayout,
     _fourier_matrix,
+    _outcomes,
     apply_gate,
-    measure,
-    measurement_branches,
     partial_trace,
 )
 
@@ -168,12 +167,37 @@ def compile_schedule(preset: str, config) -> AttackScript:
     raise UnknownPreset(f"unknown attack preset {preset!r}; known: {PRESETS}")
 
 
-def _check_action(action: EveAction, layout: RegisterLayout) -> None:
-    for reg in action.registers:
-        if reg in PROTECTED_REGISTERS:
-            raise IllegalRegisterAccess(f"eavesdropper cannot touch register {reg!r}")
-        if reg not in layout.labels:
-            raise ScriptRegisterUnknown(f"script references missing register {reg!r}")
+def _run_actions(branches: list, actions: tuple[EveAction, ...], round_index: int,
+                 rng: np.random.Generator | None) -> list:
+    """The action interpreter, over (probability, state, records) branches.
+
+    Records are linked (older records, (round, register, outcome)) pairs, so a
+    measurement adds one in constant time at any session length.
+    """
+    for action in actions:
+        new_branches = []
+        for prob, state, records in branches:
+            for reg in action.registers:
+                if reg not in state.layout.labels:
+                    raise ScriptRegisterUnknown(f"script references missing register {reg!r}")
+            if action.gate is not None:
+                new_branches.append((prob, apply_gate(state, action.gate), records))
+            else:
+                for outcome, p, post in _outcomes(state, action.measure, rng):
+                    new_branches.append(
+                        (prob * p, post, (records, (round_index, action.measure, outcome)))
+                    )
+        branches = new_branches
+    return branches
+
+
+def _unlinked(records: tuple, first_round: int = 1) -> tuple[tuple[int, str, int], ...]:
+    """Linked records as a flat tuple, oldest first, from `first_round` on."""
+    flat = []
+    while records and records[1][0] >= first_round:
+        records, record = records
+        flat.append(record)
+    return tuple(reversed(flat))
 
 
 def apply_script(state: PureState, script: AttackScript, round_index: int, timing: str,
@@ -184,34 +208,11 @@ def apply_script(state: PureState, script: AttackScript, round_index: int, timin
     Returns the new state and Eve's classical records as
     (round, register, outcome) triples.
     """
-    records: list[tuple[int, str, int]] = []
-    for action in script.actions(round_index, timing):
-        _check_action(action, state.layout)
-        if action.gate is not None:
-            state = apply_gate(state, action.gate)
-        else:
-            if rng is None:
-                rng = np.random.default_rng()
-            outcome, state = measure(state, action.measure, rng)
-            records.append((round_index, action.measure, outcome))
-    return state, records
-
-
-def apply_actions_branches(items, actions, round_index):
-    """Branching variant of apply_script over (prob, state, records) triples."""
-    for action in actions:
-        new_items = []
-        for prob, state, records in items:
-            _check_action(action, state.layout)
-            if action.gate is not None:
-                new_items.append((prob, apply_gate(state, action.gate), records))
-            else:
-                for outcome, p, post in measurement_branches(state, action.measure):
-                    new_items.append(
-                        (prob * p, post, records + ((round_index, action.measure, outcome),))
-                    )
-        items = new_items
-    return items
+    if rng is None:
+        rng = np.random.default_rng()
+    [(_, state, records)] = _run_actions(
+        [(1.0, state, ())], script.actions(round_index, timing), round_index, rng)
+    return state, list(_unlinked(records))
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,8 @@ def _trace_norm(matrix: np.ndarray) -> float:
 
 def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
     total = 0.0
-    for record in set(blocks_a) | set(blocks_b):
+    # a fixed order: records hold strings, so set order changes with the hash seed
+    for record in sorted(set(blocks_a) | set(blocks_b)):
         a = blocks_a.get(record)
         b = blocks_b.get(record)
         if a is None:
@@ -257,15 +259,15 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     Measurements are expanded over all outcome branches rather than sampled,
     so each conditional state is the true mixture of record and memory.
     """
-    from . import protocol  # imported here to avoid a module cycle
+    from . import analysis, protocol  # imported here to avoid a module cycle
     from dataclasses import replace
     from itertools import product
 
     script = script if script is not None else EMPTY_SCRIPT
     tuples_count = config.d ** config.rounds
-    if tuples_count > 10_000:
+    if tuples_count > analysis.KEY_TUPLE_CAP:
         raise ExplosionGuard(
-            f"d^rounds = {tuples_count} key assignments exceed the 10^4 budget")
+            f"d^rounds = {tuples_count} key assignments exceed {analysis.KEY_TUPLE_CAP}")
 
     eve_regs = tuple(protocol.eve_register_labels(config.eve_registers))
     blocks_by_key: dict = {}

@@ -5,6 +5,10 @@ maximally entangled pair state.  Each round Alice adjoins a key qudit "k" in
 |q>, adds "a" onto it, and sends it; Bob subtracts "b" and measures "k" to
 read the key back, which also returns the carrier to its starting state, so
 the same pair serves every round.
+
+One round loop runs both kinds of session: with `run_session`'s rng each
+measurement draws one outcome, so there is one branch; `run_session_branches`
+passes None, so each outcome becomes a branch of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import (
     InvalidDimension,
     InvariantViolation,
     MissingRegister,
-    RegisterCollision,
     ScriptRegisterUnknown,
     ValueOutOfRange,
 )
@@ -29,15 +32,16 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _outcomes,
     apply_gate,
     insert_register,
-    measure,
-    measurement_branches,
     remove_register,
 )
 
 ALICE, BOB, KEY = "a", "b", "k"
 STAGES = ("post_encode", "post_attack", "post_decode", "round_end")
+# most branches an exhaustive session may hold after any stage
+BRANCH_CAP = 100_000
 
 # independent seed streams for key generation and in-session sampling
 _KEY_STREAM = 0x4B
@@ -111,13 +115,24 @@ def alice_encode(state: PureState, q: int) -> PureState:
     layout = state.layout
     if not 0 <= q < layout.d:
         raise ValueOutOfRange(f"key value {q} not in [0, {layout.d})")
-    if KEY in layout.labels:
-        raise RegisterCollision(f"register {KEY!r} already present")
     for reg in (ALICE, BOB):
         if reg not in layout.labels:
             raise MissingRegister(f"state has no register {reg!r}")
     state = insert_register(state, KEY, q, layout.axis(BOB) + 1)
     return apply_gate(state, GateSpec.controlled_add(ALICE, KEY, 1))
+
+
+def _decode(branches: list, rng: np.random.Generator | None) -> tuple[list, int | None]:
+    """Subtract "b" from k, measure k and drop it, on every branch.
+
+    Also returns Bob's last outcome, his only one when sampling.
+    """
+    decoded, outcome = [], None
+    for prob, state, records in branches:
+        state = apply_gate(state, GateSpec.controlled_add(BOB, KEY, state.layout.d - 1))
+        for outcome, p, post in _outcomes(state, KEY, rng):
+            decoded.append((prob * p, remove_register(post, KEY), records))
+    return decoded, outcome
 
 
 def bob_decode(state: PureState, rng: np.random.Generator | None = None,
@@ -127,15 +142,13 @@ def bob_decode(state: PureState, rng: np.random.Generator | None = None,
     Honest traffic makes the outcome certain; under attack it may be random,
     in which case the optional rng drives the sampling.
     """
-    layout = state.layout
     for reg in (BOB, KEY):
-        if reg not in layout.labels:
+        if reg not in state.layout.labels:
             raise MissingRegister(f"state has no register {reg!r}")
-    state = apply_gate(state, GateSpec.controlled_add(BOB, KEY, layout.d - 1))
     if rng is None:
         rng = np.random.default_rng()
-    outcome, state = measure(state, KEY, rng)
-    return outcome, remove_register(state, KEY)
+    [(_, state, _)], outcome = _decode([(1.0, state, ())], rng)
+    return outcome, state
 
 
 @dataclass(frozen=True)
@@ -179,13 +192,6 @@ def control_check(transcripts: Sequence[RoundTranscript],
     return ControlCheck(checked=len(relevant), mismatches=mismatches, rate=rate)
 
 
-def _initial_state(config: ProtocolConfig) -> PureState:
-    state = init_carrier(config.d)
-    for label in eve_register_labels(config.eve_registers):
-        state = insert_register(state, label, 0, len(state.layout))
-    return state
-
-
 def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> None:
     if script.max_round() > config.rounds:
         raise ConfigError(
@@ -195,6 +201,27 @@ def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> 
     if unknown:
         raise ScriptRegisterUnknown(
             f"script references registers {sorted(unknown)}; available: {sorted(allowed)}")
+
+
+def _round_loop(config: ProtocolConfig, script: adversary.AttackScript,
+                rng: np.random.Generator | None):
+    """The one round loop, over (probability, state, eve_records) branches.
+
+    Yields (round, key, stage, branches, Bob's outcome or None) after each of STAGES.
+    """
+    state = init_carrier(config.d)
+    for label in eve_register_labels(config.eve_registers):
+        state = insert_register(state, label, 0, len(state.layout))
+    branches = [(1.0, state, ())]
+    for r, q in enumerate(resolved_keys(config), start=1):
+        branches = [(p, alice_encode(s, q), rec) for p, s, rec in branches]
+        yield r, q, "post_encode", branches, None
+        branches = adversary._run_actions(branches, script.actions(r, "pre_bob"), r, rng)
+        yield r, q, "post_attack", branches, None
+        branches, decoded = _decode(branches, rng)
+        yield r, q, "post_decode", branches, decoded
+        branches = adversary._run_actions(branches, script.actions(r, "post_decode"), r, rng)
+        yield r, q, "round_end", branches, decoded
 
 
 def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = None,
@@ -211,31 +238,17 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     unknown_stages = set(stages) - set(STAGES)
     if unknown_stages:
         raise ConfigError(f"unknown diagnostic stages {sorted(unknown_stages)}")
-    if stages:
-        from . import analysis  # imported here to avoid a module cycle
+    from . import analysis  # imported here to avoid a module cycle
 
     rng = np.random.default_rng([_SESSION_STREAM, config.seed])
-    keys = resolved_keys(config)
-    state = _initial_state(config)
     transcripts = []
-    for r in range(1, config.rounds + 1):
-        q = keys[r - 1]
-        diag: dict = {}
-
-        def probe(stage: str, st: PureState, decode_ok=None):
-            if stage in stages:
-                diag[stage] = analysis.diagnose(st, r, stage, decode_ok=decode_ok,
-                                                tol=schmidt_tol)
-
-        state = alice_encode(state, q)
-        probe("post_encode", state)
-        state, records = adversary.apply_script(state, script, r, "pre_bob", rng)
-        probe("post_attack", state)
-        decoded, state = bob_decode(state, rng)
-        probe("post_decode", state, decode_ok=decoded == q)
-        state, late_records = adversary.apply_script(state, script, r, "post_decode", rng)
-        probe("round_end", state, decode_ok=decoded == q)
-
+    diag: dict = {}
+    for r, q, stage, [(_, state, records)], decoded in _round_loop(config, script, rng):
+        if stage in stages:
+            diag[stage] = analysis.diagnose(state, r, stage, tol=schmidt_tol,
+                                            decode_ok=None if decoded is None else decoded == q)
+        if stage != "round_end":
+            continue
         if abs(state.norm() - 1.0) > 1e-10:
             raise InvariantViolation(
                 f"state norm drifted to {state.norm():.12f} after round {r}")
@@ -244,9 +257,10 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
             mode="control" if r in config.control_rounds else "message",
             key_sent=q,
             key_decoded=decoded,
-            eve_records=tuple(records + late_records),
+            eve_records=adversary._unlinked(records, r),
             diagnostics=diag,
         ))
+        diag = {}
     return transcripts
 
 
@@ -269,19 +283,7 @@ def run_session_branches(config: ProtocolConfig,
     """
     script = script if script is not None else adversary.EMPTY_SCRIPT
     _validate_script(config, script)
-    keys = resolved_keys(config)
-    items: list[tuple[float, PureState, tuple]] = [(1.0, _initial_state(config), ())]
-    for r in range(1, config.rounds + 1):
-        q = keys[r - 1]
-        items = [(p, alice_encode(s, q), rec) for p, s, rec in items]
-        items = adversary.apply_actions_branches(items, script.actions(r, "pre_bob"), r)
-        decoded_items = []
-        for p, s, rec in items:
-            s = apply_gate(s, GateSpec.controlled_add(BOB, KEY, config.d - 1))
-            for _, bp, post in measurement_branches(s, KEY):
-                decoded_items.append((p * bp, remove_register(post, KEY), rec))
-        items = adversary.apply_actions_branches(
-            decoded_items, script.actions(r, "post_decode"), r)
-        if len(items) > 100_000:
-            raise ExplosionGuard(f"branch count {len(items)} exceeds the safety cap")
-    return [SessionBranch(p, s, rec) for p, s, rec in items]
+    for *_, branches, _ in _round_loop(config, script, None):
+        if len(branches) > BRANCH_CAP:  # checked at every stage, before the next one runs
+            raise ExplosionGuard(f"branch count {len(branches)} exceeds the cap of {BRANCH_CAP}")
+    return [SessionBranch(p, s, adversary._unlinked(rec)) for p, s, rec in branches]

@@ -128,10 +128,6 @@ class PureState:
         return state
 
     @property
-    def d(self) -> int:
-        return self.layout.d
-
-    @property
     def tensor(self) -> np.ndarray:
         """Read-only view shaped (d, ..., d), one axis per register."""
         return self.amplitudes.reshape((self.layout.d,) * len(self.layout))
@@ -157,10 +153,6 @@ class DensityMatrix:
             raise ValueError(f"entries must be {self.layout.dim} x {self.layout.dim}, got {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-
-    @property
-    def d(self) -> int:
-        return self.layout.d
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues sorted in descending order."""
@@ -451,6 +443,15 @@ def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[
             outcome = v
             break
     return outcome, _projected(state, split, outcome, math.sqrt(probs[outcome]))
+
+
+def _outcomes(state: PureState, register: str, rng: np.random.Generator | None,
+              ) -> list[tuple[int, float, PureState]]:
+    """The sampling policy: one outcome drawn by the rng at weight 1.0, or all for None."""
+    if rng is None:
+        return measurement_branches(state, register)
+    outcome, post = measure(state, register, rng)
+    return [(outcome, 1.0, post)]
 
 
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-12) -> bool:

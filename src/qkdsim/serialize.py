@@ -83,9 +83,3 @@ def dumps(value, indent: int = 2) -> str:
     _write(value, out, indent, 0)
     out.append("\n")
     return "".join(out)
-
-
-def amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
-    """Amplitudes as [re, im] pairs in index order."""
-    flat = np.asarray(amplitudes).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]

@@ -1,5 +1,10 @@
 """Eavesdropper actions, schedules, and what her records actually reveal."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +39,8 @@ from qkdsim.qudit import (
     partial_trace,
     schmidt_rank,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def in_transit_state(d, q, memory_value=0):
@@ -264,6 +271,26 @@ class TestConditionalStates:
         script = compile_schedule("intercept_resend", config)
         report = eve_conditional_states(config, script)
         assert report.max_pairwise_distance == pytest.approx(1.0, abs=1e-12)
+
+    def test_distances_do_not_depend_on_the_hash_seed(self):
+        # records hold strings, so any set-ordered sum over them would change
+        # its rounding from one interpreter to the next
+        program = (
+            "from qkdsim.adversary import compile_schedule, eve_conditional_states\n"
+            "from qkdsim.protocol import ProtocolConfig\n"
+            "config = ProtocolConfig(d=3, rounds=3, key_seed=2, eve_registers=0, seed=9)\n"
+            "report = eve_conditional_states(\n"
+            "    config, compile_schedule('intercept_resend', config))\n"
+            "print(repr(report.pairwise_distances))\n"
+            "print(repr(report.per_round_max_distance))\n")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+            proc = subprocess.run([sys.executable, "-c", program], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_key_space_guard(self):
         config = ProtocolConfig(d=2, rounds=14, key_seed=0)

@@ -140,6 +140,15 @@ class TestRun:
         assert cli.main(["run", path, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("name", ["intercept_d2", "reply_odd_d3"])
+    def test_matches_golden_transcript(self, name, tmp_path, monkeypatch):
+        # seeded transcripts are a contract: the same scenario gives the same bytes
+        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+        out = tmp_path / "report.json"
+        assert cli.main(["run", str(REPO / "scenarios" / f"{name}.json"),
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"run_{name}.json").read_bytes()
+
     def test_scenario_output_field_is_honored(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         path = honest_scenario(tmp_path, output=str(target))

@@ -1,12 +1,17 @@
 """Session state machine: carrier prep, per-round coding, transcripts."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from qkdsim import serialize
+from qkdsim import protocol, serialize
 from qkdsim.adversary import AttackScript, EveAction, compile_schedule
 from qkdsim.errors import (
     ConfigError,
+    ExplosionGuard,
     InvalidDimension,
     MissingRegister,
     RegisterCollision,
@@ -280,3 +285,53 @@ class TestBranchExecutor:
         for branch in run_session_branches(config, script):
             assert len(branch.eve_records) == 1
             assert branch.eve_records[0][:2] == (1, "k")
+
+    def test_sampled_records_follow_the_branch_probabilities(self):
+        # both policies run the same rounds: over many seeds the sampled
+        # records must occur at the exhaustive branch weights
+        config = ProtocolConfig(d=3, rounds=2, keys=(1, 2))
+        script = AttackScript({r: (EveAction.apply(GateSpec.fourier("k")),
+                                   EveAction.measurement("k")) for r in (1, 2)})
+        expected: dict = {}
+        for branch in run_session_branches(config, script):
+            expected[branch.eve_records] = (expected.get(branch.eve_records, 0.0)
+                                            + branch.probability)
+        samples = 2000
+        counts = Counter(
+            sum((t.eve_records for t in run_session(replace(config, seed=seed), script)), ())
+            for seed in range(samples))
+        assert set(counts) <= set(expected)
+        records = sorted(expected)
+        result = stats.chisquare([counts[rec] for rec in records],
+                                 [samples * expected[rec] for rec in records])
+        assert result.pvalue > 1e-3, (dict(counts), expected)
+
+
+class TestBranchCap:
+    CONFIG = ProtocolConfig(d=2, rounds=3, keys=(0, 1, 1))
+    SCRIPT = AttackScript({r: (EveAction.apply(GateSpec.fourier("k")),
+                               EveAction.measurement("k")) for r in (1, 2, 3)})
+
+    def test_cap_bounds_the_branch_count(self, monkeypatch):
+        full = len(run_session_branches(self.CONFIG, self.SCRIPT))
+        monkeypatch.setattr(protocol, "BRANCH_CAP", full)
+        assert len(run_session_branches(self.CONFIG, self.SCRIPT)) == full
+        monkeypatch.setattr(protocol, "BRANCH_CAP", full - 1)
+        with pytest.raises(ExplosionGuard):
+            run_session_branches(self.CONFIG, self.SCRIPT)
+
+    def test_cap_is_checked_before_bob_decodes(self, monkeypatch):
+        # Eve's first measurement makes two branches; a cap of one stops the
+        # session there, before any decode
+        decodes = []
+        remove = protocol.remove_register
+
+        def counting_remove(*args, **kwargs):
+            decodes.append(args[1])
+            return remove(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "remove_register", counting_remove)
+        monkeypatch.setattr(protocol, "BRANCH_CAP", 1)
+        with pytest.raises(ExplosionGuard):
+            run_session_branches(self.CONFIG, self.SCRIPT)
+        assert decodes == []

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qkdsim.serialize import amplitude_pairs, dumps, format_float
+from qkdsim.serialize import dumps, format_float
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -90,11 +90,3 @@ def test_dump_rejects_non_string_keys():
 def test_dump_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps({"x": object()})
-
-
-def test_amplitude_pairs():
-    amps = np.array([1 / np.sqrt(2), 0.0, 0.0, 1j / np.sqrt(2)])
-    pairs = amplitude_pairs(amps)
-    assert pairs[0] == [1 / np.sqrt(2), 0.0]
-    assert pairs[3] == [0.0, 1 / np.sqrt(2)]
-    assert len(pairs) == 4

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -234,22 +235,12 @@ class ConditionalStatesReport:
     per_round_max_distance: tuple[float, ...]
 
 
-def _trace_norm(matrix: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(matrix))))
-
-
 def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
     total = 0.0
     # a fixed order: records hold strings, so set order changes with the hash seed
     for record in sorted(set(blocks_a) | set(blocks_b)):
-        a = blocks_a.get(record)
-        b = blocks_b.get(record)
-        if a is None:
-            total += _trace_norm(b)
-        elif b is None:
-            total += _trace_norm(a)
-        else:
-            total += _trace_norm(a - b)
+        difference = blocks_a.get(record, 0) - blocks_b.get(record, 0)
+        total += float(np.sum(np.abs(np.linalg.eigvalsh(difference))))
     return 0.5 * total
 
 
@@ -260,27 +251,37 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     so each conditional state is the true mixture of record and memory.
     """
     from . import analysis, protocol  # imported here to avoid a module cycle
-    from dataclasses import replace
-    from itertools import product
 
     script = script if script is not None else EMPTY_SCRIPT
     tuples_count = config.d ** config.rounds
     if tuples_count > analysis.KEY_TUPLE_CAP:
         raise ExplosionGuard(
             f"d^rounds = {tuples_count} key assignments exceed {analysis.KEY_TUPLE_CAP}")
+    protocol._validate_script(config, script)
 
     eve_regs = tuple(protocol.eve_register_labels(config.eve_registers))
     blocks_by_key: dict = {}
     states_by_key: dict = {}
-    for keys in product(range(config.d), repeat=config.rounds):
-        cfg = replace(config, keys=keys, key_seed=None)
+    # marginals[r][v]: blocks averaged over the key tuples whose round r + 1 key is v
+    marginals = [[{} for _ in range(config.d)] for _ in range(config.rounds)]
+    share = tuples_count // config.d
+    # depth first over key prefixes, so each prefix's rounds run once; children
+    # go on the stack last first, so full key tuples come in product order
+    stack = [((), protocol._start(config))]
+    while stack:
+        keys, branches = stack.pop()  # branches as keys[:-1] left them
+        for *_, branches, _ in protocol._round_loop(branches, keys[-1:], len(keys), script, None):
+            pass
+        if len(keys) < config.rounds:
+            stack += [(keys + (q,), branches) for q in reversed(range(config.d))]
+            continue
         blocks: dict = {}
-        for branch in protocol.run_session_branches(cfg, script):
+        for probability, state, records in branches:
             if eve_regs:
-                rho = partial_trace(branch.state, eve_regs).entries * branch.probability
+                rho = partial_trace(state, eve_regs).entries * probability
             else:
-                rho = np.array([[branch.probability]], dtype=np.complex128)
-            record = branch.eve_records
+                rho = np.array([[probability]], dtype=np.complex128)
+            record = _unlinked(records)
             blocks[record] = blocks.get(record, 0) + rho
         blocks_by_key[keys] = blocks
         quantum = sum(blocks.values())
@@ -288,31 +289,14 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
             states_by_key[keys] = DensityMatrix(RegisterLayout(config.d, eve_regs), quantum)
         else:
             states_by_key[keys] = None
+        for by_value, v in zip(marginals, keys):
+            for record, block in blocks.items():
+                by_value[v][record] = by_value[v].get(record, 0) + block / share
 
-    key_tuples = sorted(blocks_by_key)
-    pairwise = {}
-    overall = 0.0
-    for i, ka in enumerate(key_tuples):
-        for kb in key_tuples[i + 1:]:
-            dist = _block_distance(blocks_by_key[ka], blocks_by_key[kb])
-            pairwise[(ka, kb)] = dist
-            overall = max(overall, dist)
-
-    per_round = []
-    for r in range(config.rounds):
-        marginals = []
-        for v in range(config.d):
-            group = [k for k in key_tuples if k[r] == v]
-            merged: dict = {}
-            for k in group:
-                for record, block in blocks_by_key[k].items():
-                    merged[record] = merged.get(record, 0) + block / len(group)
-            marginals.append(merged)
-        worst = 0.0
-        for i in range(config.d):
-            for j in range(i + 1, config.d):
-                worst = max(worst, _block_distance(marginals[i], marginals[j]))
-        per_round.append(worst)
+    pairwise = {(ka, kb): _block_distance(blocks_by_key[ka], blocks_by_key[kb])
+                for ka, kb in combinations(blocks_by_key, 2)}
+    per_round = [max(_block_distance(a, b) for a, b in combinations(by_value, 2))
+                 for by_value in marginals]
 
     return ConditionalStatesReport(
         d=config.d,
@@ -321,7 +305,7 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
         states=states_by_key,
         blocks=blocks_by_key,
         pairwise_distances=pairwise,
-        max_pairwise_distance=overall,
+        max_pairwise_distance=max(pairwise.values()),
         per_round_max_distance=tuple(per_round),
     )
 

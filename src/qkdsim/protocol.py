@@ -6,9 +6,10 @@ maximally entangled pair state.  Each round Alice adjoins a key qudit "k" in
 read the key back, which also returns the carrier to its starting state, so
 the same pair serves every round.
 
-One round loop runs both kinds of session: with `run_session`'s rng each
+One round loop runs every kind of session: with `run_session`'s rng each
 measurement draws one outcome, so there is one branch; `run_session_branches`
-passes None, so each outcome becomes a branch of its own.
+passes None, so each outcome becomes a branch of its own.  The exact analysis
+(`adversary.eve_conditional_states`) runs it once per key prefix.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ BRANCH_CAP = 100_000
 # independent seed streams for key generation and in-session sampling
 _KEY_STREAM = 0x4B
 _SESSION_STREAM = 0x5E
+
+_ENCODE = GateSpec.controlled_add(ALICE, KEY, 1)
+_DECODE = GateSpec.controlled_add(BOB, KEY, -1)
 
 
 def eve_register_labels(count: int) -> list[str]:
@@ -119,7 +123,7 @@ def alice_encode(state: PureState, q: int) -> PureState:
         if reg not in layout.labels:
             raise MissingRegister(f"state has no register {reg!r}")
     state = insert_register(state, KEY, q, layout.axis(BOB) + 1)
-    return apply_gate(state, GateSpec.controlled_add(ALICE, KEY, 1))
+    return apply_gate(state, _ENCODE)
 
 
 def _decode(branches: list, rng: np.random.Generator | None) -> tuple[list, int | None]:
@@ -129,7 +133,7 @@ def _decode(branches: list, rng: np.random.Generator | None) -> tuple[list, int 
     """
     decoded, outcome = [], None
     for prob, state, records in branches:
-        state = apply_gate(state, GateSpec.controlled_add(BOB, KEY, state.layout.d - 1))
+        state = apply_gate(state, _DECODE)
         for outcome, p, post in _outcomes(state, KEY, rng):
             decoded.append((prob * p, remove_register(post, KEY), records))
     return decoded, outcome
@@ -203,25 +207,36 @@ def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> 
             f"script references registers {sorted(unknown)}; available: {sorted(allowed)}")
 
 
-def _round_loop(config: ProtocolConfig, script: adversary.AttackScript,
-                rng: np.random.Generator | None):
-    """The one round loop, over (probability, state, eve_records) branches.
-
-    Yields (round, key, stage, branches, Bob's outcome or None) after each of STAGES.
-    """
+def _start(config: ProtocolConfig) -> list:
+    """The one starting branch: the carrier pair and Eve's registers in |0>."""
     state = init_carrier(config.d)
     for label in eve_register_labels(config.eve_registers):
         state = insert_register(state, label, 0, len(state.layout))
-    branches = [(1.0, state, ())]
-    for r, q in enumerate(resolved_keys(config), start=1):
+    return [(1.0, state, ())]
+
+
+def _capped(branches: list) -> list:
+    if len(branches) > BRANCH_CAP:
+        raise ExplosionGuard(f"branch count {len(branches)} exceeds the cap of {BRANCH_CAP}")
+    return branches
+
+
+def _round_loop(branches: list, keys: Iterable[int], first_round: int,
+                script: adversary.AttackScript, rng: np.random.Generator | None):
+    """The one round loop, over (probability, state, eve_records) branches.
+
+    Runs one round per key from round first_round on.  After each of STAGES it
+    checks BRANCH_CAP, then yields (round, key, stage, branches, Bob's outcome or None).
+    """
+    for r, q in enumerate(keys, start=first_round):
         branches = [(p, alice_encode(s, q), rec) for p, s, rec in branches]
         yield r, q, "post_encode", branches, None
         branches = adversary._run_actions(branches, script.actions(r, "pre_bob"), r, rng)
-        yield r, q, "post_attack", branches, None
+        yield r, q, "post_attack", _capped(branches), None
         branches, decoded = _decode(branches, rng)
-        yield r, q, "post_decode", branches, decoded
+        yield r, q, "post_decode", _capped(branches), decoded
         branches = adversary._run_actions(branches, script.actions(r, "post_decode"), r, rng)
-        yield r, q, "round_end", branches, decoded
+        yield r, q, "round_end", _capped(branches), decoded
 
 
 def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = None,
@@ -243,7 +258,8 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     rng = np.random.default_rng([_SESSION_STREAM, config.seed])
     transcripts = []
     diag: dict = {}
-    for r, q, stage, [(_, state, records)], decoded in _round_loop(config, script, rng):
+    for r, q, stage, [(_, state, records)], decoded in _round_loop(
+            _start(config), resolved_keys(config), 1, script, rng):
         if stage in stages:
             diag[stage] = analysis.diagnose(state, r, stage, tol=schmidt_tol,
                                             decode_ok=None if decoded is None else decoded == q)
@@ -283,7 +299,6 @@ def run_session_branches(config: ProtocolConfig,
     """
     script = script if script is not None else adversary.EMPTY_SCRIPT
     _validate_script(config, script)
-    for *_, branches, _ in _round_loop(config, script, None):
-        if len(branches) > BRANCH_CAP:  # checked at every stage, before the next one runs
-            raise ExplosionGuard(f"branch count {len(branches)} exceeds the cap of {BRANCH_CAP}")
+    for *_, branches, _ in _round_loop(_start(config), resolved_keys(config), 1, script, None):
+        pass
     return [SessionBranch(p, s, adversary._unlinked(rec)) for p, s, rec in branches]

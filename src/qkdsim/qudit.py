@@ -4,7 +4,7 @@ Amplitudes live in a flat complex vector indexed in mixed radix, first
 register label most significant.  Gates run on one of two kernels.  shift,
 controlled-add and phase are monomial matrices, applied through one cached
 table per (layout, gate): a source index that permutes the amplitudes
-without touching their values, and a phase vector for the phase gate.
+without touching their values, or the phase gate's non-unit factors.
 Fourier and dense gates apply their matrix to the target axes.  Every gate
 kind can also be expanded to an explicit dense unitary, which doubles as an
 independent cross-check path.
@@ -286,11 +286,11 @@ def to_dense(gate: GateSpec, d: int) -> GateSpec:
 @lru_cache(maxsize=128)
 def _gate_table(layout: RegisterLayout, kind: str, control: str | None, target: str,
                 s: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(source index or None, phase vector or None) of a shift, cadd or phase gate.
+    """(index, phase) of a shift, cadd or phase gate; (None, None) for the identity.
 
-    s is already reduced mod d.  The output amplitudes are
-    amps[source] * phase, with a factor left out (None) where it is the
-    identity: multiplying by a phase of 1 would turn -0.0 into +0.0.
+    s is already reduced mod d.  shift and cadd output amps[index]; phase
+    multiplies amps[index] by phase, with index only the slots whose factor is
+    not 1: multiplying by a phase of 1 would turn -0.0 into +0.0.
     """
     d = layout.d
     # strides first, so an unknown register raises even for the identity
@@ -301,32 +301,33 @@ def _gate_table(layout: RegisterLayout, kind: str, control: str | None, target: 
     i = np.arange(layout.dim)
     tv = (i // stride) % d
     if kind == "phase":
-        source, phase = None, _phase_table(d)[(s * tv) % d]
+        index = np.flatnonzero((s * tv) % d)
+        phase = _phase_table(d)[(s * tv[index]) % d]
         phase.setflags(write=False)
     else:
         add = s if control_stride is None else s * ((i // control_stride) % d)
-        source, phase = i + (((tv - add) % d) - tv) * stride, None
-        source.setflags(write=False)
-    return source, phase
+        index, phase = i + (((tv - add) % d) - tv) * stride, None
+    index.setflags(write=False)
+    return index, phase
 
 
 def apply_gate(state: PureState, gate: GateSpec) -> PureState:
     """Apply one gate and return the new state.
 
-    shift, cadd and phase are monomial: a cached source index and phase
-    vector.  shift and cadd are pure index permutations, so the output
-    amplitudes are bit-identical copies of the input ones.  fourier and
-    dense apply their matrix to the target axes.
+    shift, cadd and phase are monomial, run from a cached table.  shift and
+    cadd are pure index permutations and phase leaves its factor-1 slots
+    alone, so those amplitudes are bit-identical copies of the input ones.
+    fourier and dense apply their matrix to the target axes.
     """
     layout = state.layout
     d = layout.d
     if gate.kind not in ("fourier", "dense"):
-        source, phase = _gate_table(layout, gate.kind, gate.control, gate.targets[0], gate.s % d)
-        if source is None and phase is None:
+        index, phase = _gate_table(layout, gate.kind, gate.control, gate.targets[0], gate.s % d)
+        if index is None:
             return state
-        out = state.amplitudes if source is None else state.amplitudes[source]
+        out = state.amplitudes[index] if phase is None else state.amplitudes.copy()
         if phase is not None:
-            out = out * phase
+            out[index] *= phase
         return PureState._trusted(layout, out)
 
     matrix = _fourier_matrix(d) if gate.kind == "fourier" else gate.matrix

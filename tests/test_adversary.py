@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,14 @@ from qkdsim.errors import (
     ScriptRegisterUnknown,
     UnknownPreset,
 )
-from qkdsim.protocol import ProtocolConfig, bob_decode, init_carrier, run_session
+from qkdsim import protocol
+from qkdsim.protocol import (
+    ProtocolConfig,
+    bob_decode,
+    init_carrier,
+    run_session,
+    run_session_branches,
+)
 from qkdsim.qudit import (
     GateSpec,
     PureState,
@@ -303,6 +312,94 @@ class TestConditionalStates:
         report = eve_conditional_states(config, script)
         for rho in report.states.values():
             rho.validate()
+
+    @staticmethod
+    def _measure_k(rounds):
+        return AttackScript({r: (EveAction.measurement("k"),) for r in range(1, rounds + 1)})
+
+    @pytest.mark.parametrize("d,rounds,preset,eve_registers", [
+        (2, 3, "intercept_resend", 1),
+        (3, 2, "reply_odd_stop_restart", 2),
+        (2, 3, "measure_k", 0),
+    ])
+    def test_walk_equals_the_per_key_definition(self, d, rounds, preset, eve_registers):
+        # the definition: one exhaustive session per key tuple, blocks summed by record
+        config = ProtocolConfig(d=d, rounds=rounds, key_seed=3,
+                                eve_registers=eve_registers, seed=1)
+        if preset == "measure_k":
+            script = self._measure_k(rounds)
+        else:
+            script = compile_schedule(preset, config)
+        eve_regs = protocol.eve_register_labels(eve_registers)
+        expected = {}
+        for keys in product(range(d), repeat=rounds):
+            blocks = {}
+            for branch in run_session_branches(replace(config, keys=keys, key_seed=None), script):
+                if eve_regs:
+                    rho = partial_trace(branch.state, eve_regs).entries * branch.probability
+                else:
+                    rho = np.array([[branch.probability]], dtype=complex)
+                blocks[branch.eve_records] = blocks.get(branch.eve_records, 0) + rho
+            expected[keys] = blocks
+
+        report = eve_conditional_states(config, script)
+        assert list(report.blocks) == list(expected)
+        for keys, blocks in expected.items():
+            assert list(report.blocks[keys]) == list(blocks)
+            for record, block in blocks.items():
+                assert np.array_equal(report.blocks[keys][record], block)
+
+        def distance(a, b):
+            return 0.5 * sum(np.abs(np.linalg.eigvalsh(a.get(rec, 0) - b.get(rec, 0))).sum()
+                             for rec in set(a) | set(b))
+
+        assert set(report.pairwise_distances) == {
+            (ka, kb) for ka in expected for kb in expected if ka < kb}
+        for (ka, kb), dist in report.pairwise_distances.items():
+            assert abs(dist - distance(expected[ka], expected[kb])) <= 1e-12
+        assert report.max_pairwise_distance == max(report.pairwise_distances.values())
+        for r, worst in enumerate(report.per_round_max_distance):
+            marginals = []
+            for v in range(d):
+                group = [k for k in expected if k[r] == v]
+                merged = {}
+                for k in group:
+                    for record, block in expected[k].items():
+                        merged[record] = merged.get(record, 0) + block / len(group)
+                marginals.append(merged)
+            reference = max(distance(marginals[i], marginals[j])
+                            for i in range(d) for j in range(i + 1, d))
+            assert abs(worst - reference) <= 1e-12
+
+    def test_each_key_prefix_runs_once(self, monkeypatch):
+        # honest d=2, R=4: 2 + 4 + 8 + 16 prefixes, one encode each; one
+        # session per key tuple would make 16 * 4 = 64
+        calls = []
+        encode = protocol.alice_encode
+
+        def counting_encode(state, q):
+            calls.append(q)
+            return encode(state, q)
+
+        monkeypatch.setattr(protocol, "alice_encode", counting_encode)
+        report = eve_conditional_states(ProtocolConfig(d=2, rounds=4, key_seed=0))
+        assert len(report.blocks) == 16
+        assert len(calls) == 30
+
+    def test_branch_cap_guards_the_walk(self, monkeypatch):
+        config = ProtocolConfig(d=2, rounds=2, key_seed=0, eve_registers=0)
+        script = self._measure_k(2)
+        full = len(run_session_branches(config, script))
+        monkeypatch.setattr(protocol, "BRANCH_CAP", full)
+        eve_conditional_states(config, script)
+        monkeypatch.setattr(protocol, "BRANCH_CAP", full - 1)
+        with pytest.raises(ExplosionGuard):
+            eve_conditional_states(config, script)
+
+    def test_script_beyond_session_rejected(self):
+        config = ProtocolConfig(d=2, rounds=2, key_seed=0)
+        with pytest.raises(ConfigError):
+            eve_conditional_states(config, self._measure_k(3))
 
 
 class TestWireFormat:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,33 @@ class TestValidate:
             return set(re.findall(r"`(\w+)`", sentence))
         assert listed("Attack presets:") == set(PRESETS)
         assert listed("Timings:") == set(TIMINGS)
+
+
+class TestReadmeExamples:
+    README = (REPO / "README.md").read_text(encoding="utf-8")
+
+    def test_python_blocks_run(self, monkeypatch):
+        blocks = re.findall(r"```python\n(.*?)```", self.README, re.S)
+        assert blocks
+        monkeypatch.chdir(REPO)
+        for i, block in enumerate(blocks):
+            exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+    def test_cli_lines_exit_zero(self, tmp_path, monkeypatch):
+        """Every `qkdsim ...` line of the README's sh blocks, run from the
+        repository root, with reports written under tmp_path."""
+        lines = [line for block in re.findall(r"```sh\n(.*?)```", self.README, re.S)
+                 for line in block.splitlines() if line.startswith("qkdsim ")]
+        assert len(lines) >= 4
+        monkeypatch.chdir(REPO)
+        for i, line in enumerate(lines):
+            argv = shlex.split(line, comments=True)[1:]
+            out = str(tmp_path / f"report_{i}")
+            if "--out" in argv:
+                argv[argv.index("--out") + 1] = out
+            elif argv[0] != "validate":
+                argv += ["--out", out]
+            assert cli.main(argv) == 0, line
 
 
 class TestRun:

@@ -223,6 +223,29 @@ class TestPermutationGates:
                     expected[layout.index_of(v)] = z
                 assert out.amplitudes.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_phase_leaves_unit_factor_slots_bit_identical(self, d):
+        # a factor of exactly 1 must not be multiplied in: 1 * (x - 0.0j)
+        # gives x + 0.0j, and 1 * (-0.0 - 0.0j) gives 0.0 + 0.0j; at d=4,
+        # s=2 two values of k (0 and 2) have factor 1
+        layout = RegisterLayout(d, ("k", "x"))
+        amps = random_state(layout, seed=20 + d).amplitudes.copy()
+        amps[::3] = complex(-0.0, -0.0)
+        amps.imag[1::3] = -0.0
+        norm = np.linalg.norm(amps)
+        amps.real /= norm
+        amps.imag /= norm
+        state = PureState(layout, amps)
+        assert np.signbit(state.amplitudes[:d].imag).sum() >= 2
+        for s in range(1, d):
+            out = apply_gate(state, GateSpec.phase("k", s)).amplitudes
+            for i, z in enumerate(state.amplitudes):
+                power = s * digits(i, d, 2)[0] % d
+                if power == 0:
+                    assert out[i:i + 1].tobytes() == state.amplitudes[i:i + 1].tobytes()
+                else:
+                    assert abs(out[i] - z * cmath.exp(2j * math.pi * power / d)) <= 1e-15
+
     def test_dense_cyclic_matrix_equals_shift(self):
         cyclic = np.array([[0.0, 1.0], [1.0, 0.0]])
         layout = RegisterLayout(2, ("a", "k"))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (
     ConfigError,
     ExplosionGuard,
     IllegalRegisterAccess,
+    InvariantViolation,
     MissingRegister,
     ScriptRegisterUnknown,
     UnknownPreset,
@@ -40,6 +40,9 @@ PROTECTED_REGISTERS = ("a", "b")
 
 # stream label separating Eve's compile-time randomness from session sampling
 _BASIS_STREAM = 0x0B
+
+# the most bytes one chunk of stacked block differences may take
+_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -235,13 +238,51 @@ class ConditionalStatesReport:
     per_round_max_distance: tuple[float, ...]
 
 
-def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
-    total = 0.0
-    # a fixed order: records hold strings, so set order changes with the hash seed
-    for record in sorted(set(blocks_a) | set(blocks_b)):
-        difference = blocks_a.get(record, 0) - blocks_b.get(record, 0)
-        total += float(np.sum(np.abs(np.linalg.eigvalsh(difference))))
-    return 0.5 * total
+def _distances(block_dicts: list, ia: np.ndarray, ib: np.ndarray) -> list[float]:
+    """Trace distance between block_dicts[ia[p]] and block_dicts[ib[p]] for each pair p.
+
+    Records are visited in sorted order (they hold strings, so set order would
+    change with the hash seed) and each pair adds its record sums in that
+    order: the same bits as summing |eigvalsh(a.get(r, 0) - b.get(r, 0))| record
+    by record.  Each record stacks only the dicts that hold it.
+    """
+    holders: dict = {}
+    for i, blocks in enumerate(block_dicts):
+        for record, block in blocks.items():
+            holders.setdefault(record, []).append((i, block))
+    totals = np.zeros(len(ia))
+    position = np.zeros(len(block_dicts), dtype=np.intp)
+    for record in sorted(holders):
+        index, blocks = map(list, zip(*holders[record]))
+        stack = np.stack(blocks)
+        held = np.zeros(len(block_dicts), dtype=bool)
+        held[index] = True
+        position[index] = range(len(index))
+        held_a, held_b = held[ia], held[ib]
+        both = np.flatnonzero(held_a & held_b)
+        chunk = max(1, _CHUNK_BYTES // stack[0].nbytes)
+        for start in range(0, len(both), chunk):
+            pairs = both[start:start + chunk]
+            difference = stack[position[ia[pairs]]]
+            difference -= stack[position[ib[pairs]]]
+            totals[pairs] += np.abs(np.linalg.eigvalsh(difference)).sum(axis=-1)
+        # a record on one side only: its own spectrum, once per holder; b's side
+        # takes 0 - B, not -B, whose zeros have the other sign
+        for lone, side, negate in ((held_a & ~held_b, ia, False), (held_b & ~held_a, ib, True)):
+            pairs = np.flatnonzero(lone)
+            if len(pairs):
+                sums = np.abs(np.linalg.eigvalsh(0 - stack if negate else stack)).sum(axis=-1)
+                totals[pairs] += sums[position[side[pairs]]]
+    return (0.5 * totals).tolist()
+
+
+def _weight_checked(blocks: dict, what: str) -> np.ndarray:
+    """The blocks summed over records, once their trace is checked to be 1."""
+    quantum = sum(blocks.values())
+    weight = np.trace(quantum).real
+    if abs(weight - 1.0) > 1e-12:
+        raise InvariantViolation(f"{what} has total weight {weight!r}, not 1")
+    return quantum
 
 
 def eve_conditional_states(config, script: AttackScript | None = None) -> ConditionalStatesReport:
@@ -284,7 +325,7 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
             record = _unlinked(records)
             blocks[record] = blocks.get(record, 0) + rho
         blocks_by_key[keys] = blocks
-        quantum = sum(blocks.values())
+        quantum = _weight_checked(blocks, f"key tuple {keys}")
         if eve_regs:
             states_by_key[keys] = DensityMatrix(RegisterLayout(config.d, eve_regs), quantum)
         else:
@@ -293,10 +334,17 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
             for record, block in blocks.items():
                 by_value[v][record] = by_value[v].get(record, 0) + block / share
 
-    pairwise = {(ka, kb): _block_distance(blocks_by_key[ka], blocks_by_key[kb])
-                for ka, kb in combinations(blocks_by_key, 2)}
-    per_round = [max(_block_distance(a, b) for a, b in combinations(by_value, 2))
-                 for by_value in marginals]
+    for r, by_value in enumerate(marginals, 1):
+        for v, blocks in enumerate(by_value):
+            _weight_checked(blocks, f"the round {r} marginal of key value {v}")
+
+    key_tuples = list(blocks_by_key)
+    ia, ib = np.triu_indices(len(key_tuples), 1)
+    distances = _distances(list(blocks_by_key.values()), ia, ib)
+    pairwise = {(key_tuples[a], key_tuples[b]): distance
+                for a, b, distance in zip(ia.tolist(), ib.tolist(), distances)}
+    ia, ib = np.triu_indices(config.d, 1)
+    per_round = [max(_distances(by_value, ia, ib)) for by_value in marginals]
 
     return ConditionalStatesReport(
         d=config.d,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from qkdsim.adversary import (
+    PRESETS,
     AttackScript,
     EveAction,
     apply_script,
@@ -27,11 +29,12 @@ from qkdsim.errors import (
     ConfigError,
     ExplosionGuard,
     IllegalRegisterAccess,
+    InvariantViolation,
     MissingRegister,
     ScriptRegisterUnknown,
     UnknownPreset,
 )
-from qkdsim import protocol
+from qkdsim import adversary, protocol
 from qkdsim.protocol import (
     ProtocolConfig,
     bob_decode,
@@ -321,9 +324,13 @@ class TestConditionalStates:
         (2, 3, "intercept_resend", 1),
         (3, 2, "reply_odd_stop_restart", 2),
         (2, 3, "measure_k", 0),
+        # sparse records: each key tuple holds few of the records in the union
+        (3, 3, "intercept_resend", 2),
+        (3, 3, "measure_k", 1),
     ])
     def test_walk_equals_the_per_key_definition(self, d, rounds, preset, eve_registers):
-        # the definition: one exhaustive session per key tuple, blocks summed by record
+        # the definition: one exhaustive session per key tuple, blocks summed by
+        # record, and one trace distance per pair, summed record by record
         config = ProtocolConfig(d=d, rounds=rounds, key_seed=3,
                                 eve_registers=eve_registers, seed=1)
         if preset == "measure_k":
@@ -351,12 +358,12 @@ class TestConditionalStates:
 
         def distance(a, b):
             return 0.5 * sum(np.abs(np.linalg.eigvalsh(a.get(rec, 0) - b.get(rec, 0))).sum()
-                             for rec in set(a) | set(b))
+                             for rec in sorted(set(a) | set(b)))
 
-        assert set(report.pairwise_distances) == {
-            (ka, kb) for ka in expected for kb in expected if ka < kb}
+        assert list(report.pairwise_distances) == [
+            (ka, kb) for ka in expected for kb in expected if ka < kb]
         for (ka, kb), dist in report.pairwise_distances.items():
-            assert abs(dist - distance(expected[ka], expected[kb])) <= 1e-12
+            assert dist == distance(expected[ka], expected[kb])
         assert report.max_pairwise_distance == max(report.pairwise_distances.values())
         for r, worst in enumerate(report.per_round_max_distance):
             marginals = []
@@ -369,7 +376,11 @@ class TestConditionalStates:
                 marginals.append(merged)
             reference = max(distance(marginals[i], marginals[j])
                             for i in range(d) for j in range(i + 1, d))
-            assert abs(worst - reference) <= 1e-12
+            assert worst == reference
+
+    def test_one_pair_chunks_change_no_bit(self, monkeypatch):
+        monkeypatch.setattr(adversary, "_CHUNK_BYTES", 1)
+        self.test_walk_equals_the_per_key_definition(2, 4, "intercept_resend", 1)
 
     def test_each_key_prefix_runs_once(self, monkeypatch):
         # honest d=2, R=4: 2 + 4 + 8 + 16 prefixes, one encode each; one
@@ -400,6 +411,98 @@ class TestConditionalStates:
         config = ProtocolConfig(d=2, rounds=2, key_seed=0)
         with pytest.raises(ConfigError):
             eve_conditional_states(config, self._measure_k(3))
+
+    def test_weight_invariant_catches_a_lost_branch(self, monkeypatch):
+        loop = protocol._round_loop
+
+        def lossy_loop(*args):
+            for *head, branches, decoded in loop(*args):
+                yield (*head, branches[1:] if len(branches) > 1 else branches, decoded)
+
+        monkeypatch.setattr(protocol, "_round_loop", lossy_loop)
+        config = ProtocolConfig(d=2, rounds=2, key_seed=0, eve_registers=0)
+        with pytest.raises(InvariantViolation, match="weight"):
+            eve_conditional_states(config, self._measure_k(2))
+
+    @pytest.mark.parametrize("d,rounds", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("eve_registers", [1, 2])
+    def test_intercept_resend_closed_form(self, d, rounds, eve_registers):
+        # her records fix every key difference between her computational-basis
+        # rounds and nothing else: D(ka, kb) is 0 when ka - kb is constant mod d
+        # over those rounds, and 1 otherwise
+        for seed in range(4):
+            config = ProtocolConfig(d=d, rounds=rounds, key_seed=0,
+                                    eve_registers=eve_registers, seed=seed)
+            script = compile_schedule("intercept_resend", config)
+            computational = [r - 1 for r, actions in script.rounds.items()
+                             if actions == (EveAction.measurement("k"),)]
+            report = eve_conditional_states(config, script)
+            for (ka, kb), dist in report.pairwise_distances.items():
+                differences = {(ka[r] - kb[r]) % d for r in computational}
+                assert abs(dist - (len(differences) > 1)) <= 1e-12, (seed, ka, kb)
+
+    @pytest.mark.parametrize("preset", PRESETS + ("measure_k",))
+    @pytest.mark.parametrize("d,rounds", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("eve_registers", [1, 2])
+    def test_distances_depend_only_on_the_key_difference(self, preset, d, rounds,
+                                                         eve_registers):
+        # Weyl covariance: a key shift is X^c on k after the encode, and every
+        # preset gate and measurement commutes with it up to a fixed unitary on
+        # Eve's side or a relabelling of her records
+        config = ProtocolConfig(d=d, rounds=rounds, key_seed=0,
+                                eve_registers=eve_registers, seed=5)
+        if preset == "measure_k":
+            script = self._measure_k(rounds)
+        else:
+            script = compile_schedule(preset, config)
+        assert self._difference_spread(eve_conditional_states(config, script)) <= 1e-12
+
+    def test_a_rotated_measurement_breaks_the_covariance(self):
+        # the negative control: at d=3, rotating k's |0>, |1> plane by pi/8 before
+        # each measurement breaks the covariance; a phase on k would not, since it
+        # commutes with X^c up to a global phase
+        c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+        rotation = GateSpec.dense(("k",), np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]))
+        script = AttackScript({r: (EveAction.apply(rotation), EveAction.measurement("k"))
+                               for r in (1, 2)})
+        config = ProtocolConfig(d=3, rounds=2, key_seed=0, eve_registers=1)
+        assert self._difference_spread(eve_conditional_states(config, script)) > 0.1
+
+    @staticmethod
+    def _difference_spread(report):
+        """The widest spread of distances among pairs with one key difference."""
+        by_difference: dict = {}
+        for (ka, kb), dist in report.pairwise_distances.items():
+            difference = tuple((a - b) % report.d for a, b in zip(ka, kb))
+            by_difference.setdefault(difference, []).append(dist)
+        return max(max(v) - min(v) for v in by_difference.values())
+
+    def test_distances_stack_only_the_holders_of_a_record(self):
+        # 125 dicts, each holding 5 of 125 records of 25 x 25 blocks: one
+        # zero-filled (dicts x records x 25 x 25) stack would take 156 MB
+        n, m = 125, 25
+        rng = np.random.default_rng(0)
+        block_dicts = []
+        for _ in range(n):
+            blocks = {}
+            for record in rng.choice(n, size=5, replace=False):
+                half = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                blocks[int(record)] = half + half.conj().T
+            block_dicts.append(blocks)
+        ia, ib = np.triu_indices(n, 1)
+        tracemalloc.start()
+        try:
+            distances = adversary._distances(block_dicts, ia, ib)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * adversary._CHUNK_BYTES
+        for p in range(0, len(ia), 97):
+            a, b = block_dicts[ia[p]], block_dicts[ib[p]]
+            reference = 0.5 * sum(
+                np.abs(np.linalg.eigvalsh(a.get(rec, 0) - b.get(rec, 0))).sum()
+                for rec in sorted(set(a) | set(b)))
+            assert distances[p] == reference
 
 
 class TestWireFormat:

@@ -44,6 +44,10 @@ _BASIS_STREAM = 0x0B
 # the most bytes one chunk of stacked block differences may take
 _CHUNK_BYTES = 128 * 1024
 
+# most key-tuple pairs eve_conditional_states may compare: its report takes
+# about 240 B a pair, so this is about 1 GB (d^rounds <= 2,896)
+PAIR_CAP = 2 ** 22
+
 
 @dataclass(frozen=True)
 class EveAction:
@@ -95,16 +99,6 @@ class AttackScript:
     def actions(self, round_index: int, timing: str) -> tuple[EveAction, ...]:
         return tuple(a for a in self.rounds.get(round_index, ()) if a.timing == timing)
 
-    def referenced_registers(self) -> set[str]:
-        regs = set()
-        for actions in self.rounds.values():
-            for action in actions:
-                regs.update(action.registers)
-        return regs
-
-    def max_round(self) -> int:
-        return max(self.rounds, default=0)
-
 
 EMPTY_SCRIPT = AttackScript({})
 
@@ -139,7 +133,8 @@ def compile_schedule(preset: str, config) -> AttackScript:
 
     The intercept_resend preset draws one measurement basis per round
     (computational or Fourier) from the config seed, so compilation is
-    deterministic per (preset, config).
+    deterministic per (preset, config).  Each distinct action is built once
+    and shared by every round that uses it.
     """
     d = config.d
     if preset == "none":
@@ -147,27 +142,23 @@ def compile_schedule(preset: str, config) -> AttackScript:
     if preset == "persistent_entangle":
         return AttackScript({1: (EveAction.apply(GateSpec.controlled_add("k", "e", 1)),)})
     if preset == "reply_odd_stop_restart":
-        rounds = {}
-        for r in range(1, config.rounds + 1, 2):
-            rounds[r] = (
-                EveAction.apply(GateSpec.controlled_add("k", "e", 1)),
-                EveAction.apply(GateSpec.controlled_add("k", "e", d - 1)),
-            )
-        return AttackScript(rounds)
+        tap_and_release = (
+            EveAction.apply(GateSpec.controlled_add("k", "e", 1)),
+            EveAction.apply(GateSpec.controlled_add("k", "e", d - 1)),
+        )
+        return AttackScript({r: tap_and_release for r in range(1, config.rounds + 1, 2)})
     if preset == "intercept_resend":
         rng = np.random.default_rng([_BASIS_STREAM, config.seed])
         fourier = _fourier_matrix(d)
-        rounds = {}
-        for r in range(1, config.rounds + 1):
-            if rng.integers(2) == 0:
-                rounds[r] = (EveAction.measurement("k"),)
-            else:
-                rounds[r] = (
-                    EveAction.apply(GateSpec.dense(("k",), fourier.conj().T)),
-                    EveAction.measurement("k"),
-                    EveAction.apply(GateSpec.dense(("k",), fourier)),
-                )
-        return AttackScript(rounds)
+        measure = EveAction.measurement("k")
+        direct = (measure,)
+        rotated = (
+            EveAction.apply(GateSpec.dense(("k",), fourier.conj().T)),
+            measure,
+            EveAction.apply(GateSpec.dense(("k",), fourier)),
+        )
+        return AttackScript({r: direct if rng.integers(2) == 0 else rotated
+                             for r in range(1, config.rounds + 1)})
     raise UnknownPreset(f"unknown attack preset {preset!r}; known: {PRESETS}")
 
 
@@ -176,14 +167,12 @@ def _run_actions(branches: list, actions: tuple[EveAction, ...], round_index: in
     """The action interpreter, over (probability, state, records) branches.
 
     Records are linked (older records, (round, register, outcome)) pairs, so a
-    measurement adds one in constant time at any session length.
+    measurement adds one in constant time at any session length.  Callers
+    check the actions' registers first.
     """
     for action in actions:
         new_branches = []
         for prob, state, records in branches:
-            for reg in action.registers:
-                if reg not in state.layout.labels:
-                    raise ScriptRegisterUnknown(f"script references missing register {reg!r}")
             if action.gate is not None:
                 new_branches.append((prob, apply_gate(state, action.gate), records))
             else:
@@ -212,10 +201,14 @@ def apply_script(state: PureState, script: AttackScript, round_index: int, timin
     Returns the new state and Eve's classical records as
     (round, register, outcome) triples.
     """
+    actions = script.actions(round_index, timing)
+    for action in actions:
+        for reg in action.registers:
+            if reg not in state.layout.labels:
+                raise ScriptRegisterUnknown(f"script references missing register {reg!r}")
     if rng is None:
         rng = np.random.default_rng()
-    [(_, state, records)] = _run_actions(
-        [(1.0, state, ())], script.actions(round_index, timing), round_index, rng)
+    [(_, state, records)] = _run_actions([(1.0, state, ())], actions, round_index, rng)
     return state, list(_unlinked(records))
 
 
@@ -291,13 +284,14 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     Measurements are expanded over all outcome branches rather than sampled,
     so each conditional state is the true mixture of record and memory.
     """
-    from . import analysis, protocol  # imported here to avoid a module cycle
+    from . import protocol  # imported here to avoid a module cycle
 
     script = script if script is not None else EMPTY_SCRIPT
     tuples_count = config.d ** config.rounds
-    if tuples_count > analysis.KEY_TUPLE_CAP:
-        raise ExplosionGuard(
-            f"d^rounds = {tuples_count} key assignments exceed {analysis.KEY_TUPLE_CAP}")
+    # the message names d^rounds, which may have more digits than str() allows
+    if tuples_count * (tuples_count - 1) // 2 > PAIR_CAP:
+        raise ExplosionGuard(f"{config.d}^{config.rounds} key assignments make more than "
+                             f"{PAIR_CAP} pairs")
     protocol._validate_script(config, script)
 
     eve_regs = tuple(protocol.eve_register_labels(config.eve_registers))

@@ -27,11 +27,11 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _entropy,
     apply_gate,
     apply_gate_dense,
     partial_trace,
     schmidt_rank,
-    von_neumann_entropy,
 )
 
 # a decode or residual value counts as certain above this probability
@@ -83,9 +83,9 @@ def diagnose(state: PureState, round_index: int, stage: str,
     spectrum = None
     entropy = None
     if "k" in labels and len(labels) > 1:
-        rho_k = partial_trace(state, {"k"})
-        spectrum = tuple(float(x) for x in rho_k.spectrum())
-        entropy = von_neumann_entropy(rho_k)
+        eigs = np.linalg.eigvalsh(partial_trace(state, {"k"}).entries)
+        spectrum = tuple(float(x) for x in eigs[::-1])
+        entropy = _entropy(eigs, state.layout.d)
     ranks = {}
     for name, (side_a, side_b) in _cut_sides(state.layout.labels).items():
         if side_a and side_a | side_b == labels and not side_a & side_b:
@@ -176,16 +176,6 @@ class KeyCaseEvidence:
     deterministic: bool
     residual: int | None
     ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "keys": list(self.keys),
-            "rank_e": self.rank_e,
-            "bob_outcome": self.bob_outcome,
-            "deterministic": self.deterministic,
-            "residual": self.residual,
-            "ok": self.ok,
-        }
 
 
 @dataclass(frozen=True)
@@ -284,12 +274,17 @@ def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[G
     """
     if isinstance(template, str):
         template = get_template(template)
-    for gate in sequence:
+    _check_registers(sequence)
+    return _evaluate_sequence(template, d, tuple(sequence), rank_tol, dense=True)
+
+
+def _check_registers(gates: Sequence[GateSpec]) -> None:
+    """Eve's gates may touch only k and e."""
+    for gate in gates:
         illegal = set(gate.registers) - {"k", "e"}
         if illegal:
             raise IllegalRegisterAccess(
                 f"candidate gates may touch only k and e, found {sorted(illegal)}")
-    return _evaluate_sequence(template, d, tuple(sequence), rank_tol, dense=True)
 
 
 def _affine_expression(values: dict, d: int, arity: int) -> str | None:
@@ -322,7 +317,9 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
 
     Sequences are visited in lexicographic order over the family alphabet,
     shortest first; the empty sequence is included.  Every candidate that
-    passes the fast path is re-verified densely before being reported.
+    passes the fast path is re-verified by verify_candidate before being
+    reported.  A family that touches a register other than k and e is
+    refused before any sequence is evaluated.
     """
     if isinstance(template, str):
         template = get_template(template)
@@ -333,6 +330,7 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
             f"d^arity = {d ** template.key_arity} key assignments exceed {KEY_TUPLE_CAP}")
     is_default = family is None
     fam = default_gate_family(d) if is_default else tuple(family)
+    _check_registers(fam)
     total = sum(len(fam) ** depth for depth in range(max_depth + 1))
     if total > ENUMERATION_CAP:
         raise FamilyTooLarge(f"{total} sequences exceed the cap of {ENUMERATION_CAP}")
@@ -345,7 +343,7 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
             fast = _evaluate_sequence(template, d, sequence, rank_tol, dense=False)
             if not fast.verified:
                 continue
-            dense = _evaluate_sequence(template, d, sequence, rank_tol, dense=True)
+            dense = verify_candidate(template, d, sequence, rank_tol)
             if not dense.verified:
                 raise InvariantViolation(
                     "fast path accepted a sequence the dense oracle rejects")

@@ -31,7 +31,7 @@ from .errors import (
     UnknownPreset,
     ValueOutOfRange,
 )
-from .protocol import ProtocolConfig, control_check, run_session
+from .protocol import ProtocolConfig, _validate_script, control_check, run_session
 from .serialize import dumps, format_float
 
 EXIT_OK = 0
@@ -62,7 +62,7 @@ def _schema() -> dict:
 
 
 def load_scenario(path: str) -> dict:
-    """Parse and validate a scenario file; raises ConfigError with the field."""
+    """Parse a scenario file and check its schema; raises ConfigError with the field."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = handle.read()
     try:
@@ -77,27 +77,7 @@ def load_scenario(path: str) -> dict:
             f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
             for err in problems)
         raise ConfigError(f"{path}: schema violations: {details}")
-    _check_semantics(path, scenario)
     return scenario
-
-
-def _check_semantics(path: str, scenario: dict) -> None:
-    d = scenario["d"]
-    keys = scenario.get("keys")
-    rounds = scenario.get("rounds")
-    if isinstance(keys, list):
-        for i, q in enumerate(keys):
-            if not 0 <= q < d:
-                raise ConfigError(f"{path}: keys[{i}] = {q} not in [0, {d})")
-        if rounds is not None and len(keys) != rounds:
-            raise ConfigError(f"{path}: {len(keys)} keys for {rounds} rounds")
-    if rounds is not None:
-        for r in scenario.get("control_rounds", []):
-            if r > rounds:
-                raise ConfigError(f"{path}: control round {r} beyond rounds = {rounds}")
-    attack = scenario.get("attack")
-    if attack and "script" in attack:
-        script_from_obj(attack["script"])
 
 
 def _resolve_tol(flag_value: float | None) -> float:
@@ -150,7 +130,11 @@ def _write_output(text: str, args, scenario: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    load_scenario(args.scenario)
+    scenario = load_scenario(args.scenario)
+    # any session field: build the session run would build and check its script
+    if scenario.keys() & {"rounds", "keys", "control_rounds", "attack"}:
+        config, script, _ = _build_session(scenario, None)
+        _validate_script(config, script)
     print(f"{args.scenario}: ok")
     return EXIT_OK
 

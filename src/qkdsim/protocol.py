@@ -82,9 +82,9 @@ class ProtocolConfig:
             keys = tuple(int(q) for q in self.keys)
             if len(keys) != self.rounds:
                 raise ConfigError(f"{len(keys)} keys given for {self.rounds} rounds")
-            for q in keys:
+            for i, q in enumerate(keys):
                 if not 0 <= q < self.d:
-                    raise ValueOutOfRange(f"key value {q} not in [0, {self.d})")
+                    raise ValueOutOfRange(f"keys[{i}] = {q} not in [0, {self.d})")
             object.__setattr__(self, "keys", keys)
         control = frozenset(int(r) for r in self.control_rounds)
         if any(r < 1 or r > self.rounds for r in control):
@@ -197,14 +197,23 @@ def control_check(transcripts: Sequence[RoundTranscript],
 
 
 def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> None:
-    if script.max_round() > config.rounds:
-        raise ConfigError(
-            f"script addresses round {script.max_round()}, session has {config.rounds}")
-    allowed = {KEY, *eve_register_labels(config.eve_registers)}
-    unknown = script.referenced_registers() - allowed
-    if unknown:
-        raise ScriptRegisterUnknown(
-            f"script references registers {sorted(unknown)}; available: {sorted(allowed)}")
+    """Refuse a script with a round past the session or a register its slot lacks.
+
+    pre_bob actions may touch k and Eve's registers; post_decode actions only
+    Eve's, since Bob has dropped k by then.
+    """
+    last = max(script.rounds, default=0)
+    if last > config.rounds:
+        raise ConfigError(f"script addresses round {last}, session has {config.rounds}")
+    eve = eve_register_labels(config.eve_registers)
+    allowed = {"pre_bob": {KEY, *eve}, "post_decode": set(eve)}
+    for r, actions in sorted(script.rounds.items()):
+        for action in actions:
+            unknown = set(action.registers) - allowed[action.timing]
+            if unknown:
+                raise ScriptRegisterUnknown(
+                    f"round {r} {action.timing} action references registers {sorted(unknown)}; "
+                    f"available: {sorted(allowed[action.timing])}")
 
 
 def _start(config: ProtocolConfig) -> list:

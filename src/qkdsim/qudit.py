@@ -386,9 +386,13 @@ def schmidt_rank(state: PureState, side_a: Iterable[str], tol: float = SCHMIDT_T
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy with base-d logarithm; a maximally mixed qudit scores 1."""
-    eigs = np.linalg.eigvalsh(rho.entries)
+    return _entropy(np.linalg.eigvalsh(rho.entries), rho.layout.d)
+
+
+def _entropy(eigs: np.ndarray, d: int) -> float:
+    """Base-d entropy of an ascending eigenvalue array, as von_neumann_entropy takes it."""
     eigs = eigs[eigs > SPECTRUM_FLOOR]
-    return float(-np.sum(eigs * np.log(eigs)) / np.log(rho.layout.d))
+    return float(-np.sum(eigs * np.log(eigs)) / np.log(d))
 
 
 @lru_cache(maxsize=256)

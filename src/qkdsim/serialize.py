@@ -28,9 +28,9 @@ def _is_scalar(value) -> bool:
     )
 
 
-def _write(value, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _write(value, out: list[str], level: int) -> None:
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -40,7 +40,7 @@ def _write(value, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
             out.append(f"{inner}{json.dumps(key)}: ")
-            _write(item, out, indent, level + 1)
+            _write(item, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -54,7 +54,7 @@ def _write(value, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(items):
             out.append(inner)
-            _write(item, out, indent, level + 1)
+            _write(item, out, level + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     elif _is_scalar(value):
@@ -77,9 +77,9 @@ def _scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(value, indent: int = 2) -> str:
-    """Render to a deterministic JSON string ending in a newline."""
+def dumps(value) -> str:
+    """Render to a deterministic JSON string ending in a newline, indented by two spaces."""
     out: list[str] = []
-    _write(value, out, indent, 0)
+    _write(value, out, 0)
     out.append("\n")
     return "".join(out)

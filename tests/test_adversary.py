@@ -174,6 +174,14 @@ class TestSchedules:
             assert [a.gate.s for a in actions] == [1, 2]
             assert all(a.timing == "pre_bob" for a in actions)
 
+    def test_presets_build_each_action_once(self):
+        config = ProtocolConfig(d=3, rounds=40, key_seed=0, seed=5)
+        reply = compile_schedule("reply_odd_stop_restart", config)
+        assert len({id(a) for actions in reply.rounds.values() for a in actions}) == 2
+        intercept = compile_schedule("intercept_resend", config)
+        # one measurement plus the two basis rotations, shared by every round
+        assert len({id(a) for actions in intercept.rounds.values() for a in actions}) == 3
+
     def test_intercept_covers_every_round_deterministically(self):
         config = ProtocolConfig(d=2, rounds=8, key_seed=0, seed=5)
         script = compile_schedule("intercept_resend", config)
@@ -396,6 +404,47 @@ class TestConditionalStates:
         report = eve_conditional_states(ProtocolConfig(d=2, rounds=4, key_seed=0))
         assert len(report.blocks) == 16
         assert len(calls) == 30
+
+    def test_pair_cap_refuses_before_any_encode(self, monkeypatch):
+        # d=2, R=12: 4,096 key tuples make 8,386,560 pairs
+        calls = []
+        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: calls.append(q))
+        with pytest.raises(ExplosionGuard, match="pairs"):
+            eve_conditional_states(ProtocolConfig(d=2, rounds=12, key_seed=0))
+        assert calls == []
+
+    def test_pair_cap_refuses_a_key_space_too_large_to_print(self):
+        # 2^20000 has more digits than int-to-str conversion allows
+        with pytest.raises(ExplosionGuard, match=r"2\^20000"):
+            eve_conditional_states(ProtocolConfig(d=2, rounds=20_000, key_seed=0))
+
+    def test_pair_cap_admits_up_to_its_bound(self, monkeypatch):
+        # the cap counts pairs, d^R (d^R - 1) / 2: at 2,048 key tuples the walk starts
+        class Started(Exception):
+            pass
+
+        def start(config):
+            raise Started
+
+        monkeypatch.setattr(protocol, "_start", start)
+        for rounds in (8, 11):
+            with pytest.raises(Started):
+                eve_conditional_states(ProtocolConfig(d=2, rounds=rounds, key_seed=0))
+        config = ProtocolConfig(d=2, rounds=2, key_seed=0)
+        monkeypatch.setattr(adversary, "PAIR_CAP", 6)
+        with pytest.raises(Started):
+            eve_conditional_states(config)
+        monkeypatch.setattr(adversary, "PAIR_CAP", 5)
+        with pytest.raises(ExplosionGuard):
+            eve_conditional_states(config)
+
+    def test_post_decode_action_on_k_refused_before_any_encode(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: calls.append(q))
+        script = AttackScript({3: (EveAction.measurement("k", timing="post_decode"),)})
+        with pytest.raises(ScriptRegisterUnknown, match="post_decode"):
+            eve_conditional_states(ProtocolConfig(d=2, rounds=3, key_seed=0), script)
+        assert calls == []
 
     def test_branch_cap_guards_the_walk(self, monkeypatch):
         config = ProtocolConfig(d=2, rounds=2, key_seed=0, eve_registers=0)

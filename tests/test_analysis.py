@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qkdsim import analysis
 from qkdsim.analysis import (
     FeasibilityReport,
     RoundTemplate,
@@ -24,7 +25,15 @@ from qkdsim.errors import (
 )
 from qkdsim.protocol import ProtocolConfig, alice_encode, init_carrier, run_session
 from qkdsim.adversary import compile_schedule
-from qkdsim.qudit import GateSpec, PureState, RegisterLayout, insert_register
+from qkdsim.qudit import (
+    GateSpec,
+    PureState,
+    RegisterLayout,
+    apply_gate,
+    insert_register,
+    partial_trace,
+    von_neumann_entropy,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,6 +89,28 @@ class TestDiagnose:
         script = compile_schedule("persistent_entangle", config)
         transcript = run_session(config, script, diagnostics=("round_end",))[0]
         assert transcript.diagnostics["round_end"].schmidt_ranks["e|ab"] == 3
+
+    def test_decomposes_rho_k_once(self, monkeypatch):
+        # a random unitary on (k, e) after the encode: an uneven spectrum
+        matrix, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(9, 9, 2)) @ [1, 1j])
+        state = insert_register(alice_encode(init_carrier(3), 1), "e", 0, 3)
+        state = apply_gate(state, GateSpec.dense(("k", "e"), matrix))
+        rho_k = partial_trace(state, {"k"})
+        spectrum = tuple(float(x) for x in rho_k.spectrum())
+        entropy = von_neumann_entropy(rho_k)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(matrix):
+            calls.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        diag = diagnose(state, 1, "post_attack")
+        assert calls == [(3, 3)]
+        # the same bits as the two separate decompositions
+        assert diag.rho_k_spectrum == spectrum
+        assert diag.entropy_k == entropy
 
     def test_json_form(self):
         state = alice_encode(init_carrier(2), 0)
@@ -194,6 +225,15 @@ class TestSearch:
         crowd = tuple(GateSpec.shift("e", 1) for _ in range(101))
         with pytest.raises(FamilyTooLarge):
             feasibility_search("stage5_round1", 2, max_depth=3, family=crowd)
+
+    def test_family_off_k_and_e_refused_before_any_evaluation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "_evaluate_sequence",
+                            lambda *args, **kwargs: calls.append(args))
+        family = (GateSpec.controlled_add("k", "e", 1), GateSpec.phase("a", 1))
+        with pytest.raises(IllegalRegisterAccess):
+            feasibility_search("stage5_round1", 2, max_depth=2, family=family)
+        assert calls == []
 
     def test_key_space_cap(self):
         with pytest.raises(ExplosionGuard):

@@ -78,6 +78,36 @@ class TestValidate:
             attack={"script": {"rounds": {"1": [{"op": "warp", "target": "k"}]}}})
         assert cli.main(["validate", path]) == 1
 
+    @pytest.mark.parametrize("fields", [
+        # a script round past the session
+        {"rounds": 1, "keys": [0],
+         "attack": {"script": {"rounds": {"3": [{"op": "measure", "register": "k"}]}}}},
+        # a register Eve lacks
+        {"rounds": 1, "keys": [0], "eve_registers": 1,
+         "attack": {"script": {"rounds": {"1": [{"op": "shift", "target": "e2", "s": 1}]}}}},
+        # k after Bob dropped it
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
+            {"op": "measure", "register": "k", "timing": "post_decode"}]}}}},
+        # half a session
+        {"rounds": 3},
+        {"keys": [0, 1]},
+        {"control_rounds": [1]},
+    ], ids=["round_past_session", "missing_register", "post_decode_k", "rounds_only",
+            "keys_only", "control_only"])
+    def test_validate_refuses_what_run_refuses(self, fields, tmp_path, capsys):
+        path = write_scenario(tmp_path, d=2, **fields)
+        assert cli.main(["validate", path]) == 1
+        refused = capsys.readouterr().err
+        assert cli.main(["run", path, "--out", str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == refused
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["honest_d3.json", "intercept_d2.json", "reply_odd_d3.json"])
+    def test_validate_and_run_agree_on_bundled_sessions(self, name, tmp_path):
+        path = str(REPO / "scenarios" / name)
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path, "--out", str(tmp_path / "report.json")]) == 0
+
     def test_readme_examples_are_accepted(self, tmp_path):
         """The README's JSON blocks load: scenarios through load_scenario,
         action lists through action_from_obj; its preset and timing lists
@@ -113,6 +143,17 @@ class TestReadmeExamples:
         monkeypatch.chdir(REPO)
         for i, block in enumerate(blocks):
             exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+    def test_json_scenarios_validate(self, tmp_path, capsys):
+        """Every scenario block passes `validate`, which builds the session
+        `run` would build."""
+        blocks = [block for block in re.findall(r"```json\n(.*?)```", self.README, re.S)
+                  if isinstance(json.loads(block), dict)]
+        assert len(blocks) >= 3
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme_{i}.json"
+            path.write_text(block, encoding="utf-8")
+            assert cli.main(["validate", str(path)]) == 0, capsys.readouterr().err
 
     def test_cli_lines_exit_zero(self, tmp_path, monkeypatch):
         """Every `qkdsim ...` line of the README's sh blocks, run from the

@@ -220,6 +220,36 @@ class TestSession:
         with pytest.raises(ScriptRegisterUnknown):
             run_session(config, script)
 
+    def test_post_decode_action_on_k_refused_before_any_encode(self, monkeypatch):
+        # Bob has dropped k by post_decode; the bad action sits in the last round
+        calls = []
+        encode = protocol.alice_encode
+
+        def counting_encode(state, q):
+            calls.append(q)
+            return encode(state, q)
+
+        monkeypatch.setattr(protocol, "alice_encode", counting_encode)
+        config = ProtocolConfig(d=2, rounds=12, key_seed=0)
+        script = AttackScript({12: (EveAction.measurement("k", timing="post_decode"),)})
+        with pytest.raises(ScriptRegisterUnknown, match="post_decode"):
+            run_session(config, script)
+        assert calls == []
+
+    def test_post_decode_actions_may_touch_eve_memory(self):
+        config = ProtocolConfig(d=2, rounds=2, keys=(1, 0))
+        script = AttackScript({1: (
+            EveAction.apply(GateSpec.controlled_add("k", "e", 1)),
+            EveAction.measurement("e", timing="post_decode"),
+        )})
+        transcripts = run_session(config, script)
+        assert [t.key_decoded for t in transcripts] == [1, 0]
+        assert [len(t.eve_records) for t in transcripts] == [1, 0]
+
+    def test_key_out_of_range_names_its_index(self):
+        with pytest.raises(ValueOutOfRange, match=r"keys\[1\] = 3 not in \[0, 3\)"):
+            ProtocolConfig(d=3, rounds=2, keys=(0, 3))
+
     def test_transcript_json_shape(self):
         config = ProtocolConfig(d=2, rounds=1, keys=(1,), control_rounds={1})
         doc = run_session(config, diagnostics=("post_encode",))[0].to_json_dict()

@@ -216,9 +216,18 @@ def apply_script(state: PureState, script: AttackScript, round_index: int, timin
 class ConditionalStatesReport:
     """Eve's view conditioned on each full key assignment.
 
-    blocks[key_tuple] maps her classical record tuple to an unnormalized
-    density block on her quantum registers (weights sum to 1 per key tuple).
-    Distances are trace distances over the joint classical-quantum state.
+    blocks[key_tuple] maps her classical record tuple to an unnormalized,
+    read-only density block on her quantum registers (weights sum to 1 per key
+    tuple).  Distances are trace distances over the joint classical-quantum
+    state.
+
+    Eve never acts on the carrier halves a and b, and nothing touches the
+    carrier between rounds, so relabelling the carrier values j -> j + c
+    (the pair sum_j |j, j> is invariant under X^c (x) X^c) turns her view of
+    the key tuple q + c (1, ..., 1) into her view of q, for every script.  So
+    each round's key value alone is perfectly hidden: per_round_max_distance,
+    the largest distance between the round-r marginals of two key values, is
+    exactly 0 in every round, and only key differences can leak.
     """
 
     d: int
@@ -269,20 +278,14 @@ def _distances(block_dicts: list, ia: np.ndarray, ib: np.ndarray) -> list[float]
     return (0.5 * totals).tolist()
 
 
-def _weight_checked(blocks: dict, what: str) -> np.ndarray:
-    """The blocks summed over records, once their trace is checked to be 1."""
-    quantum = sum(blocks.values())
-    weight = np.trace(quantum).real
-    if abs(weight - 1.0) > 1e-12:
-        raise InvariantViolation(f"{what} has total weight {weight!r}, not 1")
-    return quantum
-
-
 def eve_conditional_states(config, script: AttackScript | None = None) -> ConditionalStatesReport:
     """Exact conditional states of Eve for every key assignment.
 
     Measurements are expanded over all outcome branches rather than sampled,
-    so each conditional state is the true mixture of record and memory.
+    so each conditional state is the true mixture of record and memory.  By
+    the carrier-shift symmetry (see ConditionalStatesReport) only the
+    representative q - q1 (1, ..., 1) of each key tuple q runs, and each
+    distinct ordered pair of representatives is compared once.
     """
     from . import protocol  # imported here to avoid a module cycle
 
@@ -295,14 +298,11 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     protocol._validate_script(config, script)
 
     eve_regs = tuple(protocol.eve_register_labels(config.eve_registers))
-    blocks_by_key: dict = {}
-    states_by_key: dict = {}
-    # marginals[r][v]: blocks averaged over the key tuples whose round r + 1 key is v
-    marginals = [[{} for _ in range(config.d)] for _ in range(config.rounds)]
-    share = tuples_count // config.d
-    # depth first over key prefixes, so each prefix's rounds run once; children
-    # go on the stack last first, so full key tuples come in product order
-    stack = [((), protocol._start(config))]
+    rep_blocks: list = []
+    rep_states: list = []
+    # depth first over the prefixes of the representatives (q1 = 0), so each runs
+    # once; children go on the stack last first, so leaves come in product order
+    stack = [((0,), protocol._start(config))]
     while stack:
         keys, branches = stack.pop()  # branches as keys[:-1] left them
         for *_, branches, _ in protocol._round_loop(branches, keys[-1:], len(keys), script, None):
@@ -318,37 +318,35 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
                 rho = np.array([[probability]], dtype=np.complex128)
             record = _unlinked(records)
             blocks[record] = blocks.get(record, 0) + rho
-        blocks_by_key[keys] = blocks
-        quantum = _weight_checked(blocks, f"key tuple {keys}")
-        if eve_regs:
-            states_by_key[keys] = DensityMatrix(RegisterLayout(config.d, eve_regs), quantum)
-        else:
-            states_by_key[keys] = None
-        for by_value, v in zip(marginals, keys):
-            for record, block in blocks.items():
-                by_value[v][record] = by_value[v].get(record, 0) + block / share
+        for block in blocks.values():
+            block.flags.writeable = False  # shared by every key tuple of the orbit
+        rep_blocks.append(blocks)
+        quantum = sum(blocks.values())
+        weight = np.trace(quantum).real
+        if abs(weight - 1.0) > 1e-12:
+            raise InvariantViolation(f"key tuple {keys} has total weight {weight!r}, not 1")
+        rep_states.append(
+            DensityMatrix(RegisterLayout(config.d, eve_regs), quantum) if eve_regs else None)
 
-    for r, by_value in enumerate(marginals, 1):
-        for v, blocks in enumerate(by_value):
-            _weight_checked(blocks, f"the round {r} marginal of key value {v}")
-
-    key_tuples = list(blocks_by_key)
-    ia, ib = np.triu_indices(len(key_tuples), 1)
-    distances = _distances(list(blocks_by_key.values()), ia, ib)
+    # q's representative sits at (q2 - q1, ..., qR - q1) mod d, read in base d
+    key_tuples = list(np.ndindex((config.d,) * config.rounds))
+    tuples, place = np.array(key_tuples), config.d ** np.arange(config.rounds - 2, -1, -1)
+    rep = (tuples[:, 1:] - tuples[:, :1]) % config.d @ place
+    ia, ib = np.triu_indices(tuples_count, 1)
+    codes, which = np.unique(rep[ia] * len(rep_blocks) + rep[ib], return_inverse=True)
+    distances = np.array(_distances(rep_blocks, *np.divmod(codes, len(rep_blocks))))[which]
     pairwise = {(key_tuples[a], key_tuples[b]): distance
-                for a, b, distance in zip(ia.tolist(), ib.tolist(), distances)}
-    ia, ib = np.triu_indices(config.d, 1)
-    per_round = [max(_distances(by_value, ia, ib)) for by_value in marginals]
+                for a, b, distance in zip(ia.tolist(), ib.tolist(), distances.tolist())}
 
     return ConditionalStatesReport(
         d=config.d,
         rounds=config.rounds,
         eve_registers=eve_regs,
-        states=states_by_key,
-        blocks=blocks_by_key,
+        states={keys: rep_states[i] for keys, i in zip(key_tuples, rep.tolist())},
+        blocks={keys: dict(rep_blocks[i]) for keys, i in zip(key_tuples, rep.tolist())},
         pairwise_distances=pairwise,
         max_pairwise_distance=max(pairwise.values()),
-        per_round_max_distance=tuple(per_round),
+        per_round_max_distance=(0.0,) * config.rounds,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -81,15 +82,20 @@ def load_scenario(path: str) -> dict:
 
 
 def _resolve_tol(flag_value: float | None) -> float:
+    """The Schmidt-rank cutoff, refused unless it is a finite number above 0."""
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
+        tol, source = flag_value, "--tol"
+    elif TOL_ENV_VAR in os.environ:
+        env = os.environ[TOL_ENV_VAR]
         try:
-            return float(env)
+            tol, source = float(env), TOL_ENV_VAR
         except ValueError as exc:
             raise ConfigError(f"{TOL_ENV_VAR} = {env!r} is not a number") from exc
-    return DEFAULT_TOL
+    else:
+        return DEFAULT_TOL
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"{source} = {tol!r} is not a finite number above 0")
+    return tol
 
 
 def _build_session(scenario: dict, seed_flag: int | None):

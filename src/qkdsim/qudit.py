@@ -94,6 +94,8 @@ class RegisterLayout:
     def insert(self, label: str, position: int) -> "RegisterLayout":
         if label in self.labels:
             raise RegisterCollision(f"register {label!r} already present")
+        if not 0 <= position <= len(self.labels):
+            raise ValueOutOfRange(f"position {position} not in [0, {len(self.labels)}]")
         labels = list(self.labels)
         labels.insert(position, label)
         return RegisterLayout(self.d, tuple(labels))

@@ -1,5 +1,6 @@
 """Eavesdropper actions, schedules, and what her records actually reveal."""
 
+import json
 import os
 import subprocess
 import sys
@@ -52,7 +53,8 @@ from qkdsim.qudit import (
     schmidt_rank,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 
 def in_transit_state(d, q, memory_value=0):
@@ -391,8 +393,9 @@ class TestConditionalStates:
         self.test_walk_equals_the_per_key_definition(2, 4, "intercept_resend", 1)
 
     def test_each_key_prefix_runs_once(self, monkeypatch):
-        # honest d=2, R=4: 2 + 4 + 8 + 16 prefixes, one encode each; one
-        # session per key tuple would make 16 * 4 = 64
+        # only the prefixes of the orbit representatives (q1 = 0) run, one
+        # encode each: 1 + 2 + 4 + 8 at honest d=2, R=4, and 1 + 3 + 9 at d=3,
+        # R=3; one session per key tuple would make 16 * 4 = 64 and 27 * 3 = 81
         calls = []
         encode = protocol.alice_encode
 
@@ -401,9 +404,11 @@ class TestConditionalStates:
             return encode(state, q)
 
         monkeypatch.setattr(protocol, "alice_encode", counting_encode)
-        report = eve_conditional_states(ProtocolConfig(d=2, rounds=4, key_seed=0))
-        assert len(report.blocks) == 16
-        assert len(calls) == 30
+        for d, rounds, tuples, encodes in [(2, 4, 16, 15), (3, 3, 27, 13)]:
+            calls.clear()
+            report = eve_conditional_states(ProtocolConfig(d=d, rounds=rounds, key_seed=0))
+            assert len(report.blocks) == tuples
+            assert len(calls) == encodes
 
     def test_pair_cap_refuses_before_any_encode(self, monkeypatch):
         # d=2, R=12: 4,096 key tuples make 8,386,560 pairs
@@ -552,6 +557,127 @@ class TestConditionalStates:
                 np.abs(np.linalg.eigvalsh(a.get(rec, 0) - b.get(rec, 0))).sum()
                 for rec in sorted(set(a) | set(b)))
             assert distances[p] == reference
+
+    def test_an_orbit_shares_read_only_blocks(self):
+        config = ProtocolConfig(d=2, rounds=2, key_seed=0)
+        report = eve_conditional_states(config, self._measure_k(2))
+        assert report.blocks[(0, 1)] is not report.blocks[(1, 0)]
+        assert report.states[(0, 1)] is report.states[(1, 0)]
+        for record, block in report.blocks[(0, 1)].items():
+            assert report.blocks[(1, 0)][record] is block
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0
+
+
+def haar_unitary(n, rng):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def definition_blocks(config, script, keys):
+    """Eve's blocks for one key tuple, from one exhaustive session of its own."""
+    eve_regs = protocol.eve_register_labels(config.eve_registers)
+    blocks = {}
+    for branch in run_session_branches(replace(config, keys=keys, key_seed=None), script):
+        if eve_regs:
+            rho = partial_trace(branch.state, eve_regs).entries * branch.probability
+        else:
+            rho = np.array([[branch.probability]], dtype=complex)
+        blocks[branch.eve_records] = blocks.get(branch.eve_records, 0) + rho
+    return blocks
+
+
+def trace_distance(a, b):
+    return 0.5 * sum(np.abs(np.linalg.eigvalsh(a.get(rec, 0) - b.get(rec, 0))).sum()
+                     for rec in sorted(set(a) | set(b)))
+
+
+class TestCarrierShift:
+    """Eve's view of q + c (1, ..., 1) is her view of q, for every script.
+
+    These tests build each key tuple's blocks by the per-key definition, not
+    by the key walk that relies on the symmetry."""
+
+    @staticmethod
+    def _random_script(d, rounds, eve_registers, rng):
+        # each round a Haar-random gate on k and one of her registers, then a
+        # measurement of k, before Bob; after his decode a Haar-random gate on
+        # that register, then, in even rounds, a measurement of e
+        eve = protocol.eve_register_labels(eve_registers)
+        script = {}
+        for r in range(1, rounds + 1):
+            memory = eve[rng.integers(len(eve))]
+            script[r] = (
+                EveAction.apply(GateSpec.dense(("k", memory), haar_unitary(d * d, rng))),
+                EveAction.measurement("k"),
+                EveAction.apply(GateSpec.dense((memory,), haar_unitary(d, rng)),
+                                "post_decode"),
+            ) + (EveAction.measurement("e", "post_decode"),) * (r % 2 == 0)
+        return AttackScript(script)
+
+    @pytest.mark.parametrize("d,rounds,eve_registers", [
+        (2, 3, 1), (2, 3, 2), (2, 4, 1), (3, 2, 1), (3, 2, 2)])
+    def test_random_scripts(self, d, rounds, eve_registers):
+        rng = np.random.default_rng([d, rounds, eve_registers])
+        config = ProtocolConfig(d=d, rounds=rounds, key_seed=0, eve_registers=eve_registers)
+        script = self._random_script(d, rounds, eve_registers, rng)
+        tuples = list(product(range(d), repeat=rounds))
+        blocks = {keys: definition_blocks(config, script, keys) for keys in tuples}
+        assert len(blocks[(0,) * rounds]) > 1  # her records do vary
+        for keys in tuples:
+            for c in range(1, d):
+                shifted = blocks[tuple((q + c) % d for q in keys)]
+                assert list(shifted) == list(blocks[keys])
+                for record, block in blocks[keys].items():
+                    assert np.max(np.abs(shifted[record] - block)) <= 1e-15
+                assert trace_distance(blocks[keys], shifted) <= 1e-15
+        for r in range(rounds):
+            marginals = []
+            for v in range(d):
+                group = [keys for keys in tuples if keys[r] == v]
+                merged = {}
+                for keys in group:
+                    for record, block in blocks[keys].items():
+                        merged[record] = merged.get(record, 0) + block / len(group)
+                marginals.append(merged)
+            for i in range(d):
+                for j in range(i + 1, d):
+                    assert trace_distance(marginals[i], marginals[j]) <= 1e-15
+
+
+def difference_leak_script(d):
+    """Eve adds k into e in round 1, subtracts it in round 2, then reads e."""
+    return AttackScript({
+        1: (EveAction.apply(GateSpec.controlled_add("k", "e", 1)),),
+        2: (EveAction.apply(GateSpec.controlled_add("k", "e", d - 1)),
+            EveAction.measurement("e", "post_decode")),
+    })
+
+
+class TestDifferenceLeak:
+    """Two rounds through her memory leave Eve holding q1 - q2 mod d, and Bob
+    decodes every round correctly, so the control rounds see nothing."""
+
+    def test_bundled_scenario_runs_this_script(self):
+        scenario = json.loads((REPO / "scenarios" / "difference_leak_d3.json").read_text())
+        assert script_from_obj(scenario["attack"]["script"]) == difference_leak_script(3)
+        assert scenario["control_rounds"] == list(range(1, scenario["rounds"] + 1))
+
+    @pytest.mark.parametrize("d,rounds", [(2, 5), (3, 2), (3, 4)])
+    def test_eve_learns_exactly_the_first_key_difference(self, d, rounds):
+        config = ProtocolConfig(d=d, rounds=rounds, key_seed=0,
+                                control_rounds=frozenset(range(1, rounds + 1)))
+        script = difference_leak_script(d)
+        report = eve_conditional_states(config, script)
+        for (ka, kb), dist in report.pairwise_distances.items():
+            differs = (ka[0] - ka[1]) % d != (kb[0] - kb[1]) % d
+            assert abs(dist - differs) <= 1e-12, (ka, kb)
+        for keys, blocks in report.blocks.items():
+            assert list(blocks) == [((2, "e", (keys[0] - keys[1]) % d),)]
+            transcripts = run_session(replace(config, keys=keys, key_seed=None), script)
+            assert protocol.control_check(transcripts, config.control_rounds).mismatches == 0
+            assert transcripts[1].eve_records == ((2, "e", (keys[0] - keys[1]) % d),)
 
 
 class TestWireFormat:

@@ -30,6 +30,7 @@ def honest_scenario(tmp_path, **extra):
 
 class TestValidate:
     @pytest.mark.parametrize("name", [
+        "difference_leak_d3.json",
         "honest_d3.json",
         "intercept_d2.json",
         "reply_odd_d3.json",
@@ -102,7 +103,8 @@ class TestValidate:
         assert capsys.readouterr().err == refused
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("name", ["honest_d3.json", "intercept_d2.json", "reply_odd_d3.json"])
+    @pytest.mark.parametrize("name", ["difference_leak_d3.json", "honest_d3.json",
+                                      "intercept_d2.json", "reply_odd_d3.json"])
     def test_validate_and_run_agree_on_bundled_sessions(self, name, tmp_path):
         path = str(REPO / "scenarios" / name)
         assert cli.main(["validate", path]) == 0
@@ -274,6 +276,31 @@ class TestToleranceResolution:
         monkeypatch.setenv(cli.TOL_ENV_VAR, "tiny")
         path = honest_scenario(tmp_path)
         assert cli.main(["run", path]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "search"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, value, source, command, tmp_path,
+                                                   capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started on a refused tolerance")
+
+        monkeypatch.setattr(cli, "run_session", never)
+        monkeypatch.setattr(cli, "feasibility_search", never)
+        if command == "run":
+            path = honest_scenario(tmp_path)
+        else:
+            path = write_scenario(tmp_path, d=2, template="stage5_round1")
+        out = tmp_path / "report.json"
+        argv = [command, path, "--out", str(out)]
+        if source == "flag":
+            monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv(cli.TOL_ENV_VAR, value)
+        assert cli.main(argv) == 1
+        assert "finite number above 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_search_reports_the_tolerance(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)

@@ -589,6 +589,20 @@ class TestRegisterEditing:
         with pytest.raises(ValueOutOfRange):
             insert_register(pair_state(2), "k", 2, 0)
 
+    def test_insert_position_out_of_range(self):
+        # list.insert would take -1 as "before the last" and move a's value into x
+        state = basis_state(RegisterLayout(2, ("a", "b")), (1, 0))
+        for position in (-1, 3, 5):
+            with pytest.raises(ValueOutOfRange, match="position"):
+                insert_register(state, "x", 0, position)
+        for position, labels, values in [(0, ("x", "a", "b"), (0, 1, 0)),
+                                         (1, ("a", "x", "b"), (1, 0, 0)),
+                                         (2, ("a", "b", "x"), (1, 0, 0))]:
+            grown = insert_register(state, "x", 0, position)
+            assert grown.layout.labels == labels
+            assert np.array_equal(grown.amplitudes,
+                                  basis_state(grown.layout, values).amplitudes)
+
     def test_remove_entangled_register_rejected(self):
         with pytest.raises(RegisterNotSeparable):
             remove_register(pair_state(2), "b")

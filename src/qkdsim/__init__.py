@@ -65,7 +65,6 @@ from .adversary import (
     AttackScript,
     ConditionalStatesReport,
     EveAction,
-    apply_script,
     compile_schedule,
     eve_conditional_states,
     eve_disentangle,

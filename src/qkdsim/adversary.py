@@ -20,7 +20,6 @@ from .errors import (
     IllegalRegisterAccess,
     InvariantViolation,
     MissingRegister,
-    ScriptRegisterUnknown,
     UnknownPreset,
 )
 from .qudit import (
@@ -28,6 +27,7 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _certain_value,
     _fourier_matrix,
     _outcomes,
     apply_gate,
@@ -112,11 +112,9 @@ def eve_entangle(state: PureState, memory: str = "e") -> PureState:
     for reg in ("k", memory):
         if reg not in state.layout.labels:
             raise MissingRegister(f"state has no register {reg!r}")
-    rest = state.probabilities(memory)[0]
-    if rest < 1.0 - 1e-9:
-        warnings.warn(
-            f"memory register {memory!r} is not in |0> (weight {rest:.6f}); "
-            "entangling anyway", RuntimeWarning, stacklevel=2)
+    if _certain_value(state, memory) != 0:
+        warnings.warn(f"memory register {memory!r} is not in |0>; entangling anyway",
+                      RuntimeWarning, stacklevel=2)
     return apply_gate(state, GateSpec.controlled_add("k", memory, 1))
 
 
@@ -191,25 +189,6 @@ def _unlinked(records: tuple, first_round: int = 1) -> tuple[tuple[int, str, int
         records, record = records
         flat.append(record)
     return tuple(reversed(flat))
-
-
-def apply_script(state: PureState, script: AttackScript, round_index: int, timing: str,
-                 rng: np.random.Generator | None = None,
-                 ) -> tuple[PureState, list[tuple[int, str, int]]]:
-    """Run this round's actions for one timing slot, sampling measurements.
-
-    Returns the new state and Eve's classical records as
-    (round, register, outcome) triples.
-    """
-    actions = script.actions(round_index, timing)
-    for action in actions:
-        for reg in action.registers:
-            if reg not in state.layout.labels:
-                raise ScriptRegisterUnknown(f"script references missing register {reg!r}")
-    if rng is None:
-        rng = np.random.default_rng()
-    [(_, state, records)] = _run_actions([(1.0, state, ())], actions, round_index, rng)
-    return state, list(_unlinked(records))
 
 
 @dataclass(frozen=True)

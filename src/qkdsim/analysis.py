@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import adversary, serialize
+from . import adversary, protocol, serialize
 from .errors import (
     ConfigError,
     ExplosionGuard,
@@ -27,15 +27,13 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _certain_value,
     _entropy,
     apply_gate,
     apply_gate_dense,
     partial_trace,
     schmidt_rank,
 )
-
-# a decode or residual value counts as certain above this probability
-CERTAINTY = 1.0 - 1e-9
 
 MAX_SEARCH_DEPTH = 3
 ENUMERATION_CAP = 1_000_000
@@ -244,21 +242,14 @@ def _evaluate_sequence(template: RoundTemplate, d: int, sequence: Sequence[GateS
         for gate in sequence:
             state = step(state, gate)
         rank = schmidt_rank(state, {"e"}, rank_tol)
-        residual_probs = state.probabilities("e")
-        residual_value = int(np.argmax(residual_probs))
-        residual = residual_value if residual_probs[residual_value] >= CERTAINTY else None
-
-        decoded = step(state, GateSpec.controlled_add("b", "k", d - 1))
-        k_probs = decoded.probabilities("k")
-        outcome = int(np.argmax(k_probs))
-        deterministic = bool(k_probs[outcome] >= CERTAINTY)
-        ok = rank == 1 and deterministic and outcome == keys[template.current_key_index]
+        outcome = _certain_value(step(state, protocol._DECODE), "k")
+        ok = rank == 1 and outcome == keys[template.current_key_index]
         evidence.append(KeyCaseEvidence(
             keys=keys,
             rank_e=rank,
-            bob_outcome=outcome if deterministic else None,
-            deterministic=deterministic,
-            residual=residual,
+            bob_outcome=outcome,
+            deterministic=outcome is not None,
+            residual=_certain_value(state, "e"),
             ok=ok,
         ))
         all_ok = all_ok and ok
@@ -288,7 +279,9 @@ def _check_registers(gates: Sequence[GateSpec]) -> None:
 
 
 def _affine_expression(values: dict, d: int, arity: int) -> str | None:
-    """Render residuals as c + sum(a_i * q_i) mod d when that form fits."""
+    """Render residuals as c + sum(a_i * q_i) mod d when all exist and that form fits."""
+    if None in values.values():
+        return None
     const = values[(0,) * arity]
     coeffs = []
     for i in range(arity):

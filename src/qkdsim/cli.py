@@ -1,9 +1,9 @@
 """Command-line front end: validate scenarios, run sessions, search for exits.
 
-Exit codes: 0 success, 1 bad configuration or scenario, 2 internal invariant
-failure during a run, 3 I/O or unexpected internal error.  The tolerance used
-for Schmidt-rank cutoffs resolves as: --tol flag, then the QKDSIM_TOL
-environment variable, then 1e-8.
+Exit codes: 0 success, 1 bad command line, configuration or scenario, 2
+internal invariant failure during a run, 3 I/O or unexpected internal error.
+The tolerance used for Schmidt-rank cutoffs resolves as: --tol flag, then the
+QKDSIM_TOL environment variable, then 1e-8.
 """
 
 from __future__ import annotations
@@ -210,8 +210,16 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, a bad command line; 2 is a broken invariant."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkdsim",
         description="Simulate a reusable-carrier qudit QKD protocol and probe attacks on it.",
     )

@@ -33,10 +33,10 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _dropped,
     _outcomes,
     apply_gate,
     insert_register,
-    remove_register,
 )
 
 ALICE, BOB, KEY = "a", "b", "k"
@@ -127,7 +127,7 @@ def alice_encode(state: PureState, q: int) -> PureState:
 
 
 def _decode(branches: list, rng: np.random.Generator | None) -> tuple[list, int | None]:
-    """Subtract "b" from k, measure k and drop it, on every branch.
+    """Subtract "b" from k, measure k once and slice it away, on every branch.
 
     Also returns Bob's last outcome, his only one when sampling.
     """
@@ -135,7 +135,7 @@ def _decode(branches: list, rng: np.random.Generator | None) -> tuple[list, int 
     for prob, state, records in branches:
         state = apply_gate(state, _DECODE)
         for outcome, p, post in _outcomes(state, KEY, rng):
-            decoded.append((prob * p, remove_register(post, KEY), records))
+            decoded.append((prob * p, _dropped(post, KEY, outcome), records))
     return decoded, outcome
 
 

@@ -37,6 +37,8 @@ SCHMIDT_TOL = 1e-8
 SPECTRUM_FLOOR = 1e-12
 # probability below which a measurement branch is treated as numerically absent
 BRANCH_PRUNE = 1e-24
+# a register holds a value with certainty when its weight there is at least this
+CERTAINTY = 1.0 - 1e-9
 
 GATE_KINDS = ("shift", "cadd", "phase", "fourier", "dense")
 
@@ -480,19 +482,26 @@ def insert_register(state: PureState, label: str, value: int, position: int) -> 
     return PureState(new_layout, out.reshape(-1))
 
 
-def remove_register(state: PureState, label: str, tol: float = 1e-9) -> PureState:
-    """Drop a register that is confined to a single basis value.
-
-    Raises RegisterNotSeparable when the register still carries weight on
-    more than one value; no renormalization is performed.
-    """
-    layout = state.layout
-    ax = layout.axis(label)
-    probs = state.probabilities(label)
+def _certain_value(state: PureState, register: str) -> int | None:
+    """The register's value if it holds one with weight >= CERTAINTY, else None."""
+    probs = state.probabilities(register)
     value = int(np.argmax(probs))
-    if probs[value] < 1.0 - tol:
-        raise RegisterNotSeparable(
-            f"register {label!r} holds several basis values (max weight {probs[value]:.6f})"
-        )
-    sliced = state.tensor[(slice(None),) * ax + (value,)]
-    return PureState(layout.drop(label), sliced.reshape(-1))
+    return value if probs[value] >= CERTAINTY else None
+
+
+def _dropped(state: PureState, label: str, value: int) -> PureState:
+    """Slice `label` away at the value it is known to hold; no check, no renormalization."""
+    layout = state.layout
+    sliced = state.tensor[(slice(None),) * layout.axis(label) + (value,)]
+    return PureState._trusted(layout.drop(label), sliced.flatten())
+
+
+def remove_register(state: PureState, label: str) -> PureState:
+    """Drop a register that holds one basis value with certainty (CERTAINTY).
+
+    Raises RegisterNotSeparable otherwise; no renormalization is performed.
+    """
+    value = _certain_value(state, label)
+    if value is None:
+        raise RegisterNotSeparable(f"register {label!r} holds several basis values")
+    return _dropped(state, label, value)

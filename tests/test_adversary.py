@@ -16,7 +16,6 @@ from qkdsim.adversary import (
     PRESETS,
     AttackScript,
     EveAction,
-    apply_script,
     compile_schedule,
     eve_conditional_states,
     eve_disentangle,
@@ -204,31 +203,37 @@ class TestSchedules:
 
 
 class TestApplyScript:
+    """The one action interpreter, adversary._run_actions, on a single sampled branch."""
+
+    @staticmethod
+    def apply(state, script, timing="pre_bob", seed=0):
+        [(prob, out, records)] = adversary._run_actions(
+            [(1.0, state, ())], script.actions(1, timing), 1, np.random.default_rng(seed))
+        assert prob == 1.0
+        return out, adversary._unlinked(records)
+
     def test_empty_script_is_inert(self):
         state = in_transit_state(2, 1)
-        out, records = apply_script(state, AttackScript({}), 1, "pre_bob")
+        out, records = self.apply(state, AttackScript({}))
         assert np.array_equal(out.amplitudes, state.amplitudes)
-        assert records == []
-
-    def test_unknown_register_detected_at_apply(self):
-        state = in_transit_state(2, 1)
-        script = AttackScript({1: (EveAction.apply(GateSpec.shift("e7", 1)),)})
-        with pytest.raises(ScriptRegisterUnknown):
-            apply_script(state, script, 1, "pre_bob")
+        assert records == ()
 
     def test_timing_filter(self):
         state = in_transit_state(2, 0)
         script = AttackScript({1: (EveAction.measurement("k", timing="post_decode"),)})
-        out, records = apply_script(state, script, 1, "pre_bob")
-        assert records == []
+        out, records = self.apply(state, script)
+        assert records == ()
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_measurement_leaves_records(self):
         state = in_transit_state(2, 1)
-        script = AttackScript({1: (EveAction.measurement("k"),)})
-        _, records = apply_script(state, script, 1, "pre_bob", np.random.default_rng(3))
-        assert len(records) == 1
-        assert records[0][:2] == (1, "k")
+        script = AttackScript({1: (EveAction.measurement("k"), EveAction.measurement("k"))})
+        out, records = self.apply(state, script, seed=3)
+        # one record per measurement; the second reads the value the first collapsed to
+        assert len(records) == 2
+        outcome = records[0][2]
+        assert records == ((1, "k", outcome), (1, "k", outcome))
+        assert out.probabilities("k")[outcome] == pytest.approx(1.0, abs=1e-12)
 
     def test_memory_only_actions_cannot_shift_the_carrier(self):
         state = in_transit_state(3, 2)
@@ -237,7 +242,7 @@ class TestApplyScript:
             EveAction.apply(GateSpec.shift("e", 1)),
             EveAction.apply(GateSpec.fourier("e")),
         )})
-        out, _ = apply_script(state, script, 1, "pre_bob")
+        out, _ = self.apply(state, script)
         after = partial_trace(out, {"a", "b"}).entries
         assert np.max(np.abs(after - before)) <= 1e-12
 

@@ -239,6 +239,19 @@ class TestSearch:
         with pytest.raises(ExplosionGuard):
             feasibility_search("post_round1_round2", 101, max_depth=0)
 
+    def test_exit_to_a_non_basis_memory_has_no_residual(self):
+        # at d = 2 cadd(k->e, 1) clears e to |0> and fourier turns it into |+>:
+        # an exit whose memory is product but holds no single value
+        family = (GateSpec.controlled_add("k", "e", 1), GateSpec.fourier("e"))
+        report = feasibility_search("stage5_round1", 2, max_depth=2, family=family)
+        [candidate] = [c for c in report.candidates if c.sequence == family]
+        assert candidate.residual_expression is None
+        assert candidate.residual_values == {(0,): None, (1,): None}
+        doc = candidate.to_json_dict()
+        assert doc["residual_expression"] is None
+        assert [v["value"] for v in doc["residual_values"]] == [None, None]
+        assert verify_candidate("stage5_round1", 2, family).verified
+
 
 class TestVerifyCandidate:
     def test_identity_on_entangled_input_fails_the_rank_condition(self):

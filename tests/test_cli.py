@@ -248,6 +248,28 @@ class TestRun:
         monkeypatch.setattr(cli, "run_session", explode)
         assert cli.main(["run", path]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "{path}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        # argparse reads -1e-8 as an option, so --tol is left without a value
+        (["run", "{path}", "--tol", "-1e-8"], "--tol: expected one argument"),
+    ])
+    def test_usage_errors_exit_one(self, argv, message, tmp_path, capsys):
+        path = honest_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([arg.format(path=path) for arg in argv])
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qkdsim")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
+
     def test_unreadable_output_path_exits_three(self, tmp_path):
         path = honest_scenario(tmp_path)
         assert cli.main(["run", path, "--out", str(tmp_path / "no" / "dir.json")]) == 3

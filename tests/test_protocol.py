@@ -33,7 +33,11 @@ from qkdsim.qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    apply_gate,
+    measure,
+    measurement_branches,
     partial_trace,
+    remove_register,
     states_equal_up_to_phase,
 )
 
@@ -169,6 +173,37 @@ class TestDecode:
     def test_needs_flying_qudit(self):
         with pytest.raises(MissingRegister):
             bob_decode(init_carrier(3))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("eve_registers", [1, 2])
+    def test_decode_equals_remove_register_of_the_projection(self, d, eve_registers):
+        # the decode measures k once and slices it away; dropping k from the
+        # projected state through the checked remove_register gives the same bits
+        rng = np.random.default_rng(10 * d + eve_registers)
+        config = ProtocolConfig(d=d, rounds=1, keys=(0,), eve_registers=eve_registers)
+        [(_, state, _)] = protocol._start(config)
+        state = alice_encode(state, int(rng.integers(d)))
+        targets = ("k", *eve_register_labels(eve_registers))
+        side = d ** len(targets)
+        unitary, _ = np.linalg.qr(rng.normal(size=(side, side))
+                                  + 1j * rng.normal(size=(side, side)))
+        state = apply_gate(state, GateSpec.dense(targets, unitary))
+        decoded = apply_gate(state, protocol._DECODE)
+
+        branches, _ = protocol._decode([(1.0, state, ())], None)
+        expected = measurement_branches(decoded, "k")
+        assert len(branches) == len(expected) > 1
+        for (prob, post, _), (_, p, projected) in zip(branches, expected):
+            assert prob == p
+            reference = remove_register(projected, "k")
+            assert post.layout == reference.layout
+            assert np.array_equal(post.amplitudes, reference.amplitudes)
+
+        [(_, post, _)], outcome = protocol._decode([(1.0, state, ())],
+                                                   np.random.default_rng(7))
+        drawn, projected = measure(decoded, "k", np.random.default_rng(7))
+        assert outcome == drawn
+        assert np.array_equal(post.amplitudes, remove_register(projected, "k").amplitudes)
 
 
 class TestSession:
@@ -354,13 +389,13 @@ class TestBranchCap:
         # Eve's first measurement makes two branches; a cap of one stops the
         # session there, before any decode
         decodes = []
-        remove = protocol.remove_register
+        drop = protocol._dropped
 
-        def counting_remove(*args, **kwargs):
+        def counting_drop(*args, **kwargs):
             decodes.append(args[1])
-            return remove(*args, **kwargs)
+            return drop(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, "remove_register", counting_remove)
+        monkeypatch.setattr(protocol, "_dropped", counting_drop)
         monkeypatch.setattr(protocol, "BRANCH_CAP", 1)
         with pytest.raises(ExplosionGuard):
             run_session_branches(self.CONFIG, self.SCRIPT)

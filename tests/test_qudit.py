@@ -7,10 +7,14 @@ index helpers), so the two paths can only agree if both are right.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qkdsim import analysis
+from qkdsim.adversary import eve_entangle
+from qkdsim.analysis import RoundTemplate, verify_candidate
 from qkdsim.errors import (
     EmptyKeepSet,
     InvalidBipartition,
@@ -23,6 +27,7 @@ from qkdsim.errors import (
     ValueOutOfRange,
 )
 from qkdsim.qudit import (
+    CERTAINTY,
     DensityMatrix,
     GateSpec,
     PureState,
@@ -606,3 +611,53 @@ class TestRegisterEditing:
     def test_remove_entangled_register_rejected(self):
         with pytest.raises(RegisterNotSeparable):
             remove_register(pair_state(2), "b")
+
+
+class TestCertaintyRule:
+    """One cut, CERTAINTY = 1 - 1e-9, decides whether a register holds a value."""
+
+    INSIDE, OUTSIDE = 5e-10, 2e-9  # weight off the leading value
+
+    @staticmethod
+    def leaning(off, q=0):
+        """|0, 0> on (a, b), then k and e each with weight 1 - off on one value.
+
+        k leans to q, e to 0; the rest of each weight sits one value up.
+        """
+        d = 3
+        k = np.zeros(d)
+        k[q], k[(q + 1) % d] = np.sqrt(1 - off), np.sqrt(off)
+        e = np.array([np.sqrt(1 - off), np.sqrt(off), 0.0])
+        amps = np.kron(np.kron([1.0, 0, 0], [1.0, 0, 0]), np.kron(k, e))
+        return PureState(RegisterLayout(d, ("a", "b", "k", "e")), amps)
+
+    def test_the_cut_lies_between_the_two_weights(self):
+        assert 1 - self.INSIDE >= CERTAINTY > 1 - self.OUTSIDE
+
+    def test_remove_register(self):
+        kept = remove_register(self.leaning(self.INSIDE), "e")
+        assert kept.layout.labels == ("a", "b", "k")
+        with pytest.raises(RegisterNotSeparable):
+            remove_register(self.leaning(self.OUTSIDE), "e")
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_search_evaluation(self, dense):
+        for off, certain in ((self.INSIDE, True), (self.OUTSIDE, False)):
+            template = RoundTemplate("leaning", 1, 0, lambda d, keys: self.leaning(off, *keys))
+            if dense:
+                verdict = verify_candidate(template, 3, ())
+            else:
+                verdict = analysis._evaluate_sequence(template, 3, (), 1e-8, dense=False)
+            assert verdict.verified == certain
+            for ev in verdict.evidence:
+                assert ev.rank_e == 1
+                assert ev.deterministic == certain
+                assert ev.bob_outcome == (ev.keys[0] if certain else None)
+                assert ev.residual == (0 if certain else None)
+
+    def test_entangle_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eve_entangle(self.leaning(self.INSIDE))
+        with pytest.warns(RuntimeWarning, match=r"not in \|0>"):
+            eve_entangle(self.leaning(self.OUTSIDE))

@@ -372,14 +372,22 @@ def action_to_obj(action: EveAction) -> dict:
 
 
 def action_from_obj(obj: Mapping) -> EveAction:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"an action must be an object, got {obj!r}")
     timing = obj.get("timing", "pre_bob")
     if obj.get("op") == "measure":
-        try:
-            return EveAction.measurement(obj["register"], timing)
-        except KeyError as exc:
-            raise ConfigError(f"measure action needs a register: {obj!r}") from exc
-    gate = gate_from_obj({k: v for k, v in obj.items() if k != "timing"})
-    return EveAction.apply(gate, timing)
+        if "register" not in obj:
+            raise ConfigError(f"measure action needs a register: {obj!r}")
+        fields = {"measure": obj["register"]}
+    else:
+        fields = {"gate": gate_from_obj({k: v for k, v in obj.items() if k != "timing"})}
+    try:
+        action = EveAction(timing, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"bad action {obj!r}: {exc}") from exc
+    if not all(isinstance(reg, str) for reg in action.registers):
+        raise ConfigError(f"register names must be strings: {obj!r}")
+    return action
 
 
 def script_to_obj(script: AttackScript) -> dict:
@@ -392,11 +400,15 @@ def script_to_obj(script: AttackScript) -> dict:
 def script_from_obj(obj: Mapping) -> AttackScript:
     if not isinstance(obj, Mapping) or set(obj) != {"rounds"}:
         raise ConfigError('attack script must be an object with a single "rounds" key')
+    if not isinstance(obj["rounds"], Mapping):
+        raise ConfigError(f'"rounds" must map round keys to action lists, got {obj["rounds"]!r}')
     rounds = {}
     for key, actions in obj["rounds"].items():
         try:
             r = int(key)
         except ValueError as exc:
             raise ConfigError(f"round key {key!r} is not an integer") from exc
+        if not isinstance(actions, (list, tuple)):
+            raise ConfigError(f"round {key!r} must hold a list of actions, got {actions!r}")
         rounds[r] = tuple(action_from_obj(a) for a in actions)
     return AttackScript(rounds)

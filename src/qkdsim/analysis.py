@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,12 +102,11 @@ def diagnose(state: PureState, round_index: int, stage: str,
 class RoundTemplate:
     """Family of mid-round states parameterized by a key tuple.
 
-    current_key_index points at the tuple slot Bob is about to decode.
+    Bob is about to decode the last key of the tuple.
     """
 
     template_id: str
     key_arity: int
-    current_key_index: int
     build: Callable[[int, tuple[int, ...]], PureState]
 
 
@@ -132,8 +131,8 @@ def _round2_still_entangled(d: int, keys: tuple[int, ...]) -> PureState:
 
 
 TEMPLATES = {
-    "stage5_round1": RoundTemplate("stage5_round1", 1, 0, _exit_window_round1),
-    "post_round1_round2": RoundTemplate("post_round1_round2", 2, 1, _round2_still_entangled),
+    "stage5_round1": RoundTemplate("stage5_round1", 1, _exit_window_round1),
+    "post_round1_round2": RoundTemplate("post_round1_round2", 2, _round2_still_entangled),
 }
 
 
@@ -226,34 +225,32 @@ class FeasibilityReport:
         }
 
 
-def _evaluate_sequence(template: RoundTemplate, d: int, sequence: Sequence[GateSpec],
-                       rank_tol: float, dense: bool) -> CandidateVerdict:
-    """Check both exit conditions for every key assignment.
+def _start_states(template: RoundTemplate, d: int) -> dict:
+    """Every key assignment's template state, in key order."""
+    return {keys: template.build(d, keys) for keys in product(range(d), repeat=template.key_arity)}
+
+
+def _evidence(starts: dict, sequence: Sequence[GateSpec], rank_tol: float,
+              step: Callable[[PureState, GateSpec], PureState]) -> Iterator[KeyCaseEvidence]:
+    """Check both exit conditions for each key assignment, lazily, in key order.
 
     Condition order per assignment: Eve's memory must be product across
     {e} | {a,b,k} before the qudit is forwarded, then Bob's decode must yield
-    the current round's key with certainty.
+    the last key of the tuple with certainty.
     """
-    step = apply_gate_dense if dense else apply_gate
-    evidence = []
-    all_ok = True
-    for keys in product(range(d), repeat=template.key_arity):
-        state = template.build(d, keys)
+    for keys, state in starts.items():
         for gate in sequence:
             state = step(state, gate)
         rank = schmidt_rank(state, {"e"}, rank_tol)
         outcome = _certain_value(step(state, protocol._DECODE), "k")
-        ok = rank == 1 and outcome == keys[template.current_key_index]
-        evidence.append(KeyCaseEvidence(
+        yield KeyCaseEvidence(
             keys=keys,
             rank_e=rank,
             bob_outcome=outcome,
             deterministic=outcome is not None,
             residual=_certain_value(state, "e"),
-            ok=ok,
-        ))
-        all_ok = all_ok and ok
-    return CandidateVerdict(verified=all_ok, evidence=tuple(evidence))
+            ok=rank == 1 and outcome == keys[-1],
+        )
 
 
 def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[GateSpec],
@@ -266,7 +263,9 @@ def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[G
     if isinstance(template, str):
         template = get_template(template)
     _check_registers(sequence)
-    return _evaluate_sequence(template, d, tuple(sequence), rank_tol, dense=True)
+    evidence = tuple(_evidence(_start_states(template, d), tuple(sequence), rank_tol,
+                               apply_gate_dense))
+    return CandidateVerdict(verified=all(ev.ok for ev in evidence), evidence=evidence)
 
 
 def _check_registers(gates: Sequence[GateSpec]) -> None:
@@ -328,13 +327,13 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
     if total > ENUMERATION_CAP:
         raise FamilyTooLarge(f"{total} sequences exceed the cap of {ENUMERATION_CAP}")
 
+    starts = _start_states(template, d)
     enumerated = 0
     candidates = []
     for depth in range(max_depth + 1):
         for sequence in product(fam, repeat=depth):
             enumerated += 1
-            fast = _evaluate_sequence(template, d, sequence, rank_tol, dense=False)
-            if not fast.verified:
+            if not all(ev.ok for ev in _evidence(starts, sequence, rank_tol, apply_gate)):
                 continue
             dense = verify_candidate(template, d, sequence, rank_tol)
             if not dense.verified:

@@ -43,6 +43,9 @@ ALICE, BOB, KEY = "a", "b", "k"
 STAGES = ("post_encode", "post_attack", "post_decode", "round_end")
 # most branches an exhaustive session may hold after any stage
 BRANCH_CAP = 100_000
+# most amplitudes in a session's largest state, over a, b, k and every Eve
+# register: 2^22 complex amplitudes take 64 MiB
+STATE_CAP = 2 ** 22
 
 # independent seed streams for key generation and in-session sampling
 _KEY_STREAM = 0x4B
@@ -92,6 +95,12 @@ class ProtocolConfig:
         object.__setattr__(self, "control_rounds", control)
         if self.eve_registers < 0:
             raise ConfigError("eve_registers must be >= 0")
+        # d >= 2, so more registers than STATE_CAP has bits exceed it without the power
+        registers = 3 + self.eve_registers
+        if registers > STATE_CAP.bit_length() or self.d ** registers > STATE_CAP:
+            raise ExplosionGuard(
+                f"a session state of {self.d}^{registers} amplitudes (a, b, k and "
+                f"{self.eve_registers} Eve registers) exceeds {STATE_CAP}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 

@@ -1,6 +1,7 @@
 """Diagnostics and the exit-sequence search, checked against golden files."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,51 @@ def product_template(d_ignored):
             amps[layout.index_of((j, j, (j + q) % d, 0))] = 1 / np.sqrt(d)
         return PureState(layout, amps)
 
-    return RoundTemplate("already_product", 1, 0, build)
+    return RoundTemplate("already_product", 1, build)
+
+
+def sequences(d, depth):
+    """default_gate_family sequences in the search's order: shortest first, then product."""
+    family = default_gate_family(d)
+    for level in range(depth + 1):
+        yield from product(family, repeat=level)
+
+
+def affine_map(sequence, d):
+    """The sequence as (k, e) -> M (k, e) + t over Z_d, its first gate applied first."""
+    m, t = np.eye(2, dtype=int), np.zeros(2, dtype=int)
+    for gate in sequence:
+        g, u = np.eye(2, dtype=int), np.zeros(2, dtype=int)
+        if gate.kind == "shift":
+            assert gate.targets == ("e",)
+            u[1] = gate.s  # e += s
+        elif gate.control == "k":
+            g[1, 0] = gate.s  # e += s k
+        else:
+            g[0, 1] = gate.s  # k += s e
+        m, t = g @ m % d, (g @ t + u) % d
+    return m, t
+
+
+def affine_exits(template_id, d, depth):
+    """The exits and their residuals by modular algebra alone.
+
+    Both templates hold k and e at carrier-shifted key values (j + q), so a
+    map is an exit when e loses j and Bob's k - j is the last key.
+    """
+    exits = []
+    for sequence in sequences(d, depth):
+        ((m11, m12), (m21, m22)), (tk, te) = affine_map(sequence, d)
+        if template_id == "stage5_round1":
+            ok = (m21 + m22) % d == 0 and (m11 + m12) % d == 1 and tk == 0
+            residuals = {(q1,): int(te) for q1 in range(d)}
+        else:
+            ok = m11 == 1 and m12 == 0 and (m21 + m22) % d == 0 and tk == 0
+            residuals = {(q1, q2): int((m22 * (q1 - q2) + te) % d)
+                         for q1, q2 in product(range(d), repeat=2)}
+        if ok:
+            exits.append((sequence, list(residuals.items())))
+    return exits
 
 
 class TestDiagnose:
@@ -137,7 +182,6 @@ class TestTemplates:
     def test_stale_memory_state(self, d, q1, q2):
         template = get_template("post_round1_round2")
         assert template.key_arity == 2
-        assert template.current_key_index == 1
         state = template.build(d, (q1, q2))
         layout = state.layout
         for j in range(d):
@@ -228,12 +272,56 @@ class TestSearch:
 
     def test_family_off_k_and_e_refused_before_any_evaluation(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(analysis, "_evaluate_sequence",
+        monkeypatch.setattr(analysis, "_evidence",
                             lambda *args, **kwargs: calls.append(args))
         family = (GateSpec.controlled_add("k", "e", 1), GateSpec.phase("a", 1))
         with pytest.raises(IllegalRegisterAccess):
             feasibility_search("stage5_round1", 2, max_depth=2, family=family)
         assert calls == []
+
+    @pytest.mark.parametrize("template_id", ["stage5_round1", "post_round1_round2"])
+    @pytest.mark.parametrize("d,depth", [(2, 3), (3, 2)])
+    def test_fast_path_and_dense_oracle_agree_on_every_sequence(self, template_id, d, depth):
+        report = feasibility_search(template_id, d, max_depth=depth)
+        verified = [sequence for sequence in sequences(d, depth)
+                    if verify_candidate(template_id, d, sequence).verified]
+        assert verified == [c.sequence for c in report.candidates]
+
+    @pytest.mark.parametrize("template_id", ["stage5_round1", "post_round1_round2"])
+    @pytest.mark.parametrize("d,depth", [(2, 3), (3, 3), (5, 2)])
+    def test_exits_match_the_affine_algebra(self, template_id, d, depth):
+        report = feasibility_search(template_id, d, max_depth=depth)
+        found = [(c.sequence, list(c.residual_values.items())) for c in report.candidates]
+        assert found == affine_exits(template_id, d, depth)
+
+    @pytest.mark.parametrize("template_id,d", [("stage5_round1", 3), ("post_round1_round2", 2)])
+    def test_start_states_are_built_once_per_search(self, template_id, d):
+        base = get_template(template_id)
+        built = []
+
+        def build(d, keys):
+            built.append(keys)
+            return base.build(d, keys)
+
+        counting = RoundTemplate("counting", base.key_arity, build)
+        report = feasibility_search(counting, d, max_depth=2)
+        assert report.candidates
+        # once for the whole fast path, then once per key per dense re-verification
+        assert len(built) == d ** base.key_arity * (1 + len(report.candidates))
+
+    def test_a_rejected_sequence_stops_at_its_first_failing_key(self, monkeypatch):
+        ranks = []
+        schmidt_rank = analysis.schmidt_rank
+
+        def counting_rank(*args):
+            ranks.append(schmidt_rank(*args))
+            return ranks[-1]
+
+        monkeypatch.setattr(analysis, "schmidt_rank", counting_rank)
+        # the empty sequence leaves e entangled for every key, so key 0 decides
+        report = feasibility_search("stage5_round1", 3, max_depth=0)
+        assert report.candidates == ()
+        assert ranks == [3]
 
     def test_key_space_cap(self):
         with pytest.raises(ExplosionGuard):

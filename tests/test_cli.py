@@ -93,15 +93,36 @@ class TestValidate:
         {"rounds": 3},
         {"keys": [0, 1]},
         {"control_rounds": [1]},
+        # malformed scripts
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
+            {"op": "measure", "register": "e", "timing": "later"}]}}}},
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
+            {"op": "shift", "target": "e", "s": 1, "timing": "bogus"}]}}}},
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [5]}}}},
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": ["x"]}}},
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": 7}}}},
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
+            {"op": "shift", "target": ["e"], "s": 1}]}}}},
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
+            {"op": "measure", "register": {"e": 1}}]}}}},
     ], ids=["round_past_session", "missing_register", "post_decode_k", "rounds_only",
-            "keys_only", "control_only"])
+            "keys_only", "control_only", "measure_timing", "gate_timing", "action_not_object",
+            "rounds_not_object", "actions_not_list", "gate_register_not_string",
+            "measure_register_not_string"])
     def test_validate_refuses_what_run_refuses(self, fields, tmp_path, capsys):
         path = write_scenario(tmp_path, d=2, **fields)
         assert cli.main(["validate", path]) == 1
         refused = capsys.readouterr().err
+        assert refused.startswith("error: ")
         assert cli.main(["run", path, "--out", str(tmp_path / "report.json")]) == 1
         assert capsys.readouterr().err == refused
         assert not (tmp_path / "report.json").exists()
+
+    def test_oversized_session_refused(self, tmp_path, capsys):
+        # validate only builds the config: 16^8 amplitudes are never allocated
+        path = write_scenario(tmp_path, d=16, rounds=1, keys=[0], eve_registers=5)
+        assert cli.main(["validate", path]) == 1
+        assert capsys.readouterr().err.startswith("error: a session state of 16^8 amplitudes")
 
     @pytest.mark.parametrize("name", ["difference_leak_d3.json", "honest_d3.json",
                                       "intercept_d2.json", "reply_odd_d3.json"])

@@ -73,6 +73,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ProtocolConfig(d=2, rounds=1, keys=(0,), seed=-1)
 
+    def test_state_size_cap(self):
+        # constructing the config only: no state is allocated
+        ProtocolConfig(d=2, rounds=1, keys=(0,), eve_registers=19)  # 2^22, at the cap
+        for d, eve_registers in ((2, 20), (16, 5), (2, 10 ** 9)):
+            with pytest.raises(ExplosionGuard, match="amplitudes"):
+                ProtocolConfig(d=d, rounds=1, keys=(0,), eve_registers=eve_registers)
+        assert protocol.STATE_CAP == 2 ** 22
+
     def test_eve_register_labels(self):
         assert eve_register_labels(0) == []
         assert eve_register_labels(1) == ["e"]

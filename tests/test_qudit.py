@@ -643,11 +643,13 @@ class TestCertaintyRule:
     @pytest.mark.parametrize("dense", [False, True])
     def test_search_evaluation(self, dense):
         for off, certain in ((self.INSIDE, True), (self.OUTSIDE, False)):
-            template = RoundTemplate("leaning", 1, 0, lambda d, keys: self.leaning(off, *keys))
+            template = RoundTemplate("leaning", 1, lambda d, keys: self.leaning(off, *keys))
             if dense:
                 verdict = verify_candidate(template, 3, ())
             else:
-                verdict = analysis._evaluate_sequence(template, 3, (), 1e-8, dense=False)
+                starts = analysis._start_states(template, 3)
+                evidence = tuple(analysis._evidence(starts, (), 1e-8, apply_gate))
+                verdict = analysis.CandidateVerdict(all(ev.ok for ev in evidence), evidence)
             assert verdict.verified == certain
             for ev in verdict.evidence:
                 assert ev.rank_e == 1

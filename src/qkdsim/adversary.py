@@ -88,16 +88,23 @@ class AttackScript:
     rounds: Mapping[int, tuple[EveAction, ...]]
 
     def __post_init__(self):
-        normalized = {}
+        normalized, keys = {}, {}
         for round_index, actions in self.rounds.items():
             r = int(round_index)
             if r < 1:
                 raise ConfigError(f"round indices start at 1, got {r}")
-            normalized[r] = tuple(actions)
+            if r in normalized:
+                raise ConfigError(
+                    f"round keys {keys[r]!r} and {round_index!r} both name round {r}")
+            normalized[r], keys[r] = tuple(actions), round_index
         object.__setattr__(self, "rounds", normalized)
+        # actions(r, timing) is a lookup; an absent slot holds no actions
+        object.__setattr__(self, "_slots", {
+            (r, timing): tuple(a for a in actions if a.timing == timing)
+            for r, actions in normalized.items() for timing in TIMINGS})
 
     def actions(self, round_index: int, timing: str) -> tuple[EveAction, ...]:
-        return tuple(a for a in self.rounds.get(round_index, ()) if a.timing == timing)
+        return self._slots.get((round_index, timing), ())
 
 
 EMPTY_SCRIPT = AttackScript({})
@@ -405,10 +412,11 @@ def script_from_obj(obj: Mapping) -> AttackScript:
     rounds = {}
     for key, actions in obj["rounds"].items():
         try:
-            r = int(key)
+            int(key)
         except ValueError as exc:
             raise ConfigError(f"round key {key!r} is not an integer") from exc
         if not isinstance(actions, (list, tuple)):
             raise ConfigError(f"round {key!r} must hold a list of actions, got {actions!r}")
-        rounds[r] = tuple(action_from_obj(a) for a in actions)
+        rounds[key] = tuple(action_from_obj(a) for a in actions)
+    # AttackScript refuses two keys that name the same round ("1" and "01")
     return AttackScript(rounds)

@@ -10,6 +10,7 @@ re-verified through dense matrices before they are reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -29,9 +30,11 @@ from .qudit import (
     RegisterLayout,
     _certain_value,
     _entropy,
+    _fold,
+    _rank,
+    _reduced,
     apply_gate,
     apply_gate_dense,
-    partial_trace,
     schmidt_rank,
 )
 
@@ -62,38 +65,44 @@ class StageDiagnostics:
         }
 
 
-def _cut_sides(labels: Sequence[str]) -> dict:
+@lru_cache(maxsize=64)
+def _cut_plan(layout: RegisterLayout) -> tuple:
+    """(fold for rho_k or None, ((name, fold), ...) for each standard cut that
+    partitions the layout), each fold the qudit._fold plan of one side."""
+    labels = set(layout.labels)
     eve = {l for l in labels if l.startswith("e")}
-    return {
+    sides = {
         "e|abk": (eve, {"a", "b", "k"}),
         "e|ab": (eve, {"a", "b"}),
         "a|bke": ({"a"}, {"b", "k"} | eve),
     }
+    k_fold = _fold(layout, ("k",)) if "k" in labels and len(labels) > 1 else None
+    cuts = tuple((name, _fold(layout, tuple(l for l in layout.labels if l in side_a)))
+                 for name, (side_a, side_b) in sides.items()
+                 if side_a and side_a | side_b == labels and not side_a & side_b)
+    return k_fold, cuts
 
 
 def diagnose(state: PureState, round_index: int, stage: str,
              decode_ok: bool | None = None, tol: float = 1e-8) -> StageDiagnostics:
     """Spectrum and entropy of the key qudit plus standard Schmidt cuts.
 
-    Cuts that do not partition the current layout are skipped.
+    Cuts that do not partition the current layout are skipped.  Each value is
+    the one partial_trace, von_neumann_entropy and schmidt_rank give.
     """
-    labels = set(state.layout.labels)
+    k_fold, cuts = _cut_plan(state.layout)
     spectrum = None
     entropy = None
-    if "k" in labels and len(labels) > 1:
-        eigs = np.linalg.eigvalsh(partial_trace(state, {"k"}).entries)
+    if k_fold is not None:
+        eigs = np.linalg.eigvalsh(_reduced(state, k_fold))
         spectrum = tuple(float(x) for x in eigs[::-1])
         entropy = _entropy(eigs, state.layout.d)
-    ranks = {}
-    for name, (side_a, side_b) in _cut_sides(state.layout.labels).items():
-        if side_a and side_a | side_b == labels and not side_a & side_b:
-            ranks[name] = schmidt_rank(state, side_a, tol)
     return StageDiagnostics(
         round_index=round_index,
         stage=stage,
         rho_k_spectrum=spectrum,
         entropy_k=entropy,
-        schmidt_ranks=ranks,
+        schmidt_ranks={name: _rank(state, fold, tol) for name, fold in cuts},
         decode_ok=decode_ok,
     )
 

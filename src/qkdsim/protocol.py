@@ -33,8 +33,7 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
-    _dropped,
-    _outcomes,
+    _measured_away,
     apply_gate,
     insert_register,
 )
@@ -143,8 +142,8 @@ def _decode(branches: list, rng: np.random.Generator | None) -> tuple[list, int 
     decoded, outcome = [], None
     for prob, state, records in branches:
         state = apply_gate(state, _DECODE)
-        for outcome, p, post in _outcomes(state, KEY, rng):
-            decoded.append((prob * p, _dropped(post, KEY, outcome), records))
+        for outcome, p, post in _measured_away(state, KEY, rng):
+            decoded.append((prob * p, post, records))
     return decoded, outcome
 
 

@@ -5,9 +5,11 @@ register label most significant.  Gates run on one of two kernels.  shift,
 controlled-add and phase are monomial matrices, applied through one cached
 table per (layout, gate): a source index that permutes the amplitudes
 without touching their values, or the phase gate's non-unit factors.
-Fourier and dense gates apply their matrix to the target axes.  Every gate
-kind can also be expanded to an explicit dense unitary, which doubles as an
-independent cross-check path.
+Fourier and dense gates apply their matrix to the target axes, folded
+first by a transpose cached per (layout, targets) in `_fold`; the partial
+trace and the Schmidt rank fold the same way.  Every gate kind can also be
+expanded to an explicit dense unitary, which doubles as an independent
+cross-check path.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ class RegisterLayout:
             values.append(v)
         return tuple(reversed(values))
 
+    # insert and drop are interned: each (layout, label[, position]) is built and
+    # validated once, and every state on that layout shares the same object
+    @lru_cache(maxsize=256)
     def insert(self, label: str, position: int) -> "RegisterLayout":
         if label in self.labels:
             raise RegisterCollision(f"register {label!r} already present")
@@ -102,6 +107,7 @@ class RegisterLayout:
         labels.insert(position, label)
         return RegisterLayout(self.d, tuple(labels))
 
+    @lru_cache(maxsize=256)
     def drop(self, label: str) -> "RegisterLayout":
         ax = self.axis(label)
         return RegisterLayout(self.d, self.labels[:ax] + self.labels[ax + 1:])
@@ -335,19 +341,26 @@ def apply_gate(state: PureState, gate: GateSpec) -> PureState:
         return PureState._trusted(layout, out)
 
     matrix = _fourier_matrix(d) if gate.kind == "fourier" else gate.matrix
-    axes = tuple(layout.axis(t) for t in gate.targets)
-    side = d ** len(axes)
+    perm, inverse, side = _fold(layout, gate.targets)
     if matrix.shape[0] != side:
         raise NonUnitaryMatrix(
             f"dense matrix side {matrix.shape[0]} does not match d^targets = {side}"
         )
-    rest = tuple(a for a in range(len(layout)) if a not in axes)
-    perm = axes + rest
-    folded = np.transpose(state.tensor, perm).reshape(side, -1)
-    out = matrix @ folded
-    inverse = np.argsort(perm)
+    out = matrix @ np.transpose(state.tensor, perm).reshape(side, -1)
     out = np.transpose(out.reshape((d,) * len(layout)), inverse)
     return PureState._trusted(layout, out.reshape(-1))
+
+
+@lru_cache(maxsize=256)
+def _fold(layout: RegisterLayout, front: tuple[str, ...],
+          ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(perm, inverse, rows): the transpose that brings the axes of the registers
+    `front` first, in that order, and the rest after in layout order; its
+    inverse; and d^len(front), the rows of the folded amplitude matrix."""
+    axes = tuple(layout.axis(label) for label in front)
+    perm = axes + tuple(a for a in range(len(layout)) if a not in axes)
+    inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    return perm, inverse, layout.d ** len(front)
 
 
 def apply_gate_dense(state: PureState, gate: GateSpec) -> PureState:
@@ -363,29 +376,36 @@ def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:
     layout = state.layout
     axes_keep = layout.axes(keep)
     kept_labels = tuple(layout.labels[a] for a in axes_keep)
-    axes_drop = tuple(a for a in range(len(layout)) if a not in axes_keep)
-    folded = np.transpose(state.tensor, axes_keep + axes_drop)
-    folded = folded.reshape(layout.d ** len(axes_keep), -1)
-    rho = folded @ folded.conj().T
-    return DensityMatrix(RegisterLayout(layout.d, kept_labels), rho)
+    return DensityMatrix(RegisterLayout(layout.d, kept_labels),
+                         _reduced(state, _fold(layout, kept_labels)))
 
 
 def schmidt_rank(state: PureState, side_a: Iterable[str], tol: float = SCHMIDT_TOL) -> int:
     """Number of Schmidt coefficients above tol across the cut side_a | rest."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     side = set(side_a)
     labels = set(state.layout.labels)
     if not side or not side < labels:
         raise InvalidBipartition(
             f"side {sorted(side)} must be a nonempty proper subset of {sorted(labels)}"
         )
-    layout = state.layout
-    axes_a = layout.axes(side)
-    axes_b = tuple(a for a in range(len(layout)) if a not in axes_a)
-    folded = np.transpose(state.tensor, axes_a + axes_b).reshape(layout.d ** len(axes_a), -1)
-    singular = np.linalg.svd(folded, compute_uv=False)
-    return int(np.count_nonzero(singular > tol))
+    front = tuple(label for label in state.layout.labels if label in side)
+    return _rank(state, _fold(state.layout, front), tol)
+
+
+def _reduced(state: PureState, fold: tuple) -> np.ndarray:
+    """rho over the front axes of a _fold plan: M M^dagger of the folded amplitudes."""
+    perm, _, rows = fold
+    folded = np.transpose(state.tensor, perm).reshape(rows, -1)
+    return folded @ folded.conj().T
+
+
+def _rank(state: PureState, fold: tuple, tol: float) -> int:
+    """Singular values above tol of the amplitudes folded by a _fold plan."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    perm, _, rows = fold
+    folded = np.transpose(state.tensor, perm).reshape(rows, -1)
+    return int(np.count_nonzero(np.linalg.svd(folded, compute_uv=False) > tol))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -410,37 +430,40 @@ def _marginal(amps: np.ndarray, split: tuple[int, int, int]) -> np.ndarray:
     return np.add.reduce((np.abs(amps) ** 2).reshape(split), axis=(0, 2))
 
 
-def _projected(state: PureState, split: tuple[int, int, int], value: int,
-               amplitude_scale: float) -> PureState:
-    out = np.zeros(state.amplitudes.size, np.complex128)
-    kept, dest = state.amplitudes.reshape(split)[:, value, :], out.reshape(split)[:, value, :]
+def _rescaled(kept: np.ndarray, amplitude_scale: float, dest: np.ndarray) -> None:
     if amplitude_scale != 1.0:
         np.divide(kept, amplitude_scale, out=dest)
     else:
         # complex division by 1 would turn -0.0 real parts into +0.0
         dest[...] = kept
+
+
+def _projected(state: PureState, split: tuple[int, int, int], value: int,
+               amplitude_scale: float) -> PureState:
+    """The state with `value` of the split's middle axis kept and rescaled, the rest zeroed."""
+    out = np.zeros(state.amplitudes.size, np.complex128)
+    _rescaled(state.amplitudes.reshape(split)[:, value, :], amplitude_scale,
+              out.reshape(split)[:, value, :])
     return PureState._trusted(state.layout, out)
 
 
-def measurement_branches(state: PureState, register: str) -> list[tuple[int, float, PureState]]:
-    """All nonzero-probability outcomes of a computational measurement.
-
-    Returns (outcome, probability, renormalized post state) triples; the
-    measured register stays in the layout, collapsed to its outcome.
-    """
-    split = _split(state.layout, register)
-    branches = []
-    for v, p in enumerate(_marginal(state.amplitudes, split).tolist()):
-        if p <= BRANCH_PRUNE:
-            continue
-        branches.append((v, p, _projected(state, split, v, math.sqrt(p))))
-    return branches
+def _sliced(state: PureState, split: tuple[int, int, int], value: int,
+            amplitude_scale: float, layout: RegisterLayout) -> PureState:
+    """The rescaled amplitudes at `value` of the split's middle axis, over the smaller layout."""
+    pre, _, post = split
+    out = np.empty(pre * post, np.complex128)
+    _rescaled(state.amplitudes.reshape(split)[:, value, :], amplitude_scale,
+              out.reshape(pre, post))
+    return PureState._trusted(layout, out)
 
 
-def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[int, PureState]:
-    """Sample one outcome by the Born rule; deterministic given the rng state."""
-    split = _split(state.layout, register)
-    probs = _marginal(state.amplitudes, split).tolist()
+def _chosen(probs: list[float], rng: np.random.Generator | None,
+            ) -> list[tuple[int, float, float]]:
+    """The sampling policy as (outcome, weight, probability) triples: one outcome
+    drawn by the rng at weight 1.0, or for None every outcome above BRANCH_PRUNE
+    at its probability."""
+    if rng is None:
+        return [(v, p, p) for v, p in enumerate(probs) if p > BRANCH_PRUNE]
     # inverse-CDF draw on Python floats, cheaper than numpy calls on d values:
     # the running sum rounds as np.cumsum does, and the first edge above
     # u * total is the one searchsorted(side="right") finds
@@ -451,16 +474,49 @@ def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[
         if edge > threshold:
             outcome = v
             break
-    return outcome, _projected(state, split, outcome, math.sqrt(probs[outcome]))
+    return [(outcome, 1.0, probs[outcome])]
+
+
+def measurement_branches(state: PureState, register: str) -> list[tuple[int, float, PureState]]:
+    """All nonzero-probability outcomes of a computational measurement.
+
+    Returns (outcome, probability, renormalized post state) triples; the
+    measured register stays in the layout, collapsed to its outcome.
+    """
+    split = _split(state.layout, register)
+    return [(v, p, _projected(state, split, v, math.sqrt(p)))
+            for v, p, _ in _chosen(_marginal(state.amplitudes, split).tolist(), None)]
+
+
+def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[int, PureState]:
+    """Sample one outcome by the Born rule; deterministic given the rng state."""
+    split = _split(state.layout, register)
+    [(outcome, _, p)] = _chosen(_marginal(state.amplitudes, split).tolist(), rng)
+    return outcome, _projected(state, split, outcome, math.sqrt(p))
 
 
 def _outcomes(state: PureState, register: str, rng: np.random.Generator | None,
               ) -> list[tuple[int, float, PureState]]:
-    """The sampling policy: one outcome drawn by the rng at weight 1.0, or all for None."""
+    """(outcome, weight, post state) under the sampling policy of _chosen: one
+    `measure` with the rng, or `measurement_branches` for None."""
     if rng is None:
         return measurement_branches(state, register)
     outcome, post = measure(state, register, rng)
     return [(outcome, 1.0, post)]
+
+
+def _measured_away(state: PureState, register: str, rng: np.random.Generator | None,
+                   ) -> list[tuple[int, float, PureState]]:
+    """_outcomes, with each post state sliced at its outcome instead of collapsed.
+
+    The post states hold the same amplitudes as the collapsed ones at the
+    outcome, over the layout without `register`.
+    """
+    layout = state.layout
+    split = _split(layout, register)
+    smaller = layout.drop(register)
+    return [(v, weight, _sliced(state, split, v, math.sqrt(p), smaller))
+            for v, weight, p in _chosen(_marginal(state.amplitudes, split).tolist(), rng)]
 
 
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-12) -> bool:
@@ -479,7 +535,7 @@ def insert_register(state: PureState, label: str, value: int, position: int) -> 
     shape = (layout.d,) * len(new_layout)
     out = np.zeros(shape, dtype=np.complex128)
     out[(slice(None),) * position + (value,)] = state.tensor
-    return PureState(new_layout, out.reshape(-1))
+    return PureState._trusted(new_layout, out.reshape(-1))
 
 
 def _certain_value(state: PureState, register: str) -> int | None:
@@ -487,13 +543,6 @@ def _certain_value(state: PureState, register: str) -> int | None:
     probs = state.probabilities(register)
     value = int(np.argmax(probs))
     return value if probs[value] >= CERTAINTY else None
-
-
-def _dropped(state: PureState, label: str, value: int) -> PureState:
-    """Slice `label` away at the value it is known to hold; no check, no renormalization."""
-    layout = state.layout
-    sliced = state.tensor[(slice(None),) * layout.axis(label) + (value,)]
-    return PureState._trusted(layout.drop(label), sliced.flatten())
 
 
 def remove_register(state: PureState, label: str) -> PureState:
@@ -504,4 +553,4 @@ def remove_register(state: PureState, label: str) -> PureState:
     value = _certain_value(state, label)
     if value is None:
         raise RegisterNotSeparable(f"register {label!r} holds several basis values")
-    return _dropped(state, label, value)
+    return _sliced(state, _split(state.layout, label), value, 1.0, state.layout.drop(label))

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 
+# the escaping json.dumps(str) applies, ASCII only
+_string = json.encoder.encode_basestring_ascii
+
 
 def format_float(x: float) -> str:
     x = float(x)
@@ -22,13 +25,32 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _is_scalar(value) -> bool:
-    return value is None or isinstance(
-        value, (bool, int, float, str, np.integer, np.floating)
-    )
+# scalar renderers by exact type; numpy scalars and subclasses go through _other_scalar
+_SCALARS = {
+    str: _string,
+    float: format_float,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _other_scalar(value) -> str | None:
+    """JSON text of a scalar whose type is not in _SCALARS, or None for a non-scalar."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value))
+    if isinstance(value, str):
+        return _string(value)
+    return None
 
 
 def _write(value, out: list[str], level: int) -> None:
+    render = _SCALARS.get(type(value))
+    if render is not None:
+        out.append(render(value))
+        return
     pad = "  " * level
     inner = "  " * (level + 1)
     if isinstance(value, dict):
@@ -36,45 +58,41 @@ def _write(value, out: list[str], level: int) -> None:
             out.append("{}")
             return
         out.append("{\n")
+        last = len(value) - 1
         for i, (key, item) in enumerate(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
-            out.append(f"{inner}{json.dumps(key)}: ")
+            out.append(inner + _string(key) + ": ")
             _write(item, out, level + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
+            out.append(",\n" if i < last else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
+        if not value:
             out.append("[]")
             return
-        if all(_is_scalar(v) for v in items):
-            out.append("[" + ", ".join(_scalar(v) for v in items) + "]")
+        # one pass: a list of scalars renders on one line, anything else nests
+        texts = []
+        for item in value:
+            render = _SCALARS.get(type(item))
+            text = render(item) if render is not None else _other_scalar(item)
+            if text is None:
+                break
+            texts.append(text)
+        else:
+            out.append("[" + ", ".join(texts) + "]")
             return
         out.append("[\n")
-        for i, item in enumerate(items):
+        last = len(value) - 1
+        for i, item in enumerate(value):
             out.append(inner)
             _write(item, out, level + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
+            out.append(",\n" if i < last else "\n")
         out.append(pad + "]")
-    elif _is_scalar(value):
-        out.append(_scalar(value))
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        text = _other_scalar(value)
+        if text is None:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+        out.append(text)
 
 
 def dumps(value) -> str:

@@ -742,3 +742,21 @@ class TestWireFormat:
     def test_round_keys_must_be_integers(self):
         with pytest.raises(ConfigError):
             script_from_obj({"rounds": {"first": []}})
+
+    @pytest.mark.parametrize("other", ["01", " 1", "+1"])
+    def test_two_keys_for_one_round_are_refused(self, other):
+        measure = {"op": "measure", "register": "e"}
+        shift = {"op": "shift", "target": "e", "s": 1}
+        with pytest.raises(ConfigError, match="both name round 1"):
+            script_from_obj({"rounds": {"1": [measure], other: [shift]}})
+        with pytest.raises(ConfigError, match="both name round 1"):
+            AttackScript({1: (EveAction.measurement("e"),), other: ()})
+
+    def test_actions_by_slot(self):
+        tap = EveAction.apply(GateSpec.controlled_add("k", "e", 1))
+        late = EveAction.measurement("e", "post_decode")
+        script = AttackScript({2: (tap, late, tap)})
+        assert script.actions(2, "pre_bob") == (tap, tap)
+        assert script.actions(2, "post_decode") == (late,)
+        assert script.actions(1, "pre_bob") == ()
+        assert script.actions(3, "post_decode") == ()

@@ -33,6 +33,7 @@ from qkdsim.qudit import (
     apply_gate,
     insert_register,
     partial_trace,
+    schmidt_rank,
     von_neumann_entropy,
 )
 
@@ -156,6 +157,45 @@ class TestDiagnose:
         # the same bits as the two separate decompositions
         assert diag.rho_k_spectrum == spectrum
         assert diag.entropy_k == entropy
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("eve", [0, 1, 2, 3])
+    @pytest.mark.parametrize("with_k", [True, False])
+    @pytest.mark.parametrize("tol", [1e-7, 1e-10])
+    def test_same_bits_as_the_reference_composition(self, d, eve, with_k, tol):
+        # seeded dense states; the cached cut plan must give the values of
+        # partial_trace, von_neumann_entropy and schmidt_rank, bit for bit
+        labels = ("a", "b") + (("k",) if with_k else ()) + ("e", "e2", "e3")[:eve]
+        layout = RegisterLayout(d, labels)
+        rng = np.random.default_rng([d, eve, with_k])
+
+        def normal(size):
+            return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+        for weak in (None, None, 3e-9):
+            amps = normal(layout.dim)
+            if weak is not None:
+                # a product over (a b k) | Eve plus a term whose singular values
+                # fall between the two tolerances, so the ranks depend on tol
+                eve_dim = d ** eve
+                amps = np.outer(normal(layout.dim // eve_dim), normal(eve_dim)).ravel()
+                amps += weak * normal(layout.dim)
+            state = PureState(layout, amps / np.linalg.norm(amps))
+            diag = diagnose(state, 1, "post_attack", tol=tol)
+            if with_k:
+                rho_k = partial_trace(state, {"k"})
+                assert diag.rho_k_spectrum == tuple(float(x) for x in rho_k.spectrum())
+                assert diag.entropy_k == von_neumann_entropy(rho_k)
+            else:
+                assert diag.rho_k_spectrum is None and diag.entropy_k is None
+            eve_side = set(labels[2 + with_k:])
+            cuts = {"e|abk": (eve_side, {"a", "b", "k"}), "e|ab": (eve_side, {"a", "b"}),
+                    "a|bke": ({"a"}, {"b", "k"} | eve_side)}
+            expected = {name: schmidt_rank(state, side_a, tol)
+                        for name, (side_a, side_b) in cuts.items()
+                        if side_a and side_a | side_b == set(labels)}
+            assert diag.schmidt_ranks == expected
+            assert list(diag.schmidt_ranks) == list(expected)
 
     def test_json_form(self):
         state = alice_encode(init_carrier(2), 0)

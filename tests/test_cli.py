@@ -105,10 +105,18 @@ class TestValidate:
             {"op": "shift", "target": ["e"], "s": 1}]}}}},
         {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
             {"op": "measure", "register": {"e": 1}}]}}}},
+        # two keys naming one round: neither list may silently replace the other
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {
+            "1": [{"op": "measure", "register": "e"}],
+            "01": [{"op": "shift", "target": "e", "s": 1}]}}}},
+        {"rounds": 2, "keys": [0, 1], "attack": {"script": {"rounds": {
+            "1": [{"op": "measure", "register": "e"}],
+            " 1": [{"op": "shift", "target": "e", "s": 1}]}}}},
     ], ids=["round_past_session", "missing_register", "post_decode_k", "rounds_only",
             "keys_only", "control_only", "measure_timing", "gate_timing", "action_not_object",
             "rounds_not_object", "actions_not_list", "gate_register_not_string",
-            "measure_register_not_string"])
+            "measure_register_not_string", "repeated_round_zero_padded",
+            "repeated_round_space_padded"])
     def test_validate_refuses_what_run_refuses(self, fields, tmp_path, capsys):
         path = write_scenario(tmp_path, d=2, **fields)
         assert cli.main(["validate", path]) == 1

@@ -1,13 +1,18 @@
 """Source hygiene: no unused imports and no module-level functions nothing calls.
 
 Every module under src/qkdsim is parsed with ast, never imported, so the
-check sees the code as written.  __init__.py re-exports its imports and
+check sees the code as written; only the import-time check imports the
+package, in a fresh interpreter.  __init__.py re-exports its imports and
 `from __future__` imports are directives, so both are exempt; a name that
 appears only in a quoted annotation counts as used, and a re-export from
 __init__.py counts as a use of the function.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkdsim"
@@ -65,3 +70,36 @@ def test_no_unused_imports_or_unreferenced_private_functions():
                      if isinstance(node, ast.FunctionDef)
                      and not node.name.startswith("__") and node.name not in referenced]
     assert not problems, "\n".join(problems)
+
+
+# lists every lru_cache reachable from the qkdsim modules, as module.name or
+# module.Class.name, with its current size
+_CACHE_PROBE = """
+import json, sys
+import qkdsim.cli
+sizes = {}
+for name, module in sorted(sys.modules.items()):
+    if not name.startswith("qkdsim"):
+        continue
+    for attr, obj in vars(module).items():
+        owners = [(attr, obj)]
+        if isinstance(obj, type) and obj.__module__ == name:
+            owners = [(f"{attr}.{a}", o) for a, o in vars(obj).items()]
+        for label, fn in owners:
+            if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name:
+                sizes[f"{name}.{label}"] = fn.cache_info().currsize
+print(json.dumps(sizes))
+"""
+
+
+def test_importing_the_cli_fills_no_cache():
+    # the caches fill on first use, so importing the CLI, the first step of
+    # every cold start, builds none of them
+    proc = subprocess.run([sys.executable, "-c", _CACHE_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    assert {"qkdsim.qudit._gate_table", "qkdsim.qudit._split", "qkdsim.qudit._fold",
+            "qkdsim.qudit.RegisterLayout.insert", "qkdsim.qudit.RegisterLayout.drop",
+            "qkdsim.analysis._cut_plan"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size} == {}

@@ -397,13 +397,13 @@ class TestBranchCap:
         # Eve's first measurement makes two branches; a cap of one stops the
         # session there, before any decode
         decodes = []
-        drop = protocol._dropped
+        measure_away = protocol._measured_away
 
-        def counting_drop(*args, **kwargs):
+        def counting_decode(*args, **kwargs):
             decodes.append(args[1])
-            return drop(*args, **kwargs)
+            return measure_away(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, "_dropped", counting_drop)
+        monkeypatch.setattr(protocol, "_measured_away", counting_decode)
         monkeypatch.setattr(protocol, "BRANCH_CAP", 1)
         with pytest.raises(ExplosionGuard):
             run_session_branches(self.CONFIG, self.SCRIPT)

@@ -154,6 +154,29 @@ class TestRegisterLayout:
         with pytest.raises(RegisterCollision):
             RegisterLayout(2, ("a", "b")).insert("a", 0)
 
+    def test_insert_and_drop_are_interned(self):
+        layout = RegisterLayout(3, ("a", "b"))
+        inserted = layout.insert("k", 2)
+        assert inserted == RegisterLayout(3, ("a", "b", "k"))
+        assert layout.insert("k", 2) is inserted
+        # an equal layout built separately finds the same entry
+        assert RegisterLayout(3, ("a", "b")).insert("k", 2) is inserted
+        dropped = inserted.drop("k")
+        assert dropped == layout
+        assert inserted.drop("k") is dropped
+        states = [insert_register(pair_state(3), "k", q, 2) for q in range(3)]
+        assert all(s.layout is inserted for s in states)
+
+    def test_bad_insert_or_drop_raises_on_every_call(self):
+        layout = RegisterLayout(2, ("a", "b"))
+        for _ in range(3):
+            with pytest.raises(RegisterCollision):
+                layout.insert("a", 0)
+            with pytest.raises(ValueOutOfRange):
+                layout.insert("k", 3)
+            with pytest.raises(UnknownRegister):
+                layout.drop("k")
+
 
 class TestBasisState:
     def test_index_placement(self):

@@ -119,29 +119,20 @@ class RoundTemplate:
     build: Callable[[int, tuple[int, ...]], PureState]
 
 
-def _exit_window_round1(d: int, keys: tuple[int, ...]) -> PureState:
-    """Round 1 in transit, Eve's memory holding a copy of the flying value."""
-    (q1,) = keys
+def _in_transit(d: int, keys: tuple[int, ...]) -> PureState:
+    """sum_j |j, j, j + last key, j + first key> over (a, b, k, e): with one key,
+    round 1 in transit and Eve's memory holding a copy of the flying value; with
+    two, round 2 in transit after Eve stayed entangled through round 1."""
     layout = RegisterLayout(d, ("a", "b", "k", "e"))
     amps = np.zeros(layout.dim, dtype=np.complex128)
     for j in range(d):
-        amps[layout.index_of((j, j, (j + q1) % d, (j + q1) % d))] = 1.0 / np.sqrt(d)
-    return PureState(layout, amps)
-
-
-def _round2_still_entangled(d: int, keys: tuple[int, ...]) -> PureState:
-    """Round 2 in transit after Eve stayed entangled through round 1."""
-    q1, q2 = keys
-    layout = RegisterLayout(d, ("a", "b", "k", "e"))
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    for j in range(d):
-        amps[layout.index_of((j, j, (j + q2) % d, (j + q1) % d))] = 1.0 / np.sqrt(d)
+        amps[layout.index_of((j, j, (j + keys[-1]) % d, (j + keys[0]) % d))] = 1.0 / np.sqrt(d)
     return PureState(layout, amps)
 
 
 TEMPLATES = {
-    "stage5_round1": RoundTemplate("stage5_round1", 1, _exit_window_round1),
-    "post_round1_round2": RoundTemplate("post_round1_round2", 2, _round2_still_entangled),
+    "stage5_round1": RoundTemplate("stage5_round1", 1, _in_transit),
+    "post_round1_round2": RoundTemplate("post_round1_round2", 2, _in_transit),
 }
 
 

@@ -14,6 +14,7 @@ passes None, so each outcome becomes a branch of its own.  The exact analysis
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -26,6 +27,7 @@ from .errors import (
     InvalidDimension,
     InvariantViolation,
     MissingRegister,
+    NonUnitaryMatrix,
     ScriptRegisterUnknown,
     ValueOutOfRange,
 )
@@ -33,7 +35,7 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
-    _measured_away,
+    _outcomes,
     apply_gate,
     insert_register,
 )
@@ -61,6 +63,11 @@ def eve_register_labels(count: int) -> list[str]:
     return ["e"] + [f"e{i}" for i in range(2, count + 1)]
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Session parameters.  Exactly one of keys / key_seed must be set."""
@@ -76,18 +83,26 @@ class ProtocolConfig:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 2:
             raise InvalidDimension(f"d must be an int >= 2, got {self.d!r}")
+        for name in ("rounds", "eve_registers", "seed", "key_seed"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or (name == "key_seed" and value is None)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if (self.keys is None) == (self.key_seed is None):
             raise ConfigError("set exactly one of keys or key_seed")
         if self.keys is not None:
-            keys = tuple(int(q) for q in self.keys)
+            keys = tuple(self.keys)
             if len(keys) != self.rounds:
                 raise ConfigError(f"{len(keys)} keys given for {self.rounds} rounds")
             for i, q in enumerate(keys):
+                if not _is_integer(q):
+                    raise ConfigError(f"keys[{i}] must be an integer, got {q!r}")
                 if not 0 <= q < self.d:
                     raise ValueOutOfRange(f"keys[{i}] = {q} not in [0, {self.d})")
-            object.__setattr__(self, "keys", keys)
+            object.__setattr__(self, "keys", tuple(int(q) for q in keys))
+        if not all(_is_integer(r) for r in self.control_rounds):
+            raise ConfigError(f"control rounds must be integers, got {self.control_rounds!r}")
         control = frozenset(int(r) for r in self.control_rounds)
         if any(r < 1 or r > self.rounds for r in control):
             raise ConfigError(f"control rounds {sorted(control)} outside 1..{self.rounds}")
@@ -142,7 +157,7 @@ def _decode(branches: list, rng: np.random.Generator | None) -> tuple[list, int 
     decoded, outcome = [], None
     for prob, state, records in branches:
         state = apply_gate(state, _DECODE)
-        for outcome, p, post in _measured_away(state, KEY, rng):
+        for outcome, p, post in _outcomes(state, KEY, rng, drop=True):
             decoded.append((prob * p, post, records))
     return decoded, outcome
 
@@ -205,7 +220,8 @@ def control_check(transcripts: Sequence[RoundTranscript],
 
 
 def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> None:
-    """Refuse a script with a round past the session or a register its slot lacks.
+    """Refuse a script with a round past the session, a register its slot lacks,
+    or a dense gate whose matrix side is not d^len(targets).
 
     pre_bob actions may touch k and Eve's registers; post_decode actions only
     Eve's, since Bob has dropped k by then.
@@ -222,6 +238,13 @@ def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> 
                 raise ScriptRegisterUnknown(
                     f"round {r} {action.timing} action references registers {sorted(unknown)}; "
                     f"available: {sorted(allowed[action.timing])}")
+            gate = action.gate
+            if gate is not None and gate.kind == "dense":
+                side = config.d ** len(gate.targets)
+                if gate.matrix.shape[0] != side:
+                    raise NonUnitaryMatrix(
+                        f"round {r} dense gate on {list(gate.targets)}: matrix side "
+                        f"{gate.matrix.shape[0]} does not match d^targets = {side}")
 
 
 def _start(config: ProtocolConfig) -> list:

@@ -10,11 +10,16 @@ first by a transpose cached per (layout, targets) in `_fold`; the partial
 trace and the Schmidt rank fold the same way.  Every gate kind can also be
 expanded to an explicit dense unitary, which doubles as an independent
 cross-check path.
+
+Every measurement (`measure`, `measurement_branches`, Eve's actions, Bob's
+decode) is one Born-rule step, `_outcomes`; it and `remove_register` build
+post states with `_kept`, collapsed in place or sliced over a smaller layout.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -430,51 +435,46 @@ def _marginal(amps: np.ndarray, split: tuple[int, int, int]) -> np.ndarray:
     return np.add.reduce((np.abs(amps) ** 2).reshape(split), axis=(0, 2))
 
 
-def _rescaled(kept: np.ndarray, amplitude_scale: float, dest: np.ndarray) -> None:
-    if amplitude_scale != 1.0:
-        np.divide(kept, amplitude_scale, out=dest)
+def _kept(state: PureState, split: tuple[int, int, int], value: int, p: float,
+          layout: RegisterLayout) -> PureState:
+    """The amplitudes at `value` of the split's middle axis divided by sqrt(p): in a
+    zeroed vector over the same layout (collapse), or alone over `layout` when it
+    lacks that register (slice)."""
+    kept = state.amplitudes.reshape(split)[:, value, :]
+    if len(layout.labels) < len(state.layout.labels):
+        out = dest = np.empty(kept.shape, np.complex128)
+    else:
+        out = np.zeros(split, np.complex128)
+        dest = out[:, value, :]
+    scale = math.sqrt(p)
+    if scale != 1.0:
+        np.divide(kept, scale, out=dest)
     else:
         # complex division by 1 would turn -0.0 real parts into +0.0
         dest[...] = kept
+    return PureState._trusted(layout, out.reshape(-1))
 
 
-def _projected(state: PureState, split: tuple[int, int, int], value: int,
-               amplitude_scale: float) -> PureState:
-    """The state with `value` of the split's middle axis kept and rescaled, the rest zeroed."""
-    out = np.zeros(state.amplitudes.size, np.complex128)
-    _rescaled(state.amplitudes.reshape(split)[:, value, :], amplitude_scale,
-              out.reshape(split)[:, value, :])
-    return PureState._trusted(state.layout, out)
+def _outcomes(state: PureState, register: str, rng: np.random.Generator | None,
+              drop: bool = False) -> list[tuple[int, float, PureState]]:
+    """The one Born-rule step, as (outcome, weight, post state) triples.
 
-
-def _sliced(state: PureState, split: tuple[int, int, int], value: int,
-            amplitude_scale: float, layout: RegisterLayout) -> PureState:
-    """The rescaled amplitudes at `value` of the split's middle axis, over the smaller layout."""
-    pre, _, post = split
-    out = np.empty(pre * post, np.complex128)
-    _rescaled(state.amplitudes.reshape(split)[:, value, :], amplitude_scale,
-              out.reshape(pre, post))
-    return PureState._trusted(layout, out)
-
-
-def _chosen(probs: list[float], rng: np.random.Generator | None,
-            ) -> list[tuple[int, float, float]]:
-    """The sampling policy as (outcome, weight, probability) triples: one outcome
-    drawn by the rng at weight 1.0, or for None every outcome above BRANCH_PRUNE
-    at its probability."""
+    With an rng, one outcome drawn at weight 1.0; with None, every outcome above
+    BRANCH_PRUNE at its probability.  Each post state is collapsed onto its
+    outcome, or with `drop` sliced at it over the layout without `register`.
+    """
+    split = _split(state.layout, register)
+    layout = state.layout.drop(register) if drop else state.layout
+    probs = _marginal(state.amplitudes, split).tolist()
     if rng is None:
-        return [(v, p, p) for v, p in enumerate(probs) if p > BRANCH_PRUNE]
+        return [(v, p, _kept(state, split, v, p, layout))
+                for v, p in enumerate(probs) if p > BRANCH_PRUNE]
     # inverse-CDF draw on Python floats, cheaper than numpy calls on d values:
-    # the running sum rounds as np.cumsum does, and the first edge above
-    # u * total is the one searchsorted(side="right") finds
+    # the running sum rounds as np.cumsum does, bisect_right is
+    # searchsorted(side="right"), and min() clamps a u * total that rounds up to total
     edges = list(accumulate(probs))
-    threshold = rng.random() * edges[-1]
-    outcome = len(edges) - 1  # when u * total rounds up to total, clamp to d - 1
-    for v, edge in enumerate(edges):
-        if edge > threshold:
-            outcome = v
-            break
-    return [(outcome, 1.0, probs[outcome])]
+    outcome = min(bisect_right(edges, rng.random() * edges[-1]), len(edges) - 1)
+    return [(outcome, 1.0, _kept(state, split, outcome, probs[outcome], layout))]
 
 
 def measurement_branches(state: PureState, register: str) -> list[tuple[int, float, PureState]]:
@@ -483,40 +483,13 @@ def measurement_branches(state: PureState, register: str) -> list[tuple[int, flo
     Returns (outcome, probability, renormalized post state) triples; the
     measured register stays in the layout, collapsed to its outcome.
     """
-    split = _split(state.layout, register)
-    return [(v, p, _projected(state, split, v, math.sqrt(p)))
-            for v, p, _ in _chosen(_marginal(state.amplitudes, split).tolist(), None)]
+    return _outcomes(state, register, None)
 
 
 def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[int, PureState]:
     """Sample one outcome by the Born rule; deterministic given the rng state."""
-    split = _split(state.layout, register)
-    [(outcome, _, p)] = _chosen(_marginal(state.amplitudes, split).tolist(), rng)
-    return outcome, _projected(state, split, outcome, math.sqrt(p))
-
-
-def _outcomes(state: PureState, register: str, rng: np.random.Generator | None,
-              ) -> list[tuple[int, float, PureState]]:
-    """(outcome, weight, post state) under the sampling policy of _chosen: one
-    `measure` with the rng, or `measurement_branches` for None."""
-    if rng is None:
-        return measurement_branches(state, register)
-    outcome, post = measure(state, register, rng)
-    return [(outcome, 1.0, post)]
-
-
-def _measured_away(state: PureState, register: str, rng: np.random.Generator | None,
-                   ) -> list[tuple[int, float, PureState]]:
-    """_outcomes, with each post state sliced at its outcome instead of collapsed.
-
-    The post states hold the same amplitudes as the collapsed ones at the
-    outcome, over the layout without `register`.
-    """
-    layout = state.layout
-    split = _split(layout, register)
-    smaller = layout.drop(register)
-    return [(v, weight, _sliced(state, split, v, math.sqrt(p), smaller))
-            for v, weight, p in _chosen(_marginal(state.amplitudes, split).tolist(), rng)]
+    [(outcome, _, post)] = _outcomes(state, register, rng)
+    return outcome, post
 
 
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-12) -> bool:
@@ -553,4 +526,4 @@ def remove_register(state: PureState, label: str) -> PureState:
     value = _certain_value(state, label)
     if value is None:
         raise RegisterNotSeparable(f"register {label!r} holds several basis values")
-    return _sliced(state, _split(state.layout, label), value, 1.0, state.layout.drop(label))
+    return _kept(state, _split(state.layout, label), value, 1.0, state.layout.drop(label))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qkdsim.cli as cli
+from qkdsim import protocol
 from qkdsim.adversary import PRESETS, TIMINGS, action_from_obj
 from qkdsim.errors import InvariantViolation
 
@@ -112,12 +113,18 @@ class TestValidate:
         {"rounds": 2, "keys": [0, 1], "attack": {"script": {"rounds": {
             "1": [{"op": "measure", "register": "e"}],
             " 1": [{"op": "shift", "target": "e", "s": 1}]}}}},
+        # a 4 x 4 unitary on the one register k at d=2
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
+            {"op": "dense", "targets": ["k"],
+             "matrix": [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]}]}}}},
     ], ids=["round_past_session", "missing_register", "post_decode_k", "rounds_only",
             "keys_only", "control_only", "measure_timing", "gate_timing", "action_not_object",
             "rounds_not_object", "actions_not_list", "gate_register_not_string",
             "measure_register_not_string", "repeated_round_zero_padded",
-            "repeated_round_space_padded"])
-    def test_validate_refuses_what_run_refuses(self, fields, tmp_path, capsys):
+            "repeated_round_space_padded", "dense_wrong_size"])
+    def test_validate_refuses_what_run_refuses(self, fields, tmp_path, capsys, monkeypatch):
+        encodes = []
+        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: encodes.append(q))
         path = write_scenario(tmp_path, d=2, **fields)
         assert cli.main(["validate", path]) == 1
         refused = capsys.readouterr().err
@@ -125,6 +132,7 @@ class TestValidate:
         assert cli.main(["run", path, "--out", str(tmp_path / "report.json")]) == 1
         assert capsys.readouterr().err == refused
         assert not (tmp_path / "report.json").exists()
+        assert encodes == []
 
     def test_oversized_session_refused(self, tmp_path, capsys):
         # validate only builds the config: 16^8 amplitudes are never allocated

@@ -8,12 +8,13 @@ import pytest
 from scipy import stats
 
 from qkdsim import protocol, serialize
-from qkdsim.adversary import AttackScript, EveAction, compile_schedule
+from qkdsim.adversary import AttackScript, EveAction, compile_schedule, eve_conditional_states
 from qkdsim.errors import (
     ConfigError,
     ExplosionGuard,
     InvalidDimension,
     MissingRegister,
+    NonUnitaryMatrix,
     RegisterCollision,
     ScriptRegisterUnknown,
     ValueOutOfRange,
@@ -72,6 +73,35 @@ class TestConfig:
             ProtocolConfig(d=2, rounds=1, keys=(0,), eve_registers=-1)
         with pytest.raises(ConfigError):
             ProtocolConfig(d=2, rounds=1, keys=(0,), seed=-1)
+
+    @pytest.mark.parametrize("fields", [
+        {"keys": (0, 1.7)},
+        {"keys": (0, True)},
+        {"keys": (0, "1")},
+        {"keys": None, "key_seed": 2.5},
+        {"rounds": 2.5},
+        {"rounds": True},
+        {"eve_registers": 1.5},
+        {"eve_registers": True},
+        {"seed": 2.5},
+        {"seed": False},
+        {"control_rounds": {1.5}},
+    ], ids=["key_float", "key_bool", "key_str", "key_seed_float", "rounds_float",
+            "rounds_bool", "eve_registers_float", "eve_registers_bool", "seed_float",
+            "seed_bool", "control_round_float"])
+    def test_non_integer_fields_refused(self, fields):
+        # int() would truncate 1.7 to 1 and run a different key sequence
+        base = {"d": 2, "rounds": 2, "keys": (0, 1)}
+        with pytest.raises(ConfigError, match="integer"):
+            ProtocolConfig(**{**base, **fields})
+
+    def test_numpy_integers_accepted(self):
+        config = ProtocolConfig(d=2, rounds=np.int64(2), keys=np.array([0, 1]),
+                                eve_registers=np.int32(1), seed=np.uint8(3),
+                                control_rounds={np.int64(2)})
+        assert config.keys == (0, 1)
+        assert all(type(q) is int for q in config.keys)
+        assert ProtocolConfig(d=2, rounds=1, key_seed=np.int64(4)).key_seed == 4
 
     def test_state_size_cap(self):
         # constructing the config only: no state is allocated
@@ -279,6 +309,17 @@ class TestSession:
             run_session(config, script)
         assert calls == []
 
+    def test_dense_gate_of_the_wrong_size_refused_before_any_encode(self, monkeypatch):
+        # a 4 x 4 unitary on one d=2 register would only fail inside apply_gate
+        calls = []
+        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: calls.append(q))
+        config = ProtocolConfig(d=2, rounds=2, keys=(0, 1))
+        script = AttackScript({2: (EveAction.apply(GateSpec.dense(["k"], np.eye(4))),)})
+        for run in (run_session, run_session_branches, eve_conditional_states):
+            with pytest.raises(NonUnitaryMatrix, match=r"d\^targets = 2"):
+                run(config, script)
+        assert calls == []
+
     def test_post_decode_actions_may_touch_eve_memory(self):
         config = ProtocolConfig(d=2, rounds=2, keys=(1, 0))
         script = AttackScript({1: (
@@ -397,13 +438,13 @@ class TestBranchCap:
         # Eve's first measurement makes two branches; a cap of one stops the
         # session there, before any decode
         decodes = []
-        measure_away = protocol._measured_away
+        measure_away = protocol._outcomes
 
         def counting_decode(*args, **kwargs):
             decodes.append(args[1])
             return measure_away(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, "_measured_away", counting_decode)
+        monkeypatch.setattr(protocol, "_outcomes", counting_decode)
         monkeypatch.setattr(protocol, "BRANCH_CAP", 1)
         with pytest.raises(ExplosionGuard):
             run_session_branches(self.CONFIG, self.SCRIPT)

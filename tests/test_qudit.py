@@ -33,6 +33,7 @@ from qkdsim.qudit import (
     PureState,
     RegisterLayout,
     _gate_table,
+    _outcomes,
     apply_gate,
     apply_gate_dense,
     basis_state,
@@ -523,7 +524,9 @@ class TestMeasurement:
 
         The expected outcome is drawn on a twin generator with cumsum and
         searchsorted; the expected post-state zeroes the other slices of
-        the tensor and divides the kept one by sqrt(p).
+        the tensor and divides the kept one by sqrt(p).  With drop=True (Bob's
+        decode) the post state is that kept slice alone, over the layout
+        without the register.
         """
         gen = np.random.default_rng(100 + d)
         for n in (1, 2, 3):
@@ -542,6 +545,11 @@ class TestMeasurement:
                     assert outcome == min(int(drawn), d - 1)
                     assert rng.random() == twin.random()
                     branches = measurement_branches(state, label)
+                    if n > 1:
+                        dropped = _outcomes(state, label, None, drop=True)
+                        [(sampled_v, weight, sampled)] = _outcomes(
+                            state, label, np.random.default_rng(seed), drop=True)
+                        assert (sampled_v, weight) == (outcome, 1.0)
                     for v in range(d):
                         kept = (slice(None),) * ax + (v,)
                         expected = np.zeros_like(tensor)
@@ -556,6 +564,14 @@ class TestMeasurement:
                             assert not np.signbit(got[rest].real).any()
                             assert not np.signbit(got[rest].imag).any()
                             assert got.tobytes() == expected.tobytes()
+                        if n == 1:
+                            continue
+                        sliced_v, sliced_p, sliced = dropped[v]
+                        assert (sliced_v, sliced_p) == (v, probs[v])
+                        expected = tensor[kept] / np.sqrt(probs[v])
+                        for got in [sliced] + ([sampled] if v == outcome else []):
+                            assert got.layout == state.layout.drop(label)
+                            assert got.amplitudes.tobytes() == expected.tobytes()
 
     def test_certain_outcome_keeps_signed_zeros(self):
         layout = RegisterLayout(3, ("a", "b"))

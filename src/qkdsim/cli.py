@@ -13,13 +13,10 @@ import json
 import math
 import os
 import sys
-from importlib import resources
-
-import jsonschema
 
 from . import __version__
-from .adversary import compile_schedule, script_from_obj
-from .analysis import feasibility_search, render_report
+from .adversary import PRESETS, compile_schedule, script_from_obj
+from .analysis import TEMPLATES, feasibility_search, render_report
 from .errors import (
     ConfigError,
     ExplosionGuard,
@@ -32,7 +29,7 @@ from .errors import (
     UnknownPreset,
     ValueOutOfRange,
 )
-from .protocol import ProtocolConfig, _validate_script, control_check, run_session
+from .protocol import STAGES, ProtocolConfig, _validate_script, control_check, run_session
 from .serialize import dumps, format_float
 
 EXIT_OK = 0
@@ -57,13 +54,44 @@ _CONFIG_ERRORS = (
 )
 
 
-def _schema() -> dict:
-    text = resources.files("qkdsim.schemas").joinpath("scenario.schema.json").read_text()
-    return json.loads(text)
+def _is_int(value, low: int, high: float = math.inf) -> bool:
+    """A JSON integer (not a bool, not a float such as 2.0) in low..high."""
+    return type(value) is int and low <= value <= high
+
+
+def _ints(value, low: int) -> bool:
+    return isinstance(value, list) and all(_is_int(v, low) for v in value)
+
+
+def _only(value, key: str) -> bool:
+    """An object holding exactly one field, key."""
+    return isinstance(value, dict) and value.keys() == {key}
+
+
+# every scenario field: the check its value must pass, and what the check wants
+_FIELDS = {
+    "schema_version": (lambda v: v == "scenario/1", 'exactly "scenario/1"'),
+    "d": (lambda v: _is_int(v, 2, 16), "an integer in 2..16"),
+    "rounds": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "keys": (lambda v: _ints(v, 0) or (_only(v, "seed") and _is_int(v["seed"], 0)),
+             'a list of integers >= 0 or {"seed": <integer >= 0>}'),
+    "control_rounds": (lambda v: _ints(v, 1), "a list of integers >= 1"),
+    "eve_registers": (lambda v: _is_int(v, 0, 5), "an integer in 0..5"),
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "attack": (lambda v: (_only(v, "preset") and v["preset"] in PRESETS)
+               or (_only(v, "script") and isinstance(v["script"], dict)),
+               f'{{"preset": <one of {", ".join(PRESETS)}>}} or {{"script": <object>}}'),
+    "diagnostics": (lambda v: isinstance(v, list) and all(s in STAGES for s in v),
+                    f"a list of names from {', '.join(STAGES)}"),
+    "template": (lambda v: isinstance(v, str) and v in TEMPLATES,
+                 f"one of {', '.join(TEMPLATES)}"),
+    "output": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 def load_scenario(path: str) -> dict:
-    """Parse a scenario file and check its schema; raises ConfigError with the field."""
+    """Parse a scenario file and check each field against _FIELDS; integers must be
+    JSON integers (2, not 2.0).  Raises ConfigError naming every bad field."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = handle.read()
     try:
@@ -71,13 +99,16 @@ def load_scenario(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}") from exc
-    validator = jsonschema.Draft202012Validator(_schema())
-    problems = sorted(validator.iter_errors(scenario), key=lambda e: list(e.absolute_path))
+    if not isinstance(scenario, dict):
+        raise ConfigError(f"{path}: a scenario must be a JSON object")
+    problems = [f"{name}: required" for name in ("schema_version", "d") if name not in scenario]
+    for name, value in scenario.items():
+        if name not in _FIELDS:
+            problems.append(f"{name}: unknown field")
+        elif not _FIELDS[name][0](value):
+            problems.append(f"{name}: must be {_FIELDS[name][1]}, got {value!r}")
     if problems:
-        details = "; ".join(
-            f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-            for err in problems)
-        raise ConfigError(f"{path}: schema violations: {details}")
+        raise ConfigError(f"{path}: " + "; ".join(problems))
     return scenario
 
 

@@ -14,7 +14,6 @@ passes None, so each outcome becomes a branch of its own.  The exact analysis
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,7 +23,6 @@ from . import adversary
 from .errors import (
     ConfigError,
     ExplosionGuard,
-    InvalidDimension,
     InvariantViolation,
     MissingRegister,
     NonUnitaryMatrix,
@@ -35,6 +33,7 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _is_integer,
     _outcomes,
     apply_gate,
     insert_register,
@@ -63,11 +62,6 @@ def eve_register_labels(count: int) -> list[str]:
     return ["e"] + [f"e{i}" for i in range(2, count + 1)]
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Session parameters.  Exactly one of keys / key_seed must be set."""
@@ -81,8 +75,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise InvalidDimension(f"d must be an int >= 2, got {self.d!r}")
+        # the carrier layout owns the dimension rule
+        object.__setattr__(self, "d", RegisterLayout(self.d, (ALICE, BOB)).d)
         for name in ("rounds", "eve_registers", "seed", "key_seed"):
             value = getattr(self, name)
             if not (_is_integer(value) or (name == "key_seed" and value is None)):
@@ -129,9 +123,8 @@ def resolved_keys(config: ProtocolConfig) -> tuple[int, ...]:
 
 def init_carrier(d: int) -> PureState:
     """The shared pair state: equal superposition of |j, j> over registers a, b."""
-    if not isinstance(d, int) or d < 2:
-        raise InvalidDimension(f"d must be an int >= 2, got {d!r}")
     layout = RegisterLayout(d, (ALICE, BOB))
+    d = layout.d
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
     return PureState(layout, amps)

@@ -19,6 +19,7 @@ post states with `_kept`, collapsed in place or sliced over a smaller layout.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,6 +51,11 @@ CERTAINTY = 1.0 - 1e-9
 GATE_KINDS = ("shift", "cadd", "phase", "fourier", "dense")
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered, distinct register names sharing one dimension d."""
@@ -59,8 +65,9 @@ class RegisterLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if not isinstance(self.d, int) or self.d < 2:
-            raise InvalidDimension(f"register dimension must be an int >= 2, got {self.d!r}")
+        if not _is_integer(self.d) or self.d < 2:
+            raise InvalidDimension(f"d must be an integer >= 2, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
         if not self.labels:
             raise ValueError("a layout needs at least one register")
         if len(set(self.labels)) != len(self.labels):

@@ -14,6 +14,7 @@ from qkdsim.errors import InvariantViolation
 
 REPO = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "data"
+DROP = object()
 
 
 def write_scenario(tmp_path, name="scenario.json", **fields):
@@ -134,6 +135,52 @@ class TestValidate:
         assert not (tmp_path / "report.json").exists()
         assert encodes == []
 
+    # each case changes one field of a scenario that validate, run and search all
+    # accept (DROP removes the field) and names the text the refusal must hold
+    @pytest.mark.parametrize("change, named", [
+        ({"schema_version": DROP}, "schema_version:"),
+        ({"d": DROP}, "d:"),
+        ({"fidelity": 0.9}, "fidelity:"),
+        ({"schema_version": "scenario/2"}, "schema_version:"),
+        ({"d": 17}, "d:"),
+        ({"eve_registers": 6}, "eve_registers:"),
+        ({"rounds": 0}, "rounds:"),
+        ({"seed": -1}, "seed:"),
+        ({"keys": [0, -1]}, "keys:"),
+        ({"keys": {"seed": 0, "count": 1}}, "keys:"),
+        ({"control_rounds": [0]}, "control_rounds:"),
+        ({"attack": {"preset": "eavesdrop"}}, "attack:"),
+        ({"attack": {"script": []}}, "attack:"),
+        ({"diagnostics": ["post_measure"]}, "diagnostics:"),
+        ({"template": "round_9000"}, "template:"),
+        ({"output": 5}, "output:"),
+        ({"d": 2.0}, "d:"),
+        ({"seed": 2.0}, "seed:"),
+        ({"eve_registers": 2.0}, "eve_registers:"),
+        (None, "JSON object"),
+    ], ids=["no_schema_version", "no_d", "unknown_field", "schema_version", "d_range",
+            "eve_registers_range", "rounds_range", "seed_range", "key_list", "key_seed_object",
+            "control_rounds_range", "attack_preset", "attack_script", "diagnostics_stage",
+            "template", "output", "d_float", "seed_float", "eve_registers_float",
+            "not_an_object"])
+    def test_each_scenario_rule_refused(self, change, named, tmp_path, capsys):
+        doc = {"schema_version": "scenario/1", "d": 2, "rounds": 2, "keys": [0, 1],
+               "seed": 1, "template": "stage5_round1"}
+        if change is None:
+            doc = [doc]
+        else:
+            doc.update(change)
+            doc = {name: value for name, value in doc.items() if value is not DROP}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "report"
+        for argv in (["validate"], ["run", "--out", str(out)], ["search", "--out", str(out)]):
+            argv.insert(1, str(path))
+            assert cli.main(argv) == 1, argv
+            refused = capsys.readouterr().err
+            assert refused.startswith("error: ") and named in refused, refused
+        assert not out.exists()
+
     def test_oversized_session_refused(self, tmp_path, capsys):
         # validate only builds the config: 16^8 amplitudes are never allocated
         path = write_scenario(tmp_path, d=16, rounds=1, keys=[0], eve_registers=5)
@@ -149,8 +196,8 @@ class TestValidate:
 
     def test_readme_examples_are_accepted(self, tmp_path):
         """The README's JSON blocks load: scenarios through load_scenario,
-        action lists through action_from_obj; its preset and timing lists
-        name exactly what the code accepts."""
+        action lists through action_from_obj; its preset and timing lists and
+        its "Fields:" bullets name exactly what the code accepts."""
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         scenarios = actions = 0
         for i, block in enumerate(re.findall(r"```json\n(.*?)```", readme, re.S)):
@@ -171,6 +218,8 @@ class TestValidate:
             return set(re.findall(r"`(\w+)`", sentence))
         assert listed("Attack presets:") == set(PRESETS)
         assert listed("Timings:") == set(TIMINGS)
+        fields = re.search(r"^Fields:\n\n(.*?)\n\n", readme, re.M | re.S).group(1)
+        assert set(re.findall(r"^\* `(\w+)`", fields, re.M)) == set(cli._FIELDS)
 
 
 class TestReadmeExamples:

@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports and no module-level functions nothing calls.
+"""Source hygiene: no unused imports, no module-level functions nothing calls, and
+runtime dependencies that match the imports.
 
 Every module under src/qkdsim is parsed with ast, never imported, so the
 check sees the code as written; only the import-time check imports the
@@ -11,11 +12,13 @@ __init__.py counts as a use of the function.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkdsim"
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
 
 
 def _annotations(tree):
@@ -103,3 +106,43 @@ def test_importing_the_cli_fills_no_cache():
             "qkdsim.qudit.RegisterLayout.insert", "qkdsim.qudit.RegisterLayout.drop",
             "qkdsim.analysis._cut_plan"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size} == {}
+
+
+# prints the top-level modules a fresh interpreter holds after running argv[1]
+_MODULES_PROBE = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+"""
+
+
+def _third_party(names):
+    return {name for name in names if name not in sys.stdlib_module_names
+            and name not in ("__main__", "qkdsim")}
+
+
+def _modules_after(statement):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, statement],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return _third_party(json.loads(proc.stdout))
+
+
+def test_importing_the_cli_loads_nothing_beyond_numpy():
+    # the baseline also holds what site preloads, such as certifi
+    assert _modules_after("import qkdsim.cli") <= _modules_after("import numpy")
+
+
+def test_runtime_dependencies_match_the_imports():
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    block = re.search(r"^dependencies = \[(.*?)\]",
+                      PYPROJECT.read_text(encoding="utf-8"), re.M | re.S).group(1)
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in re.findall(r'"([^"]+)"', block)}
+    assert _third_party(imported) == declared

@@ -103,6 +103,28 @@ class TestConfig:
         assert all(type(q) is int for q in config.keys)
         assert ProtocolConfig(d=2, rounds=1, key_seed=np.int64(4)).key_seed == 4
 
+    def test_numpy_integer_dimension_accepted(self):
+        # RegisterLayout owns the d rule; the config and the carrier defer to it
+        d = np.int64(3)
+        assert type(RegisterLayout(d, ("a",)).d) is int
+        assert type(init_carrier(d).layout.d) is int
+        config = ProtocolConfig(d=d, rounds=4, key_seed=5, control_rounds={2}, seed=9)
+        assert type(config.d) is int
+
+        def render(config):
+            script = compile_schedule("intercept_resend", config)
+            transcripts = run_session(config, script, diagnostics=("round_end",))
+            return serialize.dumps([t.to_json_dict() for t in transcripts])
+
+        assert render(config) == render(replace(config, d=3))
+        for bad in (True, 3.0, 1):
+            with pytest.raises(InvalidDimension):
+                RegisterLayout(bad, ("a",))
+            with pytest.raises(InvalidDimension):
+                init_carrier(bad)
+            with pytest.raises(InvalidDimension):
+                ProtocolConfig(d=bad, rounds=1, keys=(0,))
+
     def test_state_size_cap(self):
         # constructing the config only: no state is allocated
         ProtocolConfig(d=2, rounds=1, keys=(0,), eve_registers=19)  # 2^22, at the cap

@@ -14,6 +14,7 @@ from .errors import (
     ExplosionGuard,
     FamilyTooLarge,
     IllegalRegisterAccess,
+    InputError,
     InvalidBipartition,
     InvalidDimension,
     InvariantViolation,
@@ -69,6 +70,7 @@ from .adversary import (
     eve_conditional_states,
     eve_disentangle,
     eve_entangle,
+    gate_from_obj,
     script_from_obj,
     script_to_obj,
 )

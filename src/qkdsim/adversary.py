@@ -9,7 +9,7 @@ timing slot ("pre_bob" while k travels, "post_decode" afterwards).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -90,7 +90,10 @@ class AttackScript:
     def __post_init__(self):
         normalized, keys = {}, {}
         for round_index, actions in self.rounds.items():
-            r = int(round_index)
+            try:
+                r = int(round_index)
+            except (TypeError, ValueError):
+                raise ConfigError(f"round key {round_index!r} is not an integer") from None
             if r < 1:
                 raise ConfigError(f"round indices start at 1, got {r}")
             if r in normalized:
@@ -336,65 +339,66 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     )
 
 
+# each op's constructor and wire fields in its argument order: the one table that
+# writes and reads wire objects, which hold exactly these fields (actions may add timing)
+_WIRE = {
+    "shift": (GateSpec.shift, ("target", "s")),
+    "cadd": (GateSpec.controlled_add, ("control", "target", "s")),
+    "phase": (GateSpec.phase, ("target", "s")),
+    "fourier": (GateSpec.fourier, ("target",)),
+    "dense": (GateSpec.dense, ("targets", "matrix")),
+    "measure": (EveAction.measurement, ("register",)),
+}
+
+
 def gate_to_obj(gate: GateSpec) -> dict:
     """Wire form of one gate; dense matrices become [re, im] pair grids."""
-    if gate.kind == "shift":
-        return {"op": "shift", "target": gate.targets[0], "s": gate.s}
-    if gate.kind == "cadd":
-        return {"op": "cadd", "control": gate.control, "target": gate.targets[0], "s": gate.s}
-    if gate.kind == "phase":
-        return {"op": "phase", "target": gate.targets[0], "s": gate.s}
-    if gate.kind == "fourier":
-        return {"op": "fourier", "target": gate.targets[0]}
-    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in gate.matrix]
-    return {"op": "dense", "targets": list(gate.targets), "matrix": matrix}
+    if gate.kind == "dense":
+        values = (list(gate.targets),
+                  [[[float(z.real), float(z.imag)] for z in row] for row in gate.matrix])
+    else:
+        values = gate.registers + (gate.s,)
+    return {"op": gate.kind, **dict(zip(_WIRE[gate.kind][1], values))}
+
+
+def _from_wire(obj: Mapping, timed: bool):
+    """The gate, or for an action (timed) the action, that a wire object describes."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"an action must be an object, got {obj!r}")
+    op = obj.get("op")
+    if not isinstance(op, str) or op not in _WIRE or (op == "measure" and not timed):
+        raise ConfigError(f"unknown gate op {op!r}")
+    build, fields = _WIRE[op]
+    if set(obj) - ({"op", "timing"} if timed else {"op"}) != set(fields):
+        raise ConfigError(f"a {op} object holds exactly {', '.join(fields)}, got {obj!r}")
+    args = [obj[name] for name in fields]
+    try:
+        if op == "dense":
+            args[1] = np.array([[complex(re, im) for re, im in row] for row in args[1]])
+        built = build(*args)
+        if timed:  # a measure is built at pre_bob and moved to its timing
+            timing = obj.get("timing", "pre_bob")
+            built = (replace(built, timing=timing) if op == "measure"
+                     else EveAction(timing, gate=built))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {op} object {obj!r}: {exc}") from exc
+    if not all(isinstance(reg, str) for reg in built.registers):
+        raise ConfigError(f"register names must be strings: {obj!r}")
+    return built
 
 
 def gate_from_obj(obj: Mapping) -> GateSpec:
-    try:
-        op = obj["op"]
-        if op == "shift":
-            return GateSpec.shift(obj["target"], int(obj["s"]))
-        if op == "cadd":
-            return GateSpec.controlled_add(obj["control"], obj["target"], int(obj["s"]))
-        if op == "phase":
-            return GateSpec.phase(obj["target"], int(obj["s"]))
-        if op == "fourier":
-            return GateSpec.fourier(obj["target"])
-        if op == "dense":
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in obj["matrix"]])
-            return GateSpec.dense(tuple(obj["targets"]), matrix)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gate object {obj!r}: {exc}") from exc
-    raise ConfigError(f"unknown gate op {op!r}")
+    return _from_wire(obj, timed=False)
 
 
 def action_to_obj(action: EveAction) -> dict:
-    if action.measure is not None:
+    if action.gate is None:
         return {"op": "measure", "register": action.measure, "timing": action.timing}
-    obj = gate_to_obj(action.gate)
-    obj["timing"] = action.timing
-    return obj
+    return {**gate_to_obj(action.gate), "timing": action.timing}
 
 
 def action_from_obj(obj: Mapping) -> EveAction:
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"an action must be an object, got {obj!r}")
-    timing = obj.get("timing", "pre_bob")
-    if obj.get("op") == "measure":
-        if "register" not in obj:
-            raise ConfigError(f"measure action needs a register: {obj!r}")
-        fields = {"measure": obj["register"]}
-    else:
-        fields = {"gate": gate_from_obj({k: v for k, v in obj.items() if k != "timing"})}
-    try:
-        action = EveAction(timing, **fields)
-    except ValueError as exc:
-        raise ConfigError(f"bad action {obj!r}: {exc}") from exc
-    if not all(isinstance(reg, str) for reg in action.registers):
-        raise ConfigError(f"register names must be strings: {obj!r}")
-    return action
+    return _from_wire(obj, timed=True)
 
 
 def script_to_obj(script: AttackScript) -> dict:
@@ -411,12 +415,8 @@ def script_from_obj(obj: Mapping) -> AttackScript:
         raise ConfigError(f'"rounds" must map round keys to action lists, got {obj["rounds"]!r}')
     rounds = {}
     for key, actions in obj["rounds"].items():
-        try:
-            int(key)
-        except ValueError as exc:
-            raise ConfigError(f"round key {key!r} is not an integer") from exc
         if not isinstance(actions, (list, tuple)):
             raise ConfigError(f"round {key!r} must hold a list of actions, got {actions!r}")
         rounds[key] = tuple(action_from_obj(a) for a in actions)
-    # AttackScript refuses two keys that name the same round ("1" and "01")
+    # AttackScript refuses a key that is not an integer, or two that name one round
     return AttackScript(rounds)

@@ -25,6 +25,7 @@ from .errors import (
     InvariantViolation,
 )
 from .qudit import (
+    SCHMIDT_TOL,
     GateSpec,
     PureState,
     RegisterLayout,
@@ -84,7 +85,7 @@ def _cut_plan(layout: RegisterLayout) -> tuple:
 
 
 def diagnose(state: PureState, round_index: int, stage: str,
-             decode_ok: bool | None = None, tol: float = 1e-8) -> StageDiagnostics:
+             decode_ok: bool | None = None, tol: float = SCHMIDT_TOL) -> StageDiagnostics:
     """Spectrum and entropy of the key qudit plus standard Schmidt cuts.
 
     Cuts that do not partition the current layout are skipped.  Each value is
@@ -109,7 +110,7 @@ def diagnose(state: PureState, round_index: int, stage: str,
 
 @dataclass(frozen=True)
 class RoundTemplate:
-    """Family of mid-round states parameterized by a key tuple.
+    """Family of mid-round states over (a, b, k, e) parameterized by a key tuple.
 
     Bob is about to decode the last key of the tuple.
     """
@@ -225,6 +226,16 @@ class FeasibilityReport:
         }
 
 
+def _check_starts(template: RoundTemplate, d: int) -> None:
+    """Refuse, before any template state is built, more key assignments than
+    KEY_TUPLE_CAP or a state over (a, b, k, e) above protocol.STATE_CAP amplitudes."""
+    if d ** template.key_arity > KEY_TUPLE_CAP:
+        raise ExplosionGuard(
+            f"d^arity = {d ** template.key_arity} key assignments exceed {KEY_TUPLE_CAP}")
+    if d ** 4 > protocol.STATE_CAP:
+        raise ExplosionGuard(f"a template state of {d}^4 amplitudes exceeds {protocol.STATE_CAP}")
+
+
 def _start_states(template: RoundTemplate, d: int) -> dict:
     """Every key assignment's template state, in key order."""
     return {keys: template.build(d, keys) for keys in product(range(d), repeat=template.key_arity)}
@@ -254,7 +265,7 @@ def _evidence(starts: dict, sequence: Sequence[GateSpec], rank_tol: float,
 
 
 def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[GateSpec],
-                     rank_tol: float = 1e-8) -> CandidateVerdict:
+                     rank_tol: float = SCHMIDT_TOL) -> CandidateVerdict:
     """Re-check a candidate from scratch through the dense-matrix path.
 
     Accepts any gate sequence confined to registers k and e, not only
@@ -263,6 +274,7 @@ def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[G
     if isinstance(template, str):
         template = get_template(template)
     _check_registers(sequence)
+    _check_starts(template, d)
     evidence = tuple(_evidence(_start_states(template, d), tuple(sequence), rank_tol,
                                apply_gate_dense))
     return CandidateVerdict(verified=all(ev.ok for ev in evidence), evidence=evidence)
@@ -304,7 +316,7 @@ def _affine_expression(values: dict, d: int, arity: int) -> str | None:
 
 def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1,
                        family: Sequence[GateSpec] | None = None,
-                       rank_tol: float = 1e-8) -> FeasibilityReport:
+                       rank_tol: float = SCHMIDT_TOL) -> FeasibilityReport:
     """Enumerate all gate sequences up to max_depth and keep the exits.
 
     Sequences are visited in lexicographic order over the family alphabet,
@@ -317,9 +329,7 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
         template = get_template(template)
     if not 0 <= max_depth <= MAX_SEARCH_DEPTH:
         raise ConfigError(f"max_depth must be in 0..{MAX_SEARCH_DEPTH}, got {max_depth}")
-    if d ** template.key_arity > KEY_TUPLE_CAP:
-        raise ExplosionGuard(
-            f"d^arity = {d ** template.key_arity} key assignments exceed {KEY_TUPLE_CAP}")
+    _check_starts(template, d)
     is_default = family is None
     fam = default_gate_family(d) if is_default else tuple(family)
     _check_registers(fam)

@@ -1,9 +1,11 @@
 """Command-line front end: validate scenarios, run sessions, search for exits.
 
-Exit codes: 0 success, 1 bad command line, configuration or scenario, 2
-internal invariant failure during a run, 3 I/O or unexpected internal error.
-The tolerance used for Schmidt-rank cutoffs resolves as: --tol flag, then the
-QKDSIM_TOL environment variable, then 1e-8.
+Every command runs the same scenario check: load_scenario, then
+_checked_session.  Exit codes: 0 success, 1 bad command line or any
+errors.InputError (configuration, scenario or size), 2 internal invariant
+failure during a run, 3 I/O or unexpected internal error.  The tolerance used
+for Schmidt-rank cutoffs resolves as: --tol flag, then the QKDSIM_TOL
+environment variable, then qudit.SCHMIDT_TOL (1e-8).
 """
 
 from __future__ import annotations
@@ -17,19 +19,9 @@ import sys
 from . import __version__
 from .adversary import PRESETS, compile_schedule, script_from_obj
 from .analysis import TEMPLATES, feasibility_search, render_report
-from .errors import (
-    ConfigError,
-    ExplosionGuard,
-    FamilyTooLarge,
-    IllegalRegisterAccess,
-    InvalidDimension,
-    InvariantViolation,
-    NonUnitaryMatrix,
-    ScriptRegisterUnknown,
-    UnknownPreset,
-    ValueOutOfRange,
-)
+from .errors import ConfigError, InputError, InvariantViolation
 from .protocol import STAGES, ProtocolConfig, _validate_script, control_check, run_session
+from .qudit import SCHMIDT_TOL
 from .serialize import dumps, format_float
 
 EXIT_OK = 0
@@ -37,21 +29,8 @@ EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = SCHMIDT_TOL
 TOL_ENV_VAR = "QKDSIM_TOL"
-
-# user-input failures that map to exit code 1; anything else internal is 3
-_CONFIG_ERRORS = (
-    ConfigError,
-    ValueOutOfRange,
-    InvalidDimension,
-    UnknownPreset,
-    ScriptRegisterUnknown,
-    IllegalRegisterAccess,
-    ExplosionGuard,
-    FamilyTooLarge,
-    NonUnitaryMatrix,
-)
 
 
 def _is_int(value, low: int, high: float = math.inf) -> bool:
@@ -129,23 +108,25 @@ def _resolve_tol(flag_value: float | None) -> float:
     return tol
 
 
-def _build_session(scenario: dict, seed_flag: int | None):
-    if "rounds" not in scenario:
-        raise ConfigError('scenario needs "rounds" to run a session')
-    if "keys" not in scenario:
-        raise ConfigError('scenario needs "keys" to run a session')
+def _checked_session(scenario: dict, seed_flag: int | None = None,
+                     needed: bool = False) -> tuple | None:
+    """The session check of every command: when any session field is present, or run
+    needs one, build the session run would build and check its script.  Returns
+    (config, script, attack name), or None when there is no session to check."""
+    if not needed and not scenario.keys() & {"rounds", "keys", "control_rounds", "attack"}:
+        return None
+    for name in ("rounds", "keys"):
+        if name not in scenario:
+            raise ConfigError(f'scenario needs "{name}" to run a session')
     keys = scenario["keys"]
-    explicit = tuple(keys) if isinstance(keys, list) else None
-    key_seed = keys["seed"] if isinstance(keys, dict) else None
-    seed = seed_flag if seed_flag is not None else scenario.get("seed", 0)
     config = ProtocolConfig(
         d=scenario["d"],
         rounds=scenario["rounds"],
-        keys=explicit,
-        key_seed=key_seed,
+        keys=tuple(keys) if isinstance(keys, list) else None,
+        key_seed=keys["seed"] if isinstance(keys, dict) else None,
         control_rounds=frozenset(scenario.get("control_rounds", [])),
         eve_registers=scenario.get("eve_registers", 1),
-        seed=seed,
+        seed=seed_flag if seed_flag is not None else scenario.get("seed", 0),
     )
     attack = scenario.get("attack", {"preset": "none"})
     if "preset" in attack:
@@ -154,6 +135,7 @@ def _build_session(scenario: dict, seed_flag: int | None):
     else:
         attack_name = "script"
         script = script_from_obj(attack["script"])
+    _validate_script(config, script)
     return config, script, attack_name
 
 
@@ -167,11 +149,7 @@ def _write_output(text: str, args, scenario: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    # any session field: build the session run would build and check its script
-    if scenario.keys() & {"rounds", "keys", "control_rounds", "attack"}:
-        config, script, _ = _build_session(scenario, None)
-        _validate_script(config, script)
+    _checked_session(load_scenario(args.scenario))
     print(f"{args.scenario}: ok")
     return EXIT_OK
 
@@ -200,7 +178,7 @@ def _text_report(config, attack_name, tol, transcripts, check) -> str:
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     tol = _resolve_tol(args.tol)
-    config, script, attack_name = _build_session(scenario, args.seed)
+    config, script, attack_name = _checked_session(scenario, args.seed, needed=True)
     requested = tuple(scenario.get("diagnostics", []))
     stages = requested
     if args.format == "text":
@@ -235,6 +213,7 @@ def cmd_search(args) -> int:
     tol = _resolve_tol(args.tol)
     if "template" not in scenario:
         raise ConfigError('scenario needs a "template" to search')
+    _checked_session(scenario)
     report = feasibility_search(
         scenario["template"], scenario["d"], max_depth=args.depth, rank_tol=tol)
     _write_output(render_report(report), args, scenario)
@@ -286,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except _CONFIG_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,15 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; refusals of bad input subclass InputError."""
 
 
 class QkdSimError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidDimension(QkdSimError):
+class InputError(QkdSimError):
+    """Base class for refusals of bad input: the CLI exits 1 on these."""
+
+
+class InvalidDimension(InputError):
     """Register dimension d is not an integer >= 2."""
 
 
-class ValueOutOfRange(QkdSimError):
+class ValueOutOfRange(InputError):
     """A residue or key value lies outside [0, d)."""
 
 
@@ -25,7 +29,7 @@ class MissingRegister(QkdSimError):
     """An operation needs a register the state does not carry."""
 
 
-class NonUnitaryMatrix(QkdSimError):
+class NonUnitaryMatrix(InputError):
     """A dense gate matrix failed the unitarity check."""
 
 
@@ -45,27 +49,27 @@ class RegisterNotSeparable(QkdSimError):
     """A register holds more than one basis value and cannot be dropped."""
 
 
-class ScriptRegisterUnknown(QkdSimError):
+class ScriptRegisterUnknown(InputError):
     """An attack script references a register the session does not have."""
 
 
-class IllegalRegisterAccess(QkdSimError):
+class IllegalRegisterAccess(InputError):
     """An eavesdropper action touches a register she cannot reach."""
 
 
-class UnknownPreset(QkdSimError):
+class UnknownPreset(InputError):
     """Attack preset name is not recognised."""
 
 
-class ExplosionGuard(QkdSimError):
+class ExplosionGuard(InputError):
     """A brute-force enumeration would exceed the configured state budget."""
 
 
-class FamilyTooLarge(QkdSimError):
+class FamilyTooLarge(InputError):
     """The gate-sequence enumeration would exceed the hard size cap."""
 
 
-class ConfigError(QkdSimError):
+class ConfigError(InputError):
     """Bad user-supplied configuration or scenario."""
 
 

@@ -30,6 +30,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .qudit import (
+    SCHMIDT_TOL,
     GateSpec,
     PureState,
     RegisterLayout,
@@ -273,7 +274,7 @@ def _round_loop(branches: list, keys: Iterable[int], first_round: int,
 
 
 def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = None,
-                diagnostics: Iterable[str] = (), schmidt_tol: float = 1e-8,
+                diagnostics: Iterable[str] = (), schmidt_tol: float = SCHMIDT_TOL,
                 ) -> list[RoundTranscript]:
     """Run all rounds, sampling measurements from the config seed.
 

@@ -217,8 +217,10 @@ class GateSpec:
         object.__setattr__(self, "targets", tuple(self.targets))
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in ("shift", "phase", "cadd") and not isinstance(self.s, int):
-            raise ValueError(f"{self.kind} gate needs an integer parameter s")
+        if self.kind in ("shift", "phase", "cadd"):
+            if not _is_integer(self.s):
+                raise ValueError(f"{self.kind} gate needs an integer s, got {self.s!r}")
+            object.__setattr__(self, "s", int(self.s))
         if self.kind in ("shift", "phase", "fourier") and len(self.targets) != 1:
             raise ValueError(f"{self.kind} gate acts on exactly one register")
         if self.kind == "cadd":
@@ -249,15 +251,15 @@ class GateSpec:
 
     @staticmethod
     def shift(target: str, s: int) -> "GateSpec":
-        return GateSpec("shift", (target,), s=int(s))
+        return GateSpec("shift", (target,), s=s)
 
     @staticmethod
     def controlled_add(control: str, target: str, s: int) -> "GateSpec":
-        return GateSpec("cadd", (target,), control=control, s=int(s))
+        return GateSpec("cadd", (target,), control=control, s=s)
 
     @staticmethod
     def phase(target: str, s: int) -> "GateSpec":
-        return GateSpec("phase", (target,), s=int(s))
+        return GateSpec("phase", (target,), s=s)
 
     @staticmethod
     def fourier(target: str) -> "GateSpec":

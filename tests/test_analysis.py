@@ -1,6 +1,7 @@
 """Diagnostics and the exit-sequence search, checked against golden files."""
 
 import json
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -366,6 +367,26 @@ class TestSearch:
     def test_key_space_cap(self):
         with pytest.raises(ExplosionGuard):
             feasibility_search("post_round1_round2", 101, max_depth=0)
+
+    @pytest.mark.parametrize("template_id", ["stage5_round1", "post_round1_round2"])
+    def test_state_cap_refuses_before_any_template_state_is_built(self, template_id,
+                                                                  monkeypatch):
+        class Built(Exception):
+            pass
+
+        def build(d, keys):
+            raise Built(d)
+
+        monkeypatch.setitem(analysis.TEMPLATES, template_id,
+                            replace(get_template(template_id), build=build))
+        # 45^4 amplitudes fit under protocol.STATE_CAP = 2^22, 46^4 do not
+        for search in (lambda d: feasibility_search(template_id, d, max_depth=0),
+                       lambda d: verify_candidate(template_id, d, ())):
+            with pytest.raises(Built):
+                search(45)
+            for d in (46, 100):
+                with pytest.raises(ExplosionGuard, match=rf"{d}\^4 amplitudes exceeds 4194304"):
+                    search(d)
 
     def test_exit_to_a_non_basis_memory_has_no_residual(self):
         # at d = 2 cadd(k->e, 1) clears e to |0> and fourier turns it into |+>:

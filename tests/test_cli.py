@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, precedence rules, byte determinism."""
 
 import json
+import random
 import re
 import shlex
 from pathlib import Path
@@ -10,7 +11,21 @@ import pytest
 import qkdsim.cli as cli
 from qkdsim import protocol
 from qkdsim.adversary import PRESETS, TIMINGS, action_from_obj
-from qkdsim.errors import InvariantViolation
+from qkdsim.errors import (
+    ConfigError,
+    ExplosionGuard,
+    FamilyTooLarge,
+    IllegalRegisterAccess,
+    InputError,
+    InvalidDimension,
+    InvariantViolation,
+    NonUnitaryMatrix,
+    QkdSimError,
+    ScriptRegisterUnknown,
+    UnknownPreset,
+    UnknownRegister,
+    ValueOutOfRange,
+)
 
 REPO = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "data"
@@ -28,6 +43,79 @@ def honest_scenario(tmp_path, **extra):
     return write_scenario(
         tmp_path, d=3, rounds=4, keys=[0, 1, 2, 0], control_rounds=[2, 4],
         seed=1, **extra)
+
+
+def one_action(action):
+    """Scenario fields of a one-round session whose script holds one action."""
+    return {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [action]}}}}
+
+
+def random_action(rng, d):
+    """A script action that is well formed or off in one or two fields."""
+    op = rng.choice(["shift", "cadd", "phase", "fourier", "dense", "measure"] * 4 + ["warp", 3])
+    action = {"op": op}
+
+    def register():
+        return rng.choice(["k", "e", "e2", "a", 5]) if rng.random() < 0.2 else rng.choice("ke")
+    if op in ("cadd",):
+        action["control"] = register()
+    if op in ("shift", "cadd", "phase", "fourier", "warp"):
+        action["target"] = register()
+    if op in ("shift", "cadd", "phase"):
+        action["s"] = (rng.choice([-1, 1.7, 2.0, True, "2", None]) if rng.random() < 0.2
+                       else rng.randrange(d))
+    if op == "dense":
+        side = d + (rng.random() < 0.2)
+        action["targets"] = ["k"]
+        action["matrix"] = [[[float(j == (i + 1) % side), 0.0] for j in range(side)]
+                            for i in range(side)]
+    if op == "measure":
+        action["register"] = register()
+    if len(action) > 1 and rng.random() < 0.1:
+        del action[rng.choice([key for key in action if key != "op"])]
+    if rng.random() < 0.1:
+        action[rng.choice(["s", "control", "target", "register", "note"])] = rng.choice(["e", 1])
+    if rng.random() < 0.7:
+        action["timing"] = rng.choice(["pre_bob"] * 4 + ["post_decode"] * 2 + ["later"])
+    return action
+
+
+def random_scenario(rng):
+    """A small scenario for run, or for search when it names a template, that is
+    well formed or off in a few fields, its script included."""
+    d = rng.choice([2, 3, 4]) if rng.random() < 0.92 else rng.choice([1, 2.0, 17])
+    size = d if type(d) is int and d >= 2 else 2
+    rounds = rng.choice([1, 2, 3]) if rng.random() < 0.95 else 0
+    doc = {"schema_version": "scenario/1", "d": d}
+    search = rng.random() < 0.3
+    if search:
+        doc["template"] = rng.choice(["stage5_round1", "post_round1_round2"] * 4 + ["round_9"])
+        if rng.random() < 0.5:
+            return doc
+    chance = 0.6 if search else 0.95
+    if rng.random() < chance:
+        doc["rounds"] = rounds
+    if rng.random() < chance:
+        count = max(rounds + rng.choice([0, 0, 0, 1]), 0)
+        high = size + (rng.random() < 0.1)
+        doc["keys"] = rng.choice([[rng.randrange(high) for _ in range(count)],
+                                  {"seed": rng.randrange(5)}])
+    if rng.random() < 0.3:
+        doc["control_rounds"] = [rng.randrange(1, rounds + 2)]
+    if rng.random() < 0.3:
+        doc["eve_registers"] = rng.choice([0, 1, 1, 2, 2, 6])
+    if rng.random() < 0.3:
+        doc["seed"] = rng.randrange(3)
+    if rng.random() < 0.15:
+        doc["attack"] = {"preset": rng.choice(PRESETS + ("bogus",))}
+    elif rng.random() < 0.6:
+        doc["attack"] = {"script": {"rounds": {
+            rng.choice(["1", "1", "2", "2", "01", "4", "x"]): [random_action(rng, size)
+                                                    for _ in range(rng.randrange(1, 3))]
+            for _ in range(rng.randrange(1, 3))}}}
+    if not search and "rounds" not in doc and "keys" not in doc:
+        doc["rounds"] = rounds
+    return doc
 
 
 class TestValidate:
@@ -118,11 +206,21 @@ class TestValidate:
         {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
             {"op": "dense", "targets": ["k"],
              "matrix": [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]}]}}}},
+        # an s that is not a JSON integer, and fields that do not belong to the op
+        one_action({"op": "shift", "target": "e", "s": 1.7}),
+        one_action({"op": "shift", "target": "e", "s": True}),
+        one_action({"op": "shift", "target": "e", "s": "2"}),
+        one_action({"op": "shift", "target": "e", "s": 1, "control": "k"}),
+        one_action({"op": "fourier", "target": "k", "s": 1}),
+        one_action({"op": "measure", "register": "e", "target": "k"}),
+        one_action({"op": ["shift"], "target": "e", "s": 1}),
     ], ids=["round_past_session", "missing_register", "post_decode_k", "rounds_only",
             "keys_only", "control_only", "measure_timing", "gate_timing", "action_not_object",
             "rounds_not_object", "actions_not_list", "gate_register_not_string",
             "measure_register_not_string", "repeated_round_zero_padded",
-            "repeated_round_space_padded", "dense_wrong_size"])
+            "repeated_round_space_padded", "dense_wrong_size", "s_float", "s_bool",
+            "s_string", "shift_with_control", "fourier_with_s", "measure_with_target",
+            "op_not_string"])
     def test_validate_refuses_what_run_refuses(self, fields, tmp_path, capsys, monkeypatch):
         encodes = []
         monkeypatch.setattr(protocol, "alice_encode", lambda state, q: encodes.append(q))
@@ -180,6 +278,35 @@ class TestValidate:
             refused = capsys.readouterr().err
             assert refused.startswith("error: ") and named in refused, refused
         assert not out.exists()
+
+    def test_search_scenario_with_half_a_session_refused(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, d=2, rounds=3, template="post_round1_round2")
+        out = tmp_path / "report.json"
+        assert cli.main(["validate", path]) == 1
+        refused = capsys.readouterr().err
+        assert refused == 'error: scenario needs "keys" to run a session\n'
+        assert cli.main(["search", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == refused
+        assert not out.exists()
+
+    def test_validate_agrees_with_the_command_on_generated_documents(self, tmp_path, capsys):
+        """validate accepts a generated document exactly when the command it is
+        written for (run, or search --depth 0 when it names a template) does,
+        and a refused document gets the same message from both."""
+        rng = random.Random(19)
+        path, out = str(tmp_path / "scenario.json"), str(tmp_path / "report")
+        accepted = 0
+        for _ in range(400):
+            doc = random_scenario(rng)
+            (tmp_path / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+            command = (["search", path, "--depth", "0"] if "template" in doc
+                       else ["run", path])
+            validated = cli.main(["validate", path])
+            verdict = capsys.readouterr().err
+            ran = cli.main(command + ["--out", out])
+            assert (validated, verdict) == (ran, capsys.readouterr().err), doc
+            accepted += validated == 0
+        assert 100 <= accepted <= 300, accepted
 
     def test_oversized_session_refused(self, tmp_path, capsys):
         # validate only builds the config: 16^8 amplitudes are never allocated
@@ -359,6 +486,29 @@ class TestRun:
     def test_unreadable_output_path_exits_three(self, tmp_path):
         path = honest_scenario(tmp_path)
         assert cli.main(["run", path, "--out", str(tmp_path / "no" / "dir.json")]) == 3
+
+
+INPUT_ERRORS = [ConfigError, ValueOutOfRange, InvalidDimension, UnknownPreset,
+                ScriptRegisterUnknown, IllegalRegisterAccess, ExplosionGuard, FamilyTooLarge,
+                NonUnitaryMatrix]
+
+
+class TestExitCodes:
+    def test_input_errors_are_the_refusals(self):
+        assert set(InputError.__subclasses__()) == set(INPUT_ERRORS)
+
+    @pytest.mark.parametrize("command", ["validate", "run", "search"])
+    @pytest.mark.parametrize("error, code", [(error, 1) for error in INPUT_ERRORS]
+                             + [(UnknownRegister, 3), (QkdSimError, 3)])
+    def test_exit_code_follows_the_error_class(self, error, code, command, tmp_path,
+                                               monkeypatch, capsys):
+        def refuse(path):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "load_scenario", refuse)
+        assert cli.main([command, str(tmp_path / "scenario.json")]) == code
+        expected = "error: refused\n" if code == 1 else f"internal error: {error('refused')!r}\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestToleranceResolution:

@@ -320,6 +320,19 @@ class TestGateSpecs:
         with pytest.raises(ValueError):
             GateSpec.controlled_add("k", "k", 1)
 
+    @pytest.mark.parametrize("make", [
+        lambda s: GateSpec.shift("k", s),
+        lambda s: GateSpec.controlled_add("a", "k", s),
+        lambda s: GateSpec.phase("k", s),
+        lambda s: GateSpec("shift", ("k",), s=s),
+    ], ids=["shift", "cadd", "phase", "direct"])
+    def test_s_must_be_an_integer(self, make):
+        for bad in (1.7, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="integer s"):
+                make(bad)
+        gate = make(np.int64(2))
+        assert type(gate.s) is int and gate.s == 2
+
     @pytest.mark.parametrize("gate", [
         GateSpec.shift("k", 2),
         GateSpec.controlled_add("a", "k", 1),

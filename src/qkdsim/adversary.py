@@ -28,10 +28,11 @@ from .qudit import (
     PureState,
     RegisterLayout,
     _certain_value,
+    _fold,
     _fourier_matrix,
-    _outcomes,
+    _is_integer,
+    _reduced,
     apply_gate,
-    partial_trace,
 )
 
 TIMINGS = ("pre_bob", "post_decode")
@@ -90,6 +91,8 @@ class AttackScript:
     def __post_init__(self):
         normalized, keys = {}, {}
         for round_index, actions in self.rounds.items():
+            if not (_is_integer(round_index) or isinstance(round_index, str)):
+                raise ConfigError(f"round key {round_index!r} is not an integer")
             try:
                 r = int(round_index)
             except (TypeError, ValueError):
@@ -170,37 +173,6 @@ def compile_schedule(preset: str, config) -> AttackScript:
     raise UnknownPreset(f"unknown attack preset {preset!r}; known: {PRESETS}")
 
 
-def _run_actions(branches: list, actions: tuple[EveAction, ...], round_index: int,
-                 rng: np.random.Generator | None) -> list:
-    """The action interpreter, over (probability, state, records) branches.
-
-    Records are linked (older records, (round, register, outcome)) pairs, so a
-    measurement adds one in constant time at any session length.  Callers
-    check the actions' registers first.
-    """
-    for action in actions:
-        new_branches = []
-        for prob, state, records in branches:
-            if action.gate is not None:
-                new_branches.append((prob, apply_gate(state, action.gate), records))
-            else:
-                for outcome, p, post in _outcomes(state, action.measure, rng):
-                    new_branches.append(
-                        (prob * p, post, (records, (round_index, action.measure, outcome)))
-                    )
-        branches = new_branches
-    return branches
-
-
-def _unlinked(records: tuple, first_round: int = 1) -> tuple[tuple[int, str, int], ...]:
-    """Linked records as a flat tuple, oldest first, from `first_round` on."""
-    flat = []
-    while records and records[1][0] >= first_round:
-        records, record = records
-        flat.append(record)
-    return tuple(reversed(flat))
-
-
 @dataclass(frozen=True)
 class ConditionalStatesReport:
     """Eve's view conditioned on each full key assignment.
@@ -267,6 +239,23 @@ def _distances(block_dicts: list, ia: np.ndarray, ib: np.ndarray) -> list[float]
     return (0.5 * totals).tolist()
 
 
+def _blocks(stage, eve_regs: tuple[str, ...]) -> dict:
+    """Eve's cq state at a leaf: record -> read-only sum of p rho_Eve over its rows,
+    records in order of first appearance, each summed from 0 in row order."""
+    probs = stage.probs[:, None, None]
+    if eve_regs:
+        rho = _reduced(stage.amps, _fold(stage.layout, eve_regs)) * probs
+    else:
+        rho = probs.astype(np.complex128)
+    groups: dict = {}
+    group = [groups.setdefault(row, len(groups)) for row in map(tuple, stage.outcomes.tolist())]
+    sums = np.zeros((len(groups),) + rho.shape[1:], dtype=np.complex128)
+    np.add.at(sums, group, rho)
+    sums.flags.writeable = False  # shared by every key tuple of the orbit
+    return {tuple((r, reg, v) for (r, reg), v in zip(stage.header, row)): block
+            for row, block in zip(groups, sums)}
+
+
 def eve_conditional_states(config, script: AttackScript | None = None) -> ConditionalStatesReport:
     """Exact conditional states of Eve for every key assignment.
 
@@ -293,22 +282,13 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     # once; children go on the stack last first, so leaves come in product order
     stack = [((0,), protocol._start(config))]
     while stack:
-        keys, branches = stack.pop()  # branches as keys[:-1] left them
-        for *_, branches, _ in protocol._round_loop(branches, keys[-1:], len(keys), script, None):
+        keys, stage = stack.pop()  # the stage keys[:-1] left
+        for *_, stage, _ in protocol._round_loop(stage, keys[-1:], len(keys), script, None):
             pass
         if len(keys) < config.rounds:
-            stack += [(keys + (q,), branches) for q in reversed(range(config.d))]
+            stack += [(keys + (q,), stage) for q in reversed(range(config.d))]
             continue
-        blocks: dict = {}
-        for probability, state, records in branches:
-            if eve_regs:
-                rho = partial_trace(state, eve_regs).entries * probability
-            else:
-                rho = np.array([[probability]], dtype=np.complex128)
-            record = _unlinked(records)
-            blocks[record] = blocks.get(record, 0) + rho
-        for block in blocks.values():
-            block.flags.writeable = False  # shared by every key tuple of the orbit
+        blocks = _blocks(stage, eve_regs)
         rep_blocks.append(blocks)
         quantum = sum(blocks.values())
         weight = np.trace(quantum).real
@@ -374,6 +354,10 @@ def _from_wire(obj: Mapping, timed: bool):
     args = [obj[name] for name in fields]
     try:
         if op == "dense":
+            if not isinstance(args[0], list):
+                raise TypeError(f"targets must be a list of register names, got {args[0]!r}")
+            if any(type(x) not in (int, float) for row in args[1] for pair in row for x in pair):
+                raise TypeError("matrix entries must be JSON numbers, not booleans")
             args[1] = np.array([[complex(re, im) for re, im in row] for row in args[1]])
         built = build(*args)
         if timed:  # a measure is built at pre_bob and moved to its timing

@@ -95,7 +95,7 @@ def diagnose(state: PureState, round_index: int, stage: str,
     spectrum = None
     entropy = None
     if k_fold is not None:
-        eigs = np.linalg.eigvalsh(_reduced(state, k_fold))
+        eigs = np.linalg.eigvalsh(_reduced(state.amplitudes, k_fold)[0])
         spectrum = tuple(float(x) for x in eigs[::-1])
         entropy = _entropy(eigs, state.layout.d)
     return StageDiagnostics(

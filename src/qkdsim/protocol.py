@@ -6,16 +6,17 @@ maximally entangled pair state.  Each round Alice adjoins a key qudit "k" in
 read the key back, which also returns the carrier to its starting state, so
 the same pair serves every round.
 
-One round loop runs every kind of session: with `run_session`'s rng each
-measurement draws one outcome, so there is one branch; `run_session_branches`
-passes None, so each outcome becomes a branch of its own.  The exact analysis
-(`adversary.eve_conditional_states`) runs it once per key prefix.
+One round loop runs every kind of session on a `Stage`, whose branches are
+rows of arrays, so each gate, measurement and decode is one array operation.
+With `run_session`'s rng each measurement draws one outcome: one row.
+`run_session_branches` passes None, so each row repeats once per outcome.  The
+exact analysis (`adversary.eve_conditional_states`) runs it once per key prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,9 +35,13 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _gated,
+    _inserted,
     _is_integer,
+    _kept,
+    _marginal,
     _outcomes,
-    apply_gate,
+    _split,
     insert_register,
 )
 
@@ -131,29 +136,77 @@ def init_carrier(d: int) -> PureState:
     return PureState(layout, amps)
 
 
-def alice_encode(state: PureState, q: int) -> PureState:
-    """Adjoin the key qudit in |q> and add the carrier half "a" onto it."""
+class Stage(NamedTuple):
+    """A session's branches at one stage, as rows over one layout: amps is
+    (B, layout.dim), probs (B,), and Eve's records a header of (round, register)
+    columns over a (B, len(header)) outcome matrix."""
+
+    layout: RegisterLayout
+    amps: np.ndarray
+    probs: np.ndarray
+    header: tuple
+    outcomes: np.ndarray
+
+    @classmethod
+    def of(cls, state: PureState) -> "Stage":
+        return cls(state.layout, state.amplitudes[None], np.ones(1), (), np.zeros((1, 0), np.intp))
+
+    def state(self, row: int) -> PureState:
+        return PureState._trusted(self.layout, self.amps[row])
+
+    def records(self, row: int) -> tuple[tuple[int, str, int], ...]:
+        """The row's (round, register, outcome) records, oldest first."""
+        return tuple((*column, v) for column, v in zip(self.header, self.outcomes[row].tolist()))
+
+    def gate(self, gate: GateSpec) -> "Stage":
+        return Stage(self.layout, _gated(self.layout, self.amps, gate), *self[2:])
+
+    def measure(self, register: str, rng: np.random.Generator | None,
+                record: tuple[int, str] | None = None, drop: bool = False):
+        """(stage, outcome): with an rng one drawn outcome (B is 1), else each row
+        repeated once per outcome above BRANCH_PRUNE, one outcome per row, refused
+        past BRANCH_CAP rows before they are built.  `record` adds a header
+        column; `drop` slices the register away."""
+        split = _split(self.layout, register)
+        rows, values, probs = _outcomes(_marginal(self.amps, split), rng)
+        if rows is not None and len(rows) > BRANCH_CAP:
+            raise ExplosionGuard(f"branch count {len(rows)} exceeds the cap of {BRANCH_CAP}")
+        outcomes = self.outcomes if rows is None else self.outcomes.take(rows, 0)
+        if record is not None:
+            grown = np.empty((len(outcomes), len(self.header) + 1), np.intp)
+            grown[:, :-1], grown[:, -1] = outcomes, values
+            outcomes = grown
+        return Stage(self.layout.drop(register) if drop else self.layout,
+                     _kept(self.amps, split, rows, values, probs, drop),
+                     self.probs if rows is None else self.probs.take(rows) * probs,
+                     self.header + (() if record is None else (record,)), outcomes), values
+
+    def act(self, actions: Sequence, round_index: int, rng) -> "Stage":
+        """Eve's actions in order; callers check their registers first."""
+        stage = self
+        for action in actions:
+            stage = (stage.gate(action.gate) if action.gate is not None else
+                     stage.measure(action.measure, rng, (round_index, action.measure))[0])
+        return stage
+
+    def decode(self, rng: np.random.Generator | None):
+        """Bob subtracts "b" from k, measures k unrecorded and slices it away."""
+        return self.gate(_DECODE).measure(KEY, rng, drop=True)
+
+
+def alice_encode(state: PureState | Stage, q: int) -> PureState | Stage:
+    """Adjoin the key qudit in |q> and add the carrier half "a" onto it, to a
+    PureState or to every row of a Stage."""
     layout = state.layout
     if not 0 <= q < layout.d:
         raise ValueOutOfRange(f"key value {q} not in [0, {layout.d})")
     for reg in (ALICE, BOB):
         if reg not in layout.labels:
             raise MissingRegister(f"state has no register {reg!r}")
-    state = insert_register(state, KEY, q, layout.axis(BOB) + 1)
-    return apply_gate(state, _ENCODE)
-
-
-def _decode(branches: list, rng: np.random.Generator | None) -> tuple[list, int | None]:
-    """Subtract "b" from k, measure k once and slice it away, on every branch.
-
-    Also returns Bob's last outcome, his only one when sampling.
-    """
-    decoded, outcome = [], None
-    for prob, state, records in branches:
-        state = apply_gate(state, _DECODE)
-        for outcome, p, post in _outcomes(state, KEY, rng, drop=True):
-            decoded.append((prob * p, post, records))
-    return decoded, outcome
+    rows = state if isinstance(state, Stage) else Stage.of(state)
+    new = layout.insert(KEY, layout.axis(BOB) + 1)
+    rows = Stage(new, _gated(new, _inserted(rows.amps, new, KEY, q), _ENCODE), *rows[2:])
+    return rows if isinstance(state, Stage) else rows.state(0)
 
 
 def bob_decode(state: PureState, rng: np.random.Generator | None = None,
@@ -168,8 +221,8 @@ def bob_decode(state: PureState, rng: np.random.Generator | None = None,
             raise MissingRegister(f"state has no register {reg!r}")
     if rng is None:
         rng = np.random.default_rng()
-    [(_, state, _)], outcome = _decode([(1.0, state, ())], rng)
-    return outcome, state
+    stage, outcome = Stage.of(state).decode(rng)
+    return outcome, stage.state(0)
 
 
 @dataclass(frozen=True)
@@ -241,36 +294,33 @@ def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> 
                         f"{gate.matrix.shape[0]} does not match d^targets = {side}")
 
 
-def _start(config: ProtocolConfig) -> list:
-    """The one starting branch: the carrier pair and Eve's registers in |0>."""
+def _start(config: ProtocolConfig) -> Stage:
+    """The one starting row: the carrier pair and Eve's registers in |0>."""
     state = init_carrier(config.d)
     for label in eve_register_labels(config.eve_registers):
         state = insert_register(state, label, 0, len(state.layout))
-    return [(1.0, state, ())]
+    return Stage.of(state)
 
 
-def _capped(branches: list) -> list:
-    if len(branches) > BRANCH_CAP:
-        raise ExplosionGuard(f"branch count {len(branches)} exceeds the cap of {BRANCH_CAP}")
-    return branches
-
-
-def _round_loop(branches: list, keys: Iterable[int], first_round: int,
+def _round_loop(stage: Stage, keys: Iterable[int], first_round: int,
                 script: adversary.AttackScript, rng: np.random.Generator | None):
-    """The one round loop, over (probability, state, eve_records) branches.
+    """The one round loop, over the rows of a Stage.
 
     Runs one round per key from round first_round on.  After each of STAGES it
-    checks BRANCH_CAP, then yields (round, key, stage, branches, Bob's outcome or None).
+    yields (round, key, stage name, Stage, Bob's outcome, one per row without an
+    rng, or None); Stage.measure refuses more than BRANCH_CAP rows.
     """
     for r, q in enumerate(keys, start=first_round):
-        branches = [(p, alice_encode(s, q), rec) for p, s, rec in branches]
-        yield r, q, "post_encode", branches, None
-        branches = adversary._run_actions(branches, script.actions(r, "pre_bob"), r, rng)
-        yield r, q, "post_attack", _capped(branches), None
-        branches, decoded = _decode(branches, rng)
-        yield r, q, "post_decode", _capped(branches), decoded
-        branches = adversary._run_actions(branches, script.actions(r, "post_decode"), r, rng)
-        yield r, q, "round_end", _capped(branches), decoded
+        if rng is not None:  # sampled: each round's records are read at its end
+            stage = Stage(*stage[:3], (), stage.outcomes[:, :0])
+        stage = alice_encode(stage, q)
+        yield r, q, "post_encode", stage, None
+        stage = stage.act(script.actions(r, "pre_bob"), r, rng)
+        yield r, q, "post_attack", stage, None
+        stage, decoded = stage.decode(rng)
+        yield r, q, "post_decode", stage, decoded
+        stage = stage.act(script.actions(r, "post_decode"), r, rng)
+        yield r, q, "round_end", stage, decoded
 
 
 def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = None,
@@ -292,13 +342,14 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     rng = np.random.default_rng([_SESSION_STREAM, config.seed])
     transcripts = []
     diag: dict = {}
-    for r, q, stage, [(_, state, records)], decoded in _round_loop(
+    for r, q, name, stage, decoded in _round_loop(
             _start(config), resolved_keys(config), 1, script, rng):
-        if stage in stages:
-            diag[stage] = analysis.diagnose(state, r, stage, tol=schmidt_tol,
-                                            decode_ok=None if decoded is None else decoded == q)
-        if stage != "round_end":
+        if name in stages:
+            diag[name] = analysis.diagnose(stage.state(0), r, name, tol=schmidt_tol,
+                                           decode_ok=None if decoded is None else decoded == q)
+        if name != "round_end":
             continue
+        state = stage.state(0)
         if abs(state.norm() - 1.0) > 1e-10:
             raise InvariantViolation(
                 f"state norm drifted to {state.norm():.12f} after round {r}")
@@ -307,7 +358,7 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
             mode="control" if r in config.control_rounds else "message",
             key_sent=q,
             key_decoded=decoded,
-            eve_records=adversary._unlinked(records, r),
+            eve_records=stage.records(0),
             diagnostics=diag,
         ))
         diag = {}
@@ -333,6 +384,7 @@ def run_session_branches(config: ProtocolConfig,
     """
     script = script if script is not None else adversary.EMPTY_SCRIPT
     _validate_script(config, script)
-    for *_, branches, _ in _round_loop(_start(config), resolved_keys(config), 1, script, None):
+    for *_, stage, _ in _round_loop(_start(config), resolved_keys(config), 1, script, None):
         pass
-    return [SessionBranch(p, s, adversary._unlinked(rec)) for p, s, rec in branches]
+    return [SessionBranch(p, stage.state(i), stage.records(i))
+            for i, p in enumerate(stage.probs.tolist())]

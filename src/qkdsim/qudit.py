@@ -1,19 +1,20 @@
 """Multi-qudit pure states over named d-level registers.
 
 Amplitudes live in a flat complex vector indexed in mixed radix, first
-register label most significant.  Gates run on one of two kernels.  shift,
-controlled-add and phase are monomial matrices, applied through one cached
-table per (layout, gate): a source index that permutes the amplitudes
-without touching their values, or the phase gate's non-unit factors.
-Fourier and dense gates apply their matrix to the target axes, folded
-first by a transpose cached per (layout, targets) in `_fold`; the partial
-trace and the Schmidt rank fold the same way.  Every gate kind can also be
-expanded to an explicit dense unitary, which doubles as an independent
-cross-check path.
+register label most significant.  The kernels run on rows: amplitudes shaped
+(..., dim), one row per branch of a session stage, and each public function
+on one PureState is their one-row view.  Gates run on one of two kernels
+(`_gated`).  shift, controlled-add and phase are monomial, applied through one
+cached table per (layout, gate): a gather that permutes the amplitudes without
+touching their values, or the phase gate's non-unit factors.  Fourier and
+dense gates apply their matrix to every row's target axes, folded by a
+transpose cached per (layout, targets) in `_fold`; the partial trace and the
+Schmidt rank fold the same way.  Every gate kind can also be expanded to an
+explicit dense unitary, an independent cross-check path.
 
-Every measurement (`measure`, `measurement_branches`, Eve's actions, Bob's
-decode) is one Born-rule step, `_outcomes`; it and `remove_register` build
-post states with `_kept`, collapsed in place or sliced over a smaller layout.
+Every measurement is one Born-rule step: `_marginal` over all rows,
+`_outcomes` to draw one outcome or keep each above BRANCH_PRUNE, and `_kept`
+to build the post rows, collapsed in place or sliced over a smaller layout.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class PureState:
         return self.amplitudes.reshape((self.layout.d,) * len(self.layout))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def probabilities(self, register: str) -> np.ndarray:
         """Born-rule marginal distribution of one register."""
@@ -336,45 +337,54 @@ def _gate_table(layout: RegisterLayout, kind: str, control: str | None, target: 
 
 
 def apply_gate(state: PureState, gate: GateSpec) -> PureState:
-    """Apply one gate and return the new state.
+    """Apply one gate and return the new state, the one-row view of _gated."""
+    out = _gated(state.layout, state.amplitudes, gate)
+    return state if out is state.amplitudes else PureState._trusted(state.layout, out)
 
-    shift, cadd and phase are monomial, run from a cached table.  shift and
-    cadd are pure index permutations and phase leaves its factor-1 slots
-    alone, so those amplitudes are bit-identical copies of the input ones.
-    fourier and dense apply their matrix to the target axes.
+
+def _gated(layout: RegisterLayout, amps: np.ndarray, gate: GateSpec) -> np.ndarray:
+    """One gate on every row of amps, (..., dim); amps itself for the identity.
+
+    shift, cadd and phase run from a cached table: a gather, which copies the
+    amplitudes bit for bit, and for phase a multiply of the slots whose factor
+    is not 1.  fourier and dense apply their matrix to each row's target axes.
     """
-    layout = state.layout
     d = layout.d
     if gate.kind not in ("fourier", "dense"):
         index, phase = _gate_table(layout, gate.kind, gate.control, gate.targets[0], gate.s % d)
-        if index is None:
-            return state
-        out = state.amplitudes[index] if phase is None else state.amplitudes.copy()
-        if phase is not None:
-            out[index] *= phase
-        return PureState._trusted(layout, out)
-
+        if index is None or phase is None:
+            return amps if index is None else amps.take(index, -1)
+        out = amps.copy()
+        out[..., index] *= phase
+        return out
     matrix = _fourier_matrix(d) if gate.kind == "fourier" else gate.matrix
-    perm, inverse, side = _fold(layout, gate.targets)
+    shape, _, inverse, side = fold = _fold(layout, gate.targets)
     if matrix.shape[0] != side:
         raise NonUnitaryMatrix(
             f"dense matrix side {matrix.shape[0]} does not match d^targets = {side}"
         )
-    out = matrix @ np.transpose(state.tensor, perm).reshape(side, -1)
-    out = np.transpose(out.reshape((d,) * len(layout)), inverse)
-    return PureState._trusted(layout, out.reshape(-1))
+    out = (matrix @ _folded(amps, fold)).reshape(shape)
+    return np.transpose(out, inverse).reshape(amps.shape)
 
 
 @lru_cache(maxsize=256)
 def _fold(layout: RegisterLayout, front: tuple[str, ...],
-          ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(perm, inverse, rows): the transpose that brings the axes of the registers
-    `front` first, in that order, and the rest after in layout order; its
-    inverse; and d^len(front), the rows of the folded amplitude matrix."""
-    axes = tuple(layout.axis(label) for label in front)
-    perm = axes + tuple(a for a in range(len(layout)) if a not in axes)
+          ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """(shape, perm, inverse, rows): shape (-1, d, ..., d) gives each amplitude
+    row one axis per register; perm keeps the row axis first, brings the axes
+    of the registers `front` next, in that order, and the rest after in layout
+    order; inverse undoes perm; d^len(front) rows in each folded matrix."""
+    axes = tuple(layout.axis(label) + 1 for label in front)
+    perm = (0,) + axes + tuple(a for a in range(1, len(layout) + 1) if a not in axes)
     inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-    return perm, inverse, layout.d ** len(front)
+    return (-1,) + (layout.d,) * len(layout), perm, inverse, layout.d ** len(front)
+
+
+def _folded(amps: np.ndarray, fold: tuple) -> np.ndarray:
+    """Amplitude rows (..., dim) folded by a _fold plan, as (B, rows, rest)."""
+    shape, perm, _, rows = fold
+    folded = np.transpose(amps.reshape(shape), perm)
+    return folded.reshape(len(folded), rows, -1)
 
 
 def apply_gate_dense(state: PureState, gate: GateSpec) -> PureState:
@@ -391,7 +401,7 @@ def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:
     axes_keep = layout.axes(keep)
     kept_labels = tuple(layout.labels[a] for a in axes_keep)
     return DensityMatrix(RegisterLayout(layout.d, kept_labels),
-                         _reduced(state, _fold(layout, kept_labels)))
+                         _reduced(state.amplitudes, _fold(layout, kept_labels))[0])
 
 
 def schmidt_rank(state: PureState, side_a: Iterable[str], tol: float = SCHMIDT_TOL) -> int:
@@ -406,19 +416,18 @@ def schmidt_rank(state: PureState, side_a: Iterable[str], tol: float = SCHMIDT_T
     return _rank(state, _fold(state.layout, front), tol)
 
 
-def _reduced(state: PureState, fold: tuple) -> np.ndarray:
-    """rho over the front axes of a _fold plan: M M^dagger of the folded amplitudes."""
-    perm, _, rows = fold
-    folded = np.transpose(state.tensor, perm).reshape(rows, -1)
-    return folded @ folded.conj().T
+def _reduced(amps: np.ndarray, fold: tuple) -> np.ndarray:
+    """rho over the front axes of a _fold plan for every row of amps, (..., dim):
+    M M^dagger of each row's folded amplitudes, as a (B, rows, rows) array."""
+    folded = _folded(amps, fold)
+    return folded @ folded.conj().mT
 
 
 def _rank(state: PureState, fold: tuple, tol: float) -> int:
     """Singular values above tol of the amplitudes folded by a _fold plan."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    perm, _, rows = fold
-    folded = np.transpose(state.tensor, perm).reshape(rows, -1)
+    folded = _folded(state.amplitudes, fold)[0]
     return int(np.count_nonzero(np.linalg.svd(folded, compute_uv=False) > tol))
 
 
@@ -441,49 +450,59 @@ def _split(layout: RegisterLayout, register: str) -> tuple[int, int, int]:
 
 
 def _marginal(amps: np.ndarray, split: tuple[int, int, int]) -> np.ndarray:
-    return np.add.reduce((np.abs(amps) ** 2).reshape(split), axis=(0, 2))
+    """Born-rule marginal of the split's middle register for each row of amps, (..., dim)."""
+    return np.add.reduce((np.abs(amps) ** 2).reshape(amps.shape[:-1] + split), axis=(-3, -1))
 
 
-def _kept(state: PureState, split: tuple[int, int, int], value: int, p: float,
-          layout: RegisterLayout) -> PureState:
-    """The amplitudes at `value` of the split's middle axis divided by sqrt(p): in a
-    zeroed vector over the same layout (collapse), or alone over `layout` when it
-    lacks that register (slice)."""
-    kept = state.amplitudes.reshape(split)[:, value, :]
-    if len(layout.labels) < len(state.layout.labels):
-        out = dest = np.empty(kept.shape, np.complex128)
-    else:
-        out = np.zeros(split, np.complex128)
-        dest = out[:, value, :]
-    scale = math.sqrt(p)
-    if scale != 1.0:
-        np.divide(kept, scale, out=dest)
-    else:
-        # complex division by 1 would turn -0.0 real parts into +0.0
-        dest[...] = kept
-    return PureState._trusted(layout, out.reshape(-1))
+def _outcomes(marginals: np.ndarray, rng: np.random.Generator | None) -> tuple:
+    """The one Born-rule choice over (B, d) marginals: (rows, values, probs).
 
-
-def _outcomes(state: PureState, register: str, rng: np.random.Generator | None,
-              drop: bool = False) -> list[tuple[int, float, PureState]]:
-    """The one Born-rule step, as (outcome, weight, post state) triples.
-
-    With an rng, one outcome drawn at weight 1.0; with None, every outcome above
-    BRANCH_PRUNE at its probability.  Each post state is collapsed onto its
-    outcome, or with `drop` sliced at it over the layout without `register`.
+    With None, every (row, outcome) above BRANCH_PRUNE, row-major, as arrays.
+    With an rng, one outcome drawn for the one row: rows None, an int and a float.
     """
-    split = _split(state.layout, register)
-    layout = state.layout.drop(register) if drop else state.layout
-    probs = _marginal(state.amplitudes, split).tolist()
     if rng is None:
-        return [(v, p, _kept(state, split, v, p, layout))
-                for v, p in enumerate(probs) if p > BRANCH_PRUNE]
+        kept = marginals > BRANCH_PRUNE
+        return *kept.nonzero(), marginals[kept]
     # inverse-CDF draw on Python floats, cheaper than numpy calls on d values:
     # the running sum rounds as np.cumsum does, bisect_right is
     # searchsorted(side="right"), and min() clamps a u * total that rounds up to total
+    probs = marginals.ravel().tolist()
     edges = list(accumulate(probs))
-    outcome = min(bisect_right(edges, rng.random() * edges[-1]), len(edges) - 1)
-    return [(outcome, 1.0, _kept(state, split, outcome, probs[outcome], layout))]
+    value = min(bisect_right(edges, rng.random() * edges[-1]), len(edges) - 1)
+    return None, value, probs[value]
+
+
+@lru_cache(maxsize=256)
+def _slots(split: tuple[int, int, int]) -> np.ndarray:
+    """Row v: the flat positions of value v of the split's middle axis."""
+    table = np.arange(math.prod(split)).reshape(split).transpose(1, 0, 2).reshape(split[1], -1)
+    table.setflags(write=False)
+    return table
+
+
+def _kept(amps: np.ndarray, split: tuple[int, int, int], rows, values, probs,
+          drop: bool) -> np.ndarray:
+    """Post-measurement rows for an _outcomes choice on amps, (..., dim): row
+    rows[i] at values[i] of the split's middle axis over sqrt(probs[i]), in a
+    zeroed row, or alone with `drop`; with rows None, the one row at the one
+    value.  Division by exactly 1 is skipped: it would turn -0.0 into +0.0."""
+    if rows is None:
+        index = _slots(split)[values]
+        kept, scale = amps.reshape(-1)[index], math.sqrt(probs)
+        if scale != 1.0:
+            kept /= scale
+        if drop:
+            return kept.reshape(amps.shape[:-1] + (-1,))
+        out = np.zeros(amps.shape, np.complex128)
+        out.reshape(-1)[index] = kept
+        return out
+    kept = amps.reshape((len(amps),) + split)[rows, :, values, :]
+    scale = np.sqrt(probs)[:, None, None]
+    np.divide(kept, scale, out=kept, where=scale != 1.0)
+    if not drop:
+        out, kept = kept, np.zeros((len(rows),) + split, np.complex128)
+        kept[np.arange(len(rows)), :, values, :] = out
+    return kept.reshape(len(rows), -1)
 
 
 def measurement_branches(state: PureState, register: str) -> list[tuple[int, float, PureState]]:
@@ -492,13 +511,18 @@ def measurement_branches(state: PureState, register: str) -> list[tuple[int, flo
     Returns (outcome, probability, renormalized post state) triples; the
     measured register stays in the layout, collapsed to its outcome.
     """
-    return _outcomes(state, register, None)
+    split, amps = _split(state.layout, register), state.amplitudes[None]
+    rows, values, probs = _outcomes(_marginal(amps, split), None)
+    return [(v, p, PureState._trusted(state.layout, post)) for v, p, post in
+            zip(values.tolist(), probs.tolist(), _kept(amps, split, rows, values, probs, False))]
 
 
 def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[int, PureState]:
     """Sample one outcome by the Born rule; deterministic given the rng state."""
-    [(outcome, _, post)] = _outcomes(state, register, rng)
-    return outcome, post
+    split = _split(state.layout, register)
+    _, value, p = _outcomes(_marginal(state.amplitudes, split), rng)
+    return value, PureState._trusted(state.layout,
+                                     _kept(state.amplitudes, split, None, value, p, False))
 
 
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-12) -> bool:
@@ -514,10 +538,15 @@ def insert_register(state: PureState, label: str, value: int, position: int) -> 
     if not 0 <= value < layout.d:
         raise ValueOutOfRange(f"value {value} not in [0, {layout.d})")
     new_layout = layout.insert(label, position)
-    shape = (layout.d,) * len(new_layout)
-    out = np.zeros(shape, dtype=np.complex128)
-    out[(slice(None),) * position + (value,)] = state.tensor
-    return PureState._trusted(new_layout, out.reshape(-1))
+    return PureState._trusted(new_layout, _inserted(state.amplitudes, new_layout, label, value))
+
+
+def _inserted(amps: np.ndarray, layout: RegisterLayout, label: str, value: int) -> np.ndarray:
+    """Rows of amps, (..., dim), adjoined with `label` in |value>, over `layout` that has it."""
+    pre, d, post = _split(layout, label)
+    out = np.zeros(amps.shape[:-1] + (pre, d, post), dtype=np.complex128)
+    out[..., value, :] = amps.reshape(amps.shape[:-1] + (pre, post))
+    return out.reshape(amps.shape[:-1] + (-1,))
 
 
 def _certain_value(state: PureState, register: str) -> int | None:
@@ -535,4 +564,5 @@ def remove_register(state: PureState, label: str) -> PureState:
     value = _certain_value(state, label)
     if value is None:
         raise RegisterNotSeparable(f"register {label!r} holds several basis values")
-    return _kept(state, _split(state.layout, label), value, 1.0, state.layout.drop(label))
+    return PureState._trusted(state.layout.drop(label), _kept(
+        state.amplitudes, _split(state.layout, label), None, value, 1.0, True))

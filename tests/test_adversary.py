@@ -203,14 +203,14 @@ class TestSchedules:
 
 
 class TestApplyScript:
-    """The one action interpreter, adversary._run_actions, on a single sampled branch."""
+    """The one action interpreter, protocol.Stage.act, on a single sampled row."""
 
     @staticmethod
     def apply(state, script, timing="pre_bob", seed=0):
-        [(prob, out, records)] = adversary._run_actions(
-            [(1.0, state, ())], script.actions(1, timing), 1, np.random.default_rng(seed))
-        assert prob == 1.0
-        return out, adversary._unlinked(records)
+        stage = protocol.Stage.of(state).act(script.actions(1, timing), 1,
+                                             np.random.default_rng(seed))
+        assert stage.probs.tolist() == [1.0]
+        return stage.state(0), stage.records(0)
 
     def test_empty_script_is_inert(self):
         state = in_transit_state(2, 1)
@@ -415,6 +415,35 @@ class TestConditionalStates:
             assert len(report.blocks) == tuples
             assert len(calls) == encodes
 
+    def test_kernel_calls_follow_the_prefix_steps_not_the_branches(self, monkeypatch):
+        # each stage is one array operation over all its rows: a prefix step of
+        # length L runs round L's encode gate, its actions, Bob's decode gate
+        # and his measurement once each, whatever the branch count
+        config = ProtocolConfig(d=2, rounds=6, key_seed=0, seed=0)
+        script = compile_schedule("intercept_resend", config)
+        calls = {"gate": 0, "born": 0, "leaf": 0}
+
+        def counting(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        monkeypatch.setattr(protocol, "_gated", counting("gate", protocol._gated))
+        monkeypatch.setattr(protocol, "_outcomes", counting("born", protocol._outcomes))
+        monkeypatch.setattr(adversary, "_reduced", counting("leaf", adversary._reduced))
+        eve_conditional_states(config, script)
+        gates = borns = 0
+        for r in range(1, config.rounds + 1):
+            steps = config.d ** (r - 1)  # the prefixes of length r with q1 = 0
+            actions = script.actions(r, "pre_bob") + script.actions(r, "post_decode")
+            gates += steps * (2 + sum(a.gate is not None for a in actions))
+            borns += steps * (1 + sum(a.measure is not None for a in actions))
+        assert calls == {"gate": gates, "born": borns, "leaf": config.d ** (config.rounds - 1)}
+        # the rows the calls ran on: far more than one per call
+        assert max(len(run_session_branches(replace(config, keys=keys, key_seed=None), script))
+                   for keys in [(0,) * 6, (0, 1) * 3]) >= 2 ** 3
+
     def test_pair_cap_refuses_before_any_encode(self, monkeypatch):
         # d=2, R=12: 4,096 key tuples make 8,386,560 pairs
         calls = []
@@ -475,8 +504,11 @@ class TestConditionalStates:
         loop = protocol._round_loop
 
         def lossy_loop(*args):
-            for *head, branches, decoded in loop(*args):
-                yield (*head, branches[1:] if len(branches) > 1 else branches, decoded)
+            for *head, stage, decoded in loop(*args):
+                if len(stage.probs) > 1:
+                    stage = stage._replace(amps=stage.amps[1:], probs=stage.probs[1:],
+                                           outcomes=stage.outcomes[1:])
+                yield (*head, stage, decoded)
 
         monkeypatch.setattr(protocol, "_round_loop", lossy_loop)
         config = ProtocolConfig(d=2, rounds=2, key_seed=0, eve_registers=0)
@@ -742,6 +774,32 @@ class TestWireFormat:
     def test_round_keys_must_be_integers(self):
         with pytest.raises(ConfigError):
             script_from_obj({"rounds": {"first": []}})
+
+    @pytest.mark.parametrize("key", [1.7, 1.0, True, None, (1,)])
+    def test_round_keys_are_not_truncated(self, key):
+        # a library caller's 1.7 once ran as round 1
+        with pytest.raises(ConfigError, match="not an integer"):
+            AttackScript({key: (EveAction.measurement("e"),)})
+
+    def test_dense_targets_must_be_a_list(self):
+        # the string "ke" once ran on ("k", "e")
+        obj = gate_to_obj(GateSpec.dense(("k", "e"), np.eye(4)))
+        assert gate_from_obj(obj).targets == ("k", "e")
+        for targets in ("ke", ["k", 1], {"k": 0, "e": 1}):
+            with pytest.raises(ConfigError, match="dense"):
+                gate_from_obj({**obj, "targets": targets})
+
+    @pytest.mark.parametrize("entry", [True, False, "1", None, [1]])
+    def test_dense_entries_must_be_json_numbers(self, entry):
+        # [true, 0] once became 1+0j
+        obj = gate_to_obj(GateSpec.dense(("k",), np.eye(2)))
+        assert gate_from_obj(obj).matrix.tolist() == [[1, 0], [0, 1]]
+        obj["matrix"][0][0] = [entry, 0]
+        with pytest.raises(ConfigError, match="dense"):
+            gate_from_obj(obj)
+        obj["matrix"][0][0] = [1, entry]
+        with pytest.raises(ConfigError, match="dense"):
+            gate_from_obj(obj)
 
     @pytest.mark.parametrize("other", ["01", " 1", "+1"])
     def test_two_keys_for_one_round_are_refused(self, other):

@@ -1,14 +1,24 @@
 """Session state machine: carrier prep, per-round coding, transcripts."""
 
+import json
 from collections import Counter
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from qkdsim import protocol, serialize
-from qkdsim.adversary import AttackScript, EveAction, compile_schedule, eve_conditional_states
+from qkdsim.adversary import (
+    PRESETS,
+    AttackScript,
+    EveAction,
+    compile_schedule,
+    eve_conditional_states,
+    script_from_obj,
+)
 from qkdsim.errors import (
     ConfigError,
     ExplosionGuard,
@@ -35,12 +45,15 @@ from qkdsim.qudit import (
     PureState,
     RegisterLayout,
     apply_gate,
+    insert_register,
     measure,
     measurement_branches,
     partial_trace,
     remove_register,
     states_equal_up_to_phase,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestConfig:
@@ -241,7 +254,7 @@ class TestDecode:
         # projected state through the checked remove_register gives the same bits
         rng = np.random.default_rng(10 * d + eve_registers)
         config = ProtocolConfig(d=d, rounds=1, keys=(0,), eve_registers=eve_registers)
-        [(_, state, _)] = protocol._start(config)
+        state = protocol._start(config).state(0)
         state = alice_encode(state, int(rng.integers(d)))
         targets = ("k", *eve_register_labels(eve_registers))
         side = d ** len(targets)
@@ -250,17 +263,18 @@ class TestDecode:
         state = apply_gate(state, GateSpec.dense(targets, unitary))
         decoded = apply_gate(state, protocol._DECODE)
 
-        branches, _ = protocol._decode([(1.0, state, ())], None)
+        rows, outcomes = protocol.Stage.of(state).decode(None)
         expected = measurement_branches(decoded, "k")
-        assert len(branches) == len(expected) > 1
-        for (prob, post, _), (_, p, projected) in zip(branches, expected):
-            assert prob == p
-            reference = remove_register(projected, "k")
+        assert len(rows.probs) == len(expected) > 1
+        assert outcomes.tolist() == [v for v, _, _ in expected]
+        for i, (_, p, projected) in enumerate(expected):
+            assert rows.probs[i] == p
+            post, reference = rows.state(i), remove_register(projected, "k")
             assert post.layout == reference.layout
             assert np.array_equal(post.amplitudes, reference.amplitudes)
 
-        [(_, post, _)], outcome = protocol._decode([(1.0, state, ())],
-                                                   np.random.default_rng(7))
+        rows, outcome = protocol.Stage.of(state).decode(np.random.default_rng(7))
+        post = rows.state(0)
         drawn, projected = measure(decoded, "k", np.random.default_rng(7))
         assert outcome == drawn
         assert np.array_equal(post.amplitudes, remove_register(projected, "k").amplitudes)
@@ -456,18 +470,156 @@ class TestBranchCap:
         with pytest.raises(ExplosionGuard):
             run_session_branches(self.CONFIG, self.SCRIPT)
 
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8])
+    def test_no_stage_event_exceeds_the_cap(self, cap, monkeypatch):
+        # the cap is checked on the count of surviving (row, outcome) pairs,
+        # before the repeated rows are built, and no event carries more rows
+        built = []
+        kept = protocol._kept
+
+        def counting_kept(amps, split, rows, *rest):
+            built.append(len(amps) if rows is None else len(rows))
+            return kept(amps, split, rows, *rest)
+
+        full = len(run_session_branches(self.CONFIG, self.SCRIPT))
+        assert full > 8
+        monkeypatch.setattr(protocol, "_kept", counting_kept)
+        monkeypatch.setattr(protocol, "BRANCH_CAP", cap)
+        events = []
+        loop = protocol._round_loop(protocol._start(self.CONFIG), self.CONFIG.keys, 1,
+                                    self.SCRIPT, None)
+        with pytest.raises(ExplosionGuard, match=f"cap of {cap}"):
+            for *_, stage, _ in loop:
+                events.append(len(stage.probs))
+        assert events and max(events) <= cap and max(built, default=0) <= cap
+
     def test_cap_is_checked_before_bob_decodes(self, monkeypatch):
         # Eve's first measurement makes two branches; a cap of one stops the
-        # session there, before any decode
-        decodes = []
-        measure_away = protocol._outcomes
+        # session there, before it builds a post-measurement row or decodes
+        collapses = []
+        kept = protocol._kept
 
-        def counting_decode(*args, **kwargs):
-            decodes.append(args[1])
-            return measure_away(*args, **kwargs)
+        def counting_kept(*args):
+            collapses.append(args)
+            return kept(*args)
 
-        monkeypatch.setattr(protocol, "_outcomes", counting_decode)
+        monkeypatch.setattr(protocol, "_kept", counting_kept)
         monkeypatch.setattr(protocol, "BRANCH_CAP", 1)
         with pytest.raises(ExplosionGuard):
             run_session_branches(self.CONFIG, self.SCRIPT)
-        assert decodes == []
+        assert collapses == []
+
+
+def reference_branches(config, script):
+    """run_session_branches' definition, one branch at a time, from the public
+    one-row functions only: (probability, state, records) triples."""
+    state = init_carrier(config.d)
+    for label in eve_register_labels(config.eve_registers):
+        state = insert_register(state, label, 0, len(state.layout))
+    branches = [(1.0, state, ())]
+
+    def act(branches, actions, r):
+        for action in actions:
+            if action.gate is not None:
+                branches = [(p, apply_gate(s, action.gate), rec) for p, s, rec in branches]
+            else:
+                branches = [(p * pv, post, rec + ((r, action.measure, v),))
+                            for p, s, rec in branches
+                            for v, pv, post in measurement_branches(s, action.measure)]
+        return branches
+
+    for r, q in enumerate(resolved_keys(config), start=1):
+        branches = [(p, apply_gate(insert_register(s, "k", q, s.layout.axis("b") + 1),
+                                   GateSpec.controlled_add("a", "k", 1)), rec)
+                    for p, s, rec in branches]
+        branches = act(branches, script.actions(r, "pre_bob"), r)
+        branches = [(p * pv, remove_register(post, "k"), rec)
+                    for p, s, rec in branches
+                    for _, pv, post in measurement_branches(
+                        apply_gate(s, GateSpec.controlled_add("b", "k", -1)), "k")]
+        branches = act(branches, script.actions(r, "post_decode"), r)
+    return branches
+
+
+def random_ke_script(d, rounds, seed):
+    """Seeded Haar-random gates on k, e and (k, e), and measurements of k and e."""
+    rng = np.random.default_rng(seed)
+
+    def unitary(targets):
+        side = d ** len(targets)
+        z = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        return np.linalg.qr(z)[0]
+
+    rounds_actions = {}
+    for r in range(1, rounds + 1):
+        actions = []
+        for _ in range(int(rng.integers(1, 4))):
+            kind = int(rng.integers(4))
+            if kind == 0:
+                targets = [("k",), ("e",), ("k", "e"), ("e", "k")][int(rng.integers(4))]
+                actions.append(EveAction.apply(GateSpec.dense(targets, unitary(targets))))
+            elif kind == 1:
+                actions.append(EveAction.measurement("k"))
+            elif kind == 2:
+                actions.append(EveAction.apply(GateSpec.dense(("e",), unitary(("e",))),
+                                               "post_decode"))
+            else:
+                actions.append(EveAction.measurement("e", "post_decode"))
+        rounds_actions[r] = tuple(actions)
+    return AttackScript(rounds_actions)
+
+
+def _cases():
+    for preset in PRESETS:
+        for d, rounds in [(2, 3), (3, 2)]:
+            yield preset, d, rounds, 1
+    yield "difference_leak_d3", 3, 4, 1
+    for seed in range(6):
+        yield f"random_ke:{seed}", 2 + seed % 2, 2 + seed % 2, 1 + seed % 2
+
+
+def _script(name, config):
+    if name in PRESETS:
+        return compile_schedule(name, config)
+    if name.startswith("random_ke:"):
+        return random_ke_script(config.d, config.rounds, int(name.split(":")[1]))
+    scenario = json.loads((REPO / "scenarios" / f"{name}.json").read_text())
+    return script_from_obj(scenario["attack"]["script"])
+
+
+class TestRowsMatchThePerBranchReference:
+    """The rows of a stage against an interpreter that runs each branch alone."""
+
+    @pytest.mark.parametrize("name,d,rounds,eve", list(_cases()))
+    def test_branches_are_bit_identical(self, name, d, rounds, eve):
+        config = ProtocolConfig(d=d, rounds=rounds, key_seed=5, eve_registers=eve, seed=2)
+        script = _script(name, config)
+        reference = reference_branches(config, script)
+        rows = run_session_branches(config, script)
+        assert len(rows) == len(reference)
+        for row, (p, state, records) in zip(rows, reference):
+            assert row.probability == p
+            assert row.eve_records == records
+            assert row.state.layout == state.layout
+            assert row.state.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("name,d,rounds,eve", [
+        case for case in _cases() if case[1] ** case[2] <= 27])
+    def test_walk_blocks_are_bit_identical(self, name, d, rounds, eve):
+        # Eve's blocks per key tuple: partial traces of the reference branches,
+        # added to 0 one by one in branch order, grouped by record
+        config = ProtocolConfig(d=d, rounds=rounds, key_seed=5, eve_registers=eve, seed=2)
+        script = _script(name, config)
+        eve_regs = eve_register_labels(eve)
+        report = eve_conditional_states(config, script)
+        for keys in product(range(d), repeat=rounds):
+            if keys[0]:
+                continue  # the walk computes the q1 = 0 representatives
+            blocks = {}
+            for p, state, records in reference_branches(
+                    replace(config, keys=keys, key_seed=None), script):
+                rho = partial_trace(state, eve_regs).entries * p
+                blocks[records] = blocks.get(records, 0) + rho
+            assert list(report.blocks[keys]) == list(blocks)
+            for record, block in blocks.items():
+                assert report.blocks[keys][record].tobytes() == block.tobytes()

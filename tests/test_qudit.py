@@ -6,6 +6,7 @@ index helpers), so the two paths can only agree if both are right.
 """
 
 import cmath
+import itertools
 import math
 import warnings
 
@@ -32,8 +33,12 @@ from qkdsim.qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _fold,
     _gate_table,
-    _outcomes,
+    _gated,
+    _marginal,
+    _reduced,
+    _split,
     apply_gate,
     apply_gate_dense,
     basis_state,
@@ -48,6 +53,7 @@ from qkdsim.qudit import (
     to_dense,
     von_neumann_entropy,
 )
+from qkdsim.protocol import Stage
 
 
 def digits(index, d, n):
@@ -559,10 +565,13 @@ class TestMeasurement:
                     assert rng.random() == twin.random()
                     branches = measurement_branches(state, label)
                     if n > 1:
-                        dropped = _outcomes(state, label, None, drop=True)
-                        [(sampled_v, weight, sampled)] = _outcomes(
-                            state, label, np.random.default_rng(seed), drop=True)
-                        assert (sampled_v, weight) == (outcome, 1.0)
+                        rows, values = Stage.of(state).measure(label, None, drop=True)
+                        dropped = [(v, p, rows.state(i)) for i, (v, p) in
+                                   enumerate(zip(values.tolist(), rows.probs.tolist()))]
+                        row, sampled_v = Stage.of(state).measure(
+                            label, np.random.default_rng(seed), drop=True)
+                        sampled = row.state(0)
+                        assert (sampled_v, row.probs.tolist()) == (outcome, [1.0])
                     for v in range(d):
                         kept = (slice(None),) * ax + (v,)
                         expected = np.zeros_like(tensor)
@@ -596,6 +605,12 @@ class TestMeasurement:
                 outcome, post = measure(state, label, np.random.default_rng(0))
                 assert outcome == (2 if label == "a" else 1)
                 assert post.amplitudes.tobytes() == state.amplitudes.tobytes()
+                [(_, p, branch)] = measurement_branches(state, label)
+                assert p == 1.0
+                assert branch.amplitudes.tobytes() == state.amplitudes.tobytes()
+                rows, _ = Stage.of(state).measure(label, None, drop=True)
+                assert rows.state(0).amplitudes.tobytes() == \
+                    remove_register(state, label).amplitudes.tobytes()
 
     def test_unknown_register(self):
         with pytest.raises(UnknownRegister):
@@ -715,3 +730,59 @@ class TestCertaintyRule:
             eve_entangle(self.leaning(self.INSIDE))
         with pytest.warns(RuntimeWarning, match=r"not in \|0>"):
             eve_entangle(self.leaning(self.OUTSIDE))
+
+
+def signed_rows(layout, count, seed):
+    """count random rows whose real and imaginary parts include many -0.0 and +0.0."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, layout.dim)) + 1j * rng.normal(size=(count, layout.dim))
+    for zero in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j):
+        rows[rng.random(rows.shape) < 0.15] = zero
+    rows[:, ::4] = rows[:, ::4].real - 0.0j  # signed-zero imaginary parts on nonzero reals
+    return rows
+
+
+class TestRowKernels:
+    """The batched kernels give each row the bits of the one-row call on it."""
+
+    CASES = [(d, n, count) for d in (2, 3, 5) for n in (1, 2, 3) for count in (1, 7, 40)
+             if d ** n <= 125]
+
+    @pytest.mark.parametrize("d,n,count", CASES)
+    def test_marginal_rows_match_the_one_row_marginal(self, d, n, count):
+        layout = RegisterLayout(d, ("a", "b", "c")[:n])
+        rows = signed_rows(layout, count, seed=d * 100 + n * 10 + count)
+        for label in layout.labels:
+            split = _split(layout, label)
+            batched = _marginal(rows, split)
+            assert batched.shape == (count, d)
+            for row, got in zip(rows, batched):
+                assert got.tobytes() == PureState(layout, row).probabilities(label).tobytes()
+
+    @pytest.mark.parametrize("d,n,count", CASES)
+    def test_reduced_rows_match_partial_trace(self, d, n, count):
+        layout = RegisterLayout(d, ("a", "b", "c")[:n])
+        rows = signed_rows(layout, count, seed=d * 1000 + n * 10 + count)
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(layout.labels, size):
+                batched = _reduced(rows, _fold(layout, keep))
+                for row, got in zip(rows, batched):
+                    expected = partial_trace(PureState(layout, row), keep).entries
+                    assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d,n,count", CASES)
+    def test_gate_rows_match_apply_gate(self, d, n, count):
+        layout = RegisterLayout(d, ("a", "b", "c")[:n])
+        rows = signed_rows(layout, count, seed=d * 10000 + n * 10 + count)
+        rng = np.random.default_rng(d + n + count)
+        first, last = layout.labels[0], layout.labels[-1]
+        gates = [GateSpec.shift(last, 1), GateSpec.phase(first, d - 1), GateSpec.fourier(last),
+                 GateSpec.dense((last,), np.linalg.qr(rng.normal(size=(d, d)) + 1j)[0])]
+        if n > 1:
+            gates += [GateSpec.controlled_add(first, last, 1),
+                      GateSpec.dense((last, first), np.linalg.qr(
+                          rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))[0])]
+        for gate in gates:
+            batched = _gated(layout, rows, gate)
+            for row, got in zip(rows, batched):
+                assert got.tobytes() == apply_gate(PureState(layout, row), gate).amplitudes.tobytes()

@@ -240,8 +240,8 @@ def _distances(block_dicts: list, ia: np.ndarray, ib: np.ndarray) -> list[float]
 
 
 def _blocks(stage, eve_regs: tuple[str, ...]) -> dict:
-    """Eve's cq state at a leaf: record -> read-only sum of p rho_Eve over its rows,
-    records in order of first appearance, each summed from 0 in row order."""
+    """Eve's cq state per key prefix (first outcome column): prefix -> record -> read-only
+    sum of p rho_Eve over its rows, records in order of first row, summed from 0 in row order."""
     probs = stage.probs[:, None, None]
     if eve_regs:
         rho = _reduced(stage.amps, _fold(stage.layout, eve_regs)) * probs
@@ -252,8 +252,24 @@ def _blocks(stage, eve_regs: tuple[str, ...]) -> dict:
     sums = np.zeros((len(groups),) + rho.shape[1:], dtype=np.complex128)
     np.add.at(sums, group, rho)
     sums.flags.writeable = False  # shared by every key tuple of the orbit
-    return {tuple((r, reg, v) for (r, reg), v in zip(stage.header, row)): block
-            for row, block in zip(groups, sums)}
+    prefixes: dict = {}
+    for row, block in zip(groups, sums):
+        record = tuple((r, reg, v) for (r, reg), v in zip(stage.header[1:], row[1:]))
+        prefixes.setdefault(row[0], {})[record] = block
+    return prefixes
+
+
+def _prefix_runs(stage, d: int, limit: int):
+    """(run, key per row): a stage's rows once per key value q, prefix p (first outcome column)
+    as p d + q, in runs of equally many whole prefixes within limit rows, or of one."""
+    n = len(stage.probs)
+    ends = np.flatnonzero(np.diff(stage.outcomes[:, 0], append=-1)) + 1  # of each block
+    ends = (ends + n * np.arange(d)[:, None]).ravel()  # of each block, q by q
+    per_run = max(1, limit // np.diff(ends, prepend=0).max())
+    for part in np.split(np.arange(n * d), ends[per_run - 1:-1:per_run]):
+        q, rows = np.divmod(part, n)
+        outcomes = np.column_stack((stage.outcomes[rows, 0] * d + q, stage.outcomes[rows, 1:]))
+        yield stage._replace(amps=stage.amps[rows], probs=stage.probs[rows], outcomes=outcomes), q
 
 
 def eve_conditional_states(config, script: AttackScript | None = None) -> ConditionalStatesReport:
@@ -275,30 +291,32 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
                              f"{PAIR_CAP} pairs")
     protocol._validate_script(config, script)
 
-    eve_regs = tuple(protocol.eve_register_labels(config.eve_registers))
-    rep_blocks: list = []
-    rep_states: list = []
-    # depth first over the prefixes of the representatives (q1 = 0), so each runs
-    # once; children go on the stack last first, so leaves come in product order
-    stack = [((0,), protocol._start(config))]
-    while stack:
-        keys, stage = stack.pop()  # the stage keys[:-1] left
-        for *_, stage, _ in protocol._round_loop(stage, keys[-1:], len(keys), script, None):
+    # depth first over runs of whole key prefixes (q1 = 0), numbered in the first outcome column
+    def walk(r, run, q):  # prefix -> blocks of the leaves below a run, from round r on
+        for *_, run, _ in protocol._round_loop(run, [q], r, script, None):
             pass
-        if len(keys) < config.rounds:
-            stack += [(keys + (q,), stage) for q in reversed(range(config.d))]
-            continue
-        blocks = _blocks(stage, eve_regs)
-        rep_blocks.append(blocks)
+        if r == config.rounds:
+            return _blocks(run, eve_regs)
+        # runs whose encoded amplitudes, times d per outcome in round r + 1, fit BRANCH_CAP
+        measures = sum(a.measure is not None for a in script.rounds.get(r + 1, ()))
+        limit = protocol.BRANCH_CAP // (run.amps.shape[1] * config.d ** (2 + measures))
+        runs = _prefix_runs(run, config.d, limit)
+        return {p: blocks for child in runs for p, blocks in walk(r + 1, *child).items()}
+
+    eve_regs = tuple(protocol.eve_register_labels(config.eve_registers))
+    start = protocol._start(config)._replace(header=((None, None),), outcomes=np.array([[0]]))
+    rep_blocks = [blocks for _, blocks in sorted(walk(1, start, 0).items())]
+    key_tuples = list(np.ndindex((config.d,) * config.rounds))
+    eve_layout = RegisterLayout(config.d, eve_regs) if eve_regs else None
+    rep_states = []
+    for keys, blocks in zip(key_tuples, rep_blocks):  # the representatives come first
         quantum = sum(blocks.values())
         weight = np.trace(quantum).real
         if abs(weight - 1.0) > 1e-12:
             raise InvariantViolation(f"key tuple {keys} has total weight {weight!r}, not 1")
-        rep_states.append(
-            DensityMatrix(RegisterLayout(config.d, eve_regs), quantum) if eve_regs else None)
+        rep_states.append(DensityMatrix(eve_layout, quantum) if eve_regs else None)
 
     # q's representative sits at (q2 - q1, ..., qR - q1) mod d, read in base d
-    key_tuples = list(np.ndindex((config.d,) * config.rounds))
     tuples, place = np.array(key_tuples), config.d ** np.arange(config.rounds - 2, -1, -1)
     rep = (tuples[:, 1:] - tuples[:, :1]) % config.d @ place
     ia, ib = np.triu_indices(tuples_count, 1)

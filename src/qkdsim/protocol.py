@@ -10,7 +10,7 @@ One round loop runs every kind of session on a `Stage`, whose branches are
 rows of arrays, so each gate, measurement and decode is one array operation.
 With `run_session`'s rng each measurement draws one outcome: one row.
 `run_session_branches` passes None, so each row repeats once per outcome.  The
-exact analysis (`adversary.eve_conditional_states`) runs it once per key prefix.
+exact analysis (`adversary.eve_conditional_states`) stacks key prefixes as rows.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def init_carrier(d: int) -> PureState:
 
 class Stage(NamedTuple):
     """A session's branches at one stage, as rows over one layout: amps is
-    (B, layout.dim), probs (B,), and Eve's records a header of (round, register)
-    columns over a (B, len(header)) outcome matrix."""
+    (B, layout.dim), probs (B,), and Eve's records (and the exact walk's key
+    prefix) a header of (round, register) columns over a (B, len(header)) matrix."""
 
     layout: RegisterLayout
     amps: np.ndarray
@@ -194,11 +194,11 @@ class Stage(NamedTuple):
         return self.gate(_DECODE).measure(KEY, rng, drop=True)
 
 
-def alice_encode(state: PureState | Stage, q: int) -> PureState | Stage:
+def alice_encode(state: PureState | Stage, q) -> PureState | Stage:
     """Adjoin the key qudit in |q> and add the carrier half "a" onto it, to a
-    PureState or to every row of a Stage."""
+    PureState or to every row of a Stage, with q an int or an array, one per row."""
     layout = state.layout
-    if not 0 <= q < layout.d:
+    if not (0 <= q < layout.d if isinstance(q, int) else 0 <= q.min() <= q.max() < layout.d):
         raise ValueOutOfRange(f"key value {q} not in [0, {layout.d})")
     for reg in (ALICE, BOB):
         if reg not in layout.labels:
@@ -306,9 +306,9 @@ def _round_loop(stage: Stage, keys: Iterable[int], first_round: int,
                 script: adversary.AttackScript, rng: np.random.Generator | None):
     """The one round loop, over the rows of a Stage.
 
-    Runs one round per key from round first_round on.  After each of STAGES it
-    yields (round, key, stage name, Stage, Bob's outcome, one per row without an
-    rng, or None); Stage.measure refuses more than BRANCH_CAP rows.
+    Runs one round per key (an int, or one per row) from round first_round on.
+    After each of STAGES it yields (round, key, stage name, Stage, Bob's outcome,
+    one per row without an rng, or None); Stage.measure refuses more than BRANCH_CAP rows.
     """
     for r, q in enumerate(keys, start=first_round):
         if rng is not None:  # sampled: each round's records are read at its end

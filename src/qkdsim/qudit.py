@@ -541,11 +541,12 @@ def insert_register(state: PureState, label: str, value: int, position: int) -> 
     return PureState._trusted(new_layout, _inserted(state.amplitudes, new_layout, label, value))
 
 
-def _inserted(amps: np.ndarray, layout: RegisterLayout, label: str, value: int) -> np.ndarray:
-    """Rows of amps, (..., dim), adjoined with `label` in |value>, over `layout` that has it."""
+def _inserted(amps: np.ndarray, layout: RegisterLayout, label: str, value) -> np.ndarray:
+    """Rows of amps, (..., dim), with `label` in |value>, or one value per row, over `layout`."""
     pre, d, post = _split(layout, label)
     out = np.zeros(amps.shape[:-1] + (pre, d, post), dtype=np.complex128)
-    out[..., value, :] = amps.reshape(amps.shape[:-1] + (pre, post))
+    rows = (np.arange(len(value)), slice(None)) if isinstance(value, np.ndarray) else (...,)
+    out[rows + (value, slice(None))] = amps.reshape(amps.shape[:-1] + (pre, post))
     return out.reshape(amps.shape[:-1] + (-1,))
 
 

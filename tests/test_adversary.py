@@ -342,6 +342,10 @@ class TestConditionalStates:
         # sparse records: each key tuple holds few of the records in the union
         (3, 3, "intercept_resend", 2),
         (3, 3, "measure_k", 1),
+        # the shapes of the benchmark's exact jobs
+        (2, 7, "persistent_entangle", 1),
+        (2, 5, "intercept_resend", 1),
+        (3, 4, "reply_odd_stop_restart", 2),
     ])
     def test_walk_equals_the_per_key_definition(self, d, rounds, preset, eve_registers):
         # the definition: one exhaustive session per key tuple, blocks summed by
@@ -398,30 +402,35 @@ class TestConditionalStates:
         self.test_walk_equals_the_per_key_definition(2, 4, "intercept_resend", 1)
 
     def test_each_key_prefix_runs_once(self, monkeypatch):
-        # only the prefixes of the orbit representatives (q1 = 0) run, one
-        # encode each: 1 + 2 + 4 + 8 at honest d=2, R=4, and 1 + 3 + 9 at d=3,
-        # R=3; one session per key tuple would make 16 * 4 = 64 and 27 * 3 = 81
+        # the prefixes of the orbit representatives (q1 = 0) of one length fit one
+        # run: the rows of one stage, so each round encodes once, its rows the
+        # previous round's once per key value q, as per-row keys: honest rounds keep
+        # one row per prefix.  Rerunning a prefix would add rows; looping per prefix
+        # or per row would add encodes
         calls = []
         encode = protocol.alice_encode
 
         def counting_encode(state, q):
-            calls.append(q)
+            calls.append(np.asarray(q).tolist())
             return encode(state, q)
 
         monkeypatch.setattr(protocol, "alice_encode", counting_encode)
-        for d, rounds, tuples, encodes in [(2, 4, 16, 15), (3, 3, 27, 13)]:
+        for d, rounds, tuples in [(2, 4, 16), (3, 3, 27)]:
             calls.clear()
             report = eve_conditional_states(ProtocolConfig(d=d, rounds=rounds, key_seed=0))
             assert len(report.blocks) == tuples
-            assert len(calls) == encodes
+            assert calls == [0] + [[q for q in range(d) for _ in range(d ** (r - 2))]
+                                   for r in range(2, rounds + 1)]
 
     def test_kernel_calls_follow_the_prefix_steps_not_the_branches(self, monkeypatch):
-        # each stage is one array operation over all its rows: a prefix step of
-        # length L runs round L's encode gate, its actions, Bob's decode gate
-        # and his measurement once each, whatever the branch count
+        # each stage is one array operation over the rows of every prefix of one
+        # length: round r runs its encode gate, its actions, Bob's decode gate and
+        # his measurement once each, whatever the prefix and branch counts, and
+        # one leaf trace takes every row: every prefix fits one run
         config = ProtocolConfig(d=2, rounds=6, key_seed=0, seed=0)
         script = compile_schedule("intercept_resend", config)
         calls = {"gate": 0, "born": 0, "leaf": 0}
+        leaf_rows = []
 
         def counting(name, kernel):
             def wrapper(*args):
@@ -429,20 +438,90 @@ class TestConditionalStates:
                 return kernel(*args)
             return wrapper
 
+        def leaf(amps, fold):
+            leaf_rows.append(len(amps))
+            return reduced(amps, fold)
+
+        reduced = adversary._reduced
         monkeypatch.setattr(protocol, "_gated", counting("gate", protocol._gated))
         monkeypatch.setattr(protocol, "_outcomes", counting("born", protocol._outcomes))
-        monkeypatch.setattr(adversary, "_reduced", counting("leaf", adversary._reduced))
+        monkeypatch.setattr(adversary, "_reduced", counting("leaf", leaf))
         eve_conditional_states(config, script)
         gates = borns = 0
         for r in range(1, config.rounds + 1):
-            steps = config.d ** (r - 1)  # the prefixes of length r with q1 = 0
             actions = script.actions(r, "pre_bob") + script.actions(r, "post_decode")
-            gates += steps * (2 + sum(a.gate is not None for a in actions))
-            borns += steps * (1 + sum(a.measure is not None for a in actions))
-        assert calls == {"gate": gates, "born": borns, "leaf": config.d ** (config.rounds - 1)}
-        # the rows the calls ran on: far more than one per call
-        assert max(len(run_session_branches(replace(config, keys=keys, key_seed=None), script))
-                   for keys in [(0,) * 6, (0, 1) * 3]) >= 2 ** 3
+            gates += 2 + sum(a.gate is not None for a in actions)
+            borns += 1 + sum(a.measure is not None for a in actions)
+        assert calls == {"gate": gates, "born": borns, "leaf": 1}
+        # the leaf's rows are every representative's branches, each run once
+        monkeypatch.undo()
+        branches = [len(run_session_branches(replace(config, keys=keys, key_seed=None), script))
+                    for keys in product(range(2), repeat=6) if keys[0] == 0]
+        assert leaf_rows == [sum(branches)] and max(branches) >= 2 ** 3
+
+    def test_a_capped_frontier_runs_in_runs_of_whole_prefixes(self, monkeypatch):
+        # at BRANCH_CAP = the largest branch count of one key tuple the stacked
+        # prefixes no longer fit one stage: depths split into runs of whole
+        # prefixes, no stage event exceeds the cap, and the report keeps its bits
+        config = ProtocolConfig(d=2, rounds=5, key_seed=0, seed=3)
+        script = compile_schedule("intercept_resend", config)
+        uncapped = eve_conditional_states(config, script)
+        cap = max(len(run_session_branches(replace(config, keys=keys, key_seed=None), script))
+                  for keys in product(range(2), repeat=5))
+        runs, rows = {}, []
+        loop = protocol._round_loop
+
+        def counting_loop(stage, keys, first_round, *rest):
+            # the first outcome column holds each row's key prefix
+            runs.setdefault(first_round, []).append(set(stage.outcomes[:, 0].tolist()))
+            for event in loop(stage, keys, first_round, *rest):
+                rows.append(len(event[3].probs))
+                yield event
+
+        monkeypatch.setattr(protocol, "_round_loop", counting_loop)
+        monkeypatch.setattr(protocol, "BRANCH_CAP", cap)
+        report = eve_conditional_states(config, script)
+        assert len(runs[1]) == 1 and max(len(prefixes) for prefixes in runs.values()) > 1
+        for r, prefixes in runs.items():  # no prefix is split between runs
+            assert sum(map(len, prefixes)) == len(set().union(*prefixes)) == 2 ** (r - 1)
+        assert max(rows) <= cap
+        assert list(report.blocks) == list(uncapped.blocks)
+        for keys, blocks in uncapped.blocks.items():
+            assert list(report.blocks[keys]) == list(blocks)
+            for record, block in blocks.items():
+                assert np.array_equal(report.blocks[keys][record], block)
+            assert np.array_equal(report.states[keys].entries, uncapped.states[keys].entries)
+        assert report.pairwise_distances == uncapped.pairwise_distances
+
+    def test_the_walk_holds_a_few_runs_not_a_whole_depth(self, monkeypatch):
+        # a Fourier on k every round doubles every branch at Bob's unrecorded
+        # decode, so the 2^6 representatives of d=2, R=7 end with 2^7 rows each
+        # and one record.  Depth first over runs, here of at most 512 encoded
+        # amplitudes, the walk holds about R d runs at once, far less than the
+        # last depth's rows, which a walk holding a whole prefix length would keep
+        config = ProtocolConfig(d=2, rounds=7, key_seed=0, eve_registers=2)
+        script = AttackScript({r: (EveAction.apply(GateSpec.fourier("k")),)
+                               for r in range(1, 8)})
+        monkeypatch.setattr(protocol, "BRANCH_CAP", 512)
+        leaf_bytes, peaks = [], []
+        blocks = adversary._blocks
+
+        def leaf(stage, eve_regs):
+            leaf_bytes.append(stage.amps.nbytes)
+            out = blocks(stage, eve_regs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        eve_conditional_states(config, script)  # caches filled before tracing
+        monkeypatch.setattr(adversary, "_blocks", leaf)
+        tracemalloc.start()
+        try:
+            report = eve_conditional_states(config, script)
+        finally:
+            tracemalloc.stop()
+        assert all(len(blocks) == 1 for blocks in report.blocks.values())
+        assert sum(leaf_bytes) == 2 ** 6 * 2 ** 7 * 16 * 2 ** 4  # a, b and two e
+        assert max(peaks) < sum(leaf_bytes) / 4
 
     def test_pair_cap_refuses_before_any_encode(self, monkeypatch):
         # d=2, R=12: 4,096 key tuples make 8,386,560 pairs

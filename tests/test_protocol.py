@@ -209,6 +209,21 @@ class TestEncode:
         with pytest.raises(ValueOutOfRange):
             alice_encode(init_carrier(3), 3)
 
+    def test_per_row_keys(self):
+        # the exact walk's encode: a Stage of identical rows with one key value
+        # per row gives each row the bits of encoding its state alone
+        carrier = init_carrier(3)
+        stage = protocol.Stage(carrier.layout, np.repeat(carrier.amplitudes[None], 4, 0),
+                               np.ones(4), (), np.zeros((4, 0), np.intp))
+        keys = np.array([2, 0, 1, 2])
+        encoded = alice_encode(stage, keys)
+        for row, q in enumerate(keys.tolist()):
+            assert encoded.state(row).amplitudes.tobytes() == \
+                alice_encode(carrier, q).amplitudes.tobytes()
+        for bad in ([0, 3, 1, 2], [0, -1, 1, 2]):
+            with pytest.raises(ValueOutOfRange, match=r"key value \[.*\] not in \[0, 3\)"):
+                alice_encode(stage, np.array(bad))
+
     def test_rejects_second_flying_qudit(self):
         once = alice_encode(init_carrier(2), 0)
         with pytest.raises(RegisterCollision):

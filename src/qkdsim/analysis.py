@@ -3,8 +3,11 @@
 The search asks, for a parameterized family of mid-protocol states: is there
 a short sequence of mod-d gates on (k, e) after which Eve's memory is in a
 product state while Bob still decodes the current key exactly, for every key
-assignment at once?  Candidates found by the fast permutation path are
-re-verified through dense matrices before they are reported.
+assignment at once?  Its inputs are checked once, at entry, before any
+template state is built; the start states are then built once and shared.
+Candidates found by the fast permutation path are re-verified on those states
+by the dense oracle, which lowers each gate and Bob's decode once to a matrix,
+before they are reported.
 """
 
 from __future__ import annotations
@@ -30,13 +33,15 @@ from .qudit import (
     PureState,
     RegisterLayout,
     _certain_value,
+    _check_tol,
     _entropy,
     _fold,
+    _is_integer,
     _rank,
     _reduced,
     apply_gate,
-    apply_gate_dense,
     schmidt_rank,
+    to_dense,
 )
 
 MAX_SEARCH_DEPTH = 3
@@ -226,14 +231,29 @@ class FeasibilityReport:
         }
 
 
-def _check_starts(template: RoundTemplate, d: int) -> None:
-    """Refuse, before any template state is built, more key assignments than
-    KEY_TUPLE_CAP or a state over (a, b, k, e) above protocol.STATE_CAP amplitudes."""
+def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | None,
+           rank_tol: float, max_depth: int = 0) -> tuple:
+    """(template, d, gates), None standing for the default family; refuses,
+    before that family or any template state is built, a depth outside
+    0..MAX_SEARCH_DEPTH, a d that RegisterLayout refuses, a rank_tol outside
+    (0, inf), more than KEY_TUPLE_CAP key assignments, a state over (a, b, k,
+    e) above protocol.STATE_CAP amplitudes and a gate off registers k and e."""
+    if isinstance(template, str):
+        template = get_template(template)
+    if not _is_integer(max_depth) or not 0 <= max_depth <= MAX_SEARCH_DEPTH:
+        raise ConfigError(f"max_depth {max_depth!r} is not an integer in 0..{MAX_SEARCH_DEPTH}")
+    d = RegisterLayout(d, ("a", "b", "k", "e")).d
+    _check_tol(rank_tol)
     if d ** template.key_arity > KEY_TUPLE_CAP:
         raise ExplosionGuard(
             f"d^arity = {d ** template.key_arity} key assignments exceed {KEY_TUPLE_CAP}")
     if d ** 4 > protocol.STATE_CAP:
         raise ExplosionGuard(f"a template state of {d}^4 amplitudes exceeds {protocol.STATE_CAP}")
+    gates = default_gate_family(d) if gates is None else tuple(gates)
+    off = {label for gate in gates for label in gate.registers} - {"k", "e"}
+    if off:
+        raise IllegalRegisterAccess(f"candidate gates may touch only k and e, found {sorted(off)}")
+    return template, d, gates
 
 
 def _start_states(template: RoundTemplate, d: int) -> dict:
@@ -241,8 +261,8 @@ def _start_states(template: RoundTemplate, d: int) -> dict:
     return {keys: template.build(d, keys) for keys in product(range(d), repeat=template.key_arity)}
 
 
-def _evidence(starts: dict, sequence: Sequence[GateSpec], rank_tol: float,
-              step: Callable[[PureState, GateSpec], PureState]) -> Iterator[KeyCaseEvidence]:
+def _evidence(starts: dict, gates: Sequence[GateSpec], decode: GateSpec,
+              rank_tol: float) -> Iterator[KeyCaseEvidence]:
     """Check both exit conditions for each key assignment, lazily, in key order.
 
     Condition order per assignment: Eve's memory must be product across
@@ -250,10 +270,10 @@ def _evidence(starts: dict, sequence: Sequence[GateSpec], rank_tol: float,
     the last key of the tuple with certainty.
     """
     for keys, state in starts.items():
-        for gate in sequence:
-            state = step(state, gate)
+        for gate in gates:
+            state = apply_gate(state, gate)
         rank = schmidt_rank(state, {"e"}, rank_tol)
-        outcome = _certain_value(step(state, protocol._DECODE), "k")
+        outcome = _certain_value(apply_gate(state, decode), "k")
         yield KeyCaseEvidence(
             keys=keys,
             rank_e=rank,
@@ -264,29 +284,24 @@ def _evidence(starts: dict, sequence: Sequence[GateSpec], rank_tol: float,
         )
 
 
+def _dense_verdict(starts: dict, d: int, sequence: tuple[GateSpec, ...],
+                   rank_tol: float) -> CandidateVerdict:
+    """The dense oracle: each gate and Bob's decode lowered once to its matrix,
+    then run on every key's state through the matmul branch of the kernel."""
+    lowered = tuple(to_dense(gate, d) for gate in sequence)
+    evidence = tuple(_evidence(starts, lowered, to_dense(protocol._DECODE, d), rank_tol))
+    return CandidateVerdict(verified=all(ev.ok for ev in evidence), evidence=evidence)
+
+
 def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[GateSpec],
                      rank_tol: float = SCHMIDT_TOL) -> CandidateVerdict:
-    """Re-check a candidate from scratch through the dense-matrix path.
+    """Re-check a candidate from fresh template states through dense matrices.
 
     Accepts any gate sequence confined to registers k and e, not only
     members of the default search family.
     """
-    if isinstance(template, str):
-        template = get_template(template)
-    _check_registers(sequence)
-    _check_starts(template, d)
-    evidence = tuple(_evidence(_start_states(template, d), tuple(sequence), rank_tol,
-                               apply_gate_dense))
-    return CandidateVerdict(verified=all(ev.ok for ev in evidence), evidence=evidence)
-
-
-def _check_registers(gates: Sequence[GateSpec]) -> None:
-    """Eve's gates may touch only k and e."""
-    for gate in gates:
-        illegal = set(gate.registers) - {"k", "e"}
-        if illegal:
-            raise IllegalRegisterAccess(
-                f"candidate gates may touch only k and e, found {sorted(illegal)}")
+    template, d, sequence = _entry(template, d, tuple(sequence), rank_tol)
+    return _dense_verdict(_start_states(template, d), d, sequence, rank_tol)
 
 
 def _affine_expression(values: dict, d: int, arity: int) -> str | None:
@@ -321,18 +336,12 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
 
     Sequences are visited in lexicographic order over the family alphabet,
     shortest first; the empty sequence is included.  Every candidate that
-    passes the fast path is re-verified by verify_candidate before being
-    reported.  A family that touches a register other than k and e is
-    refused before any sequence is evaluated.
+    passes the fast path is re-verified on the same start states by the
+    dense oracle of verify_candidate before being reported.  A family that
+    touches a register other than k and e is refused before any sequence is
+    evaluated.
     """
-    if isinstance(template, str):
-        template = get_template(template)
-    if not 0 <= max_depth <= MAX_SEARCH_DEPTH:
-        raise ConfigError(f"max_depth must be in 0..{MAX_SEARCH_DEPTH}, got {max_depth}")
-    _check_starts(template, d)
-    is_default = family is None
-    fam = default_gate_family(d) if is_default else tuple(family)
-    _check_registers(fam)
+    template, d, fam = _entry(template, d, family, rank_tol, max_depth)
     total = sum(len(fam) ** depth for depth in range(max_depth + 1))
     if total > ENUMERATION_CAP:
         raise FamilyTooLarge(f"{total} sequences exceed the cap of {ENUMERATION_CAP}")
@@ -343,9 +352,9 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
     for depth in range(max_depth + 1):
         for sequence in product(fam, repeat=depth):
             enumerated += 1
-            if not all(ev.ok for ev in _evidence(starts, sequence, rank_tol, apply_gate)):
+            if not all(ev.ok for ev in _evidence(starts, sequence, protocol._DECODE, rank_tol)):
                 continue
-            dense = verify_candidate(template, d, sequence, rank_tol)
+            dense = _dense_verdict(starts, d, sequence, rank_tol)
             if not dense.verified:
                 raise InvariantViolation(
                     "fast path accepted a sequence the dense oracle rejects")
@@ -364,7 +373,7 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
         template_id=template.template_id,
         d=d,
         depth=max_depth,
-        family=_family_description(fam, d, is_default),
+        family=_family_description(fam, d, family is None),
         rank_tol=rank_tol,
         candidates=tuple(candidates),
         exhaustive=True,

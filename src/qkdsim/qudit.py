@@ -423,10 +423,15 @@ def _reduced(amps: np.ndarray, fold: tuple) -> np.ndarray:
     return folded @ folded.conj().mT
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for a Schmidt-rank cutoff: 0 < tol < inf."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def _rank(state: PureState, fold: tuple, tol: float) -> int:
     """Singular values above tol of the amplitudes folded by a _fold plan."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     folded = _folded(state.amplitudes, fold)[0]
     return int(np.count_nonzero(np.linalg.svd(folded, compute_uv=False) > tol))
 

@@ -1,6 +1,7 @@
 """Diagnostics and the exit-sequence search, checked against golden files."""
 
 import json
+import math
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkdsim import analysis
+from qkdsim import analysis, qudit
 from qkdsim.analysis import (
     FeasibilityReport,
     RoundTemplate,
@@ -24,6 +25,8 @@ from qkdsim.errors import (
     ExplosionGuard,
     FamilyTooLarge,
     IllegalRegisterAccess,
+    InvalidDimension,
+    InvariantViolation,
 )
 from qkdsim.protocol import ProtocolConfig, alice_encode, init_carrier, run_session
 from qkdsim.adversary import compile_schedule
@@ -347,8 +350,41 @@ class TestSearch:
         counting = RoundTemplate("counting", base.key_arity, build)
         report = feasibility_search(counting, d, max_depth=2)
         assert report.candidates
-        # once for the whole fast path, then once per key per dense re-verification
-        assert len(built) == d ** base.key_arity * (1 + len(report.candidates))
+        # once per search, shared by the fast path and every dense re-verification
+        assert len(built) == d ** base.key_arity
+
+    def test_each_question_is_asked_once_per_search(self, monkeypatch):
+        base = get_template("post_round1_round2")
+        built, entries, unitaries = [], [], []
+        entry, gate_unitary = analysis._entry, qudit.gate_unitary
+
+        def build(d, keys):
+            built.append(keys)
+            return base.build(d, keys)
+
+        monkeypatch.setattr(analysis, "_entry",
+                            lambda *args: entries.append(args) or entry(*args))
+        monkeypatch.setattr(qudit, "gate_unitary",
+                            lambda *args: unitaries.append(args) or gate_unitary(*args))
+        report = feasibility_search(RoundTemplate("counting", 2, build), 3, max_depth=3)
+        assert len(report.candidates) == 31
+        assert len(entries) == 1
+        assert len(built) == 3 ** 2
+        # the dense oracle lowers each gate and Bob's decode once per candidate
+        assert len(unitaries) == sum(len(c.sequence) + 1 for c in report.candidates) == 117
+
+    def test_a_faulty_table_kernel_is_caught_by_the_dense_oracle(self, monkeypatch):
+        gate_table = qudit._gate_table
+
+        def faulty(layout, kind, control, target, s):
+            # shift(e, s) runs as cadd(k->e, s), the exit at d = 2
+            if kind == "shift" and target == "e":
+                return gate_table(layout, "cadd", "k", "e", s)
+            return gate_table(layout, kind, control, target, s)
+
+        monkeypatch.setattr(qudit, "_gate_table", faulty)
+        with pytest.raises(InvariantViolation, match="dense oracle rejects"):
+            feasibility_search("stage5_round1", 2, max_depth=1)
 
     def test_a_rejected_sequence_stops_at_its_first_failing_key(self, monkeypatch):
         ranks = []
@@ -428,6 +464,56 @@ class TestVerifyCandidate:
     def test_gates_outside_k_and_e_rejected(self):
         with pytest.raises(IllegalRegisterAccess):
             verify_candidate("stage5_round1", 2, (GateSpec.shift("a", 1),))
+
+    def test_a_one_shot_iterable_is_verified_once(self):
+        exit_gate = GateSpec.controlled_add("k", "e", 1)
+        verdict = verify_candidate("stage5_round1", 2, (g for g in [exit_gate]))
+        assert verdict == verify_candidate("stage5_round1", 2, (exit_gate,))
+        assert verdict.verified
+
+
+def never_built(key_arity=1):
+    def build(d, keys):
+        raise AssertionError(f"template state built for d={d}, keys={keys}")
+
+    return RoundTemplate("never_built", key_arity, build)
+
+
+class TestEntryRules:
+    """Every search input is refused once, at entry, before any state is built."""
+
+    @pytest.mark.parametrize("depth", [True, 1.0])
+    def test_depth_must_be_an_integer(self, depth):
+        with pytest.raises(ConfigError, match="is not an integer in 0..3"):
+            feasibility_search(never_built(), 2, max_depth=depth)
+
+    @pytest.mark.parametrize("d", [2.0, True, 1])
+    def test_d_follows_the_layout_rule(self, d):
+        for check in (lambda: feasibility_search(never_built(), d, max_depth=1),
+                      lambda: verify_candidate(never_built(), d, ())):
+            with pytest.raises(InvalidDimension):
+                check()
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf])
+    def test_tolerance_follows_the_schmidt_rank_rule(self, tol):
+        for check in (lambda: feasibility_search(never_built(), 2, max_depth=1, rank_tol=tol),
+                      lambda: verify_candidate(never_built(), 2, (), rank_tol=tol)):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                check()
+
+    def test_size_caps_refuse_before_the_default_family_is_built(self, monkeypatch):
+        def family(d):
+            raise AssertionError(f"default family built for d={d}")
+
+        monkeypatch.setattr(analysis, "default_gate_family", family)
+        for template_id in ("stage5_round1", "post_round1_round2"):
+            with pytest.raises(ExplosionGuard):
+                feasibility_search(template_id, 10 ** 6, max_depth=1)
+
+    def test_a_numpy_integer_d_runs_as_an_int(self):
+        report = feasibility_search("stage5_round1", np.int64(2), max_depth=1)
+        assert type(report.d) is int
+        assert render_report(report) == render_report(feasibility_search("stage5_round1", 2))
 
 
 class TestRenderReport:

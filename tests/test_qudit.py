@@ -53,7 +53,7 @@ from qkdsim.qudit import (
     to_dense,
     von_neumann_entropy,
 )
-from qkdsim.protocol import Stage
+from qkdsim.protocol import _DECODE, Stage, init_carrier
 
 
 def digits(index, d, n):
@@ -488,6 +488,12 @@ class TestSchmidtRank:
         with pytest.raises(ValueError):
             schmidt_rank(state, {"a"}, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_tolerance_outside_zero_to_infinity_is_refused(self, tol):
+        # nan and inf used to count no singular value at all: rank 0
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            schmidt_rank(init_carrier(3), {"a"}, tol=tol)
+
 
 class TestEntropy:
     def test_pure_projector_has_zero_entropy(self):
@@ -715,7 +721,7 @@ class TestCertaintyRule:
                 verdict = verify_candidate(template, 3, ())
             else:
                 starts = analysis._start_states(template, 3)
-                evidence = tuple(analysis._evidence(starts, (), 1e-8, apply_gate))
+                evidence = tuple(analysis._evidence(starts, (), _DECODE, 1e-8))
                 verdict = analysis.CandidateVerdict(all(ev.ok for ev in evidence), evidence)
             assert verdict.verified == certain
             for ev in verdict.evidence:

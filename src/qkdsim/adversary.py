@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -201,42 +202,37 @@ class ConditionalStatesReport:
     per_round_max_distance: tuple[float, ...]
 
 
-def _distances(block_dicts: list, ia: np.ndarray, ib: np.ndarray) -> list[float]:
-    """Trace distance between block_dicts[ia[p]] and block_dicts[ib[p]] for each pair p.
+def _distances(block_dicts: list) -> np.ndarray:
+    """Trace distance between block_dicts[a] and block_dicts[b] for every ordered pair
+    (a, b), as an (n, n) table.
 
     Records are visited in sorted order (they hold strings, so set order would
-    change with the hash seed) and each pair adds its record sums in that
-    order: the same bits as summing |eigvalsh(a.get(r, 0) - b.get(r, 0))| record
-    by record.  Each record stacks only the dicts that hold it.
+    change with the hash seed) and each cell adds its record sums in that order:
+    the same bits as summing |eigvalsh(a.get(r, 0) - b.get(r, 0))| record by
+    record.  Each record stacks only the dicts that hold it; a holder's own
+    spectrum fills its cells against the dicts that lack the record.
     """
     holders: dict = {}
     for i, blocks in enumerate(block_dicts):
         for record, block in blocks.items():
             holders.setdefault(record, []).append((i, block))
-    totals = np.zeros(len(ia))
-    position = np.zeros(len(block_dicts), dtype=np.intp)
+    n = len(block_dicts)
+    table = np.zeros((n, n))
     for record in sorted(holders):
-        index, blocks = map(list, zip(*holders[record]))
-        stack = np.stack(blocks)
-        held = np.zeros(len(block_dicts), dtype=bool)
-        held[index] = True
-        position[index] = range(len(index))
-        held_a, held_b = held[ia], held[ib]
-        both = np.flatnonzero(held_a & held_b)
+        index, blocks = zip(*holders[record])
+        index, stack, count = np.array(index), np.stack(blocks), len(index) ** 2
         chunk = max(1, _CHUNK_BYTES // stack[0].nbytes)
-        for start in range(0, len(both), chunk):
-            pairs = both[start:start + chunk]
-            difference = stack[position[ia[pairs]]]
-            difference -= stack[position[ib[pairs]]]
-            totals[pairs] += np.abs(np.linalg.eigvalsh(difference)).sum(axis=-1)
-        # a record on one side only: its own spectrum, once per holder; b's side
-        # takes 0 - B, not -B, whose zeros have the other sign
-        for lone, side, negate in ((held_a & ~held_b, ia, False), (held_b & ~held_a, ib, True)):
-            pairs = np.flatnonzero(lone)
-            if len(pairs):
-                sums = np.abs(np.linalg.eigvalsh(0 - stack if negate else stack)).sum(axis=-1)
-                totals[pairs] += sums[position[side[pairs]]]
-    return (0.5 * totals).tolist()
+        for start in range(0, count, chunk):  # holders x holders, row-major
+            a, b = np.divmod(np.arange(start, min(start + chunk, count)), len(index))
+            difference = stack[a]
+            difference -= stack[b]
+            table[index[a], index[b]] += np.abs(np.linalg.eigvalsh(difference)).sum(axis=-1)
+        others = np.delete(np.arange(n), index)
+        if len(others):  # the lacking side takes 0 - B, not -B, whose zeros have the other sign
+            own, negated = np.abs(np.linalg.eigvalsh(np.stack((stack, 0 - stack)))).sum(axis=-1)
+            table[index[:, None], others] += own[:, None]
+            table[others[:, None], index] += negated
+    return 0.5 * table
 
 
 def _blocks(stage, eve_regs: tuple[str, ...]) -> dict:
@@ -278,8 +274,9 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     Measurements are expanded over all outcome branches rather than sampled,
     so each conditional state is the true mixture of record and memory.  By
     the carrier-shift symmetry (see ConditionalStatesReport) only the
-    representative q - q1 (1, ..., 1) of each key tuple q runs, and each
-    distinct ordered pair of representatives is compared once.
+    representative q - q1 (1, ..., 1) of each key tuple q runs, and each pair
+    of key tuples reads its distance from one table over the ordered pairs of
+    representatives.
     """
     from . import protocol  # imported here to avoid a module cycle
 
@@ -320,10 +317,8 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     tuples, place = np.array(key_tuples), config.d ** np.arange(config.rounds - 2, -1, -1)
     rep = (tuples[:, 1:] - tuples[:, :1]) % config.d @ place
     ia, ib = np.triu_indices(tuples_count, 1)
-    codes, which = np.unique(rep[ia] * len(rep_blocks) + rep[ib], return_inverse=True)
-    distances = np.array(_distances(rep_blocks, *np.divmod(codes, len(rep_blocks))))[which]
-    pairwise = {(key_tuples[a], key_tuples[b]): distance
-                for a, b, distance in zip(ia.tolist(), ib.tolist(), distances.tolist())}
+    table = _distances(rep_blocks)
+    pairwise = dict(zip(combinations(key_tuples, 2), table[rep[ia], rep[ib]].tolist()))
 
     return ConditionalStatesReport(
         d=config.d,
@@ -332,7 +327,7 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
         states={keys: rep_states[i] for keys, i in zip(key_tuples, rep.tolist())},
         blocks={keys: dict(rep_blocks[i]) for keys, i in zip(key_tuples, rep.tolist())},
         pairwise_distances=pairwise,
-        max_pairwise_distance=max(pairwise.values()),
+        max_pairwise_distance=float(table.max()),
         per_round_max_distance=(0.0,) * config.rounds,
     )
 

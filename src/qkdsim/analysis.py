@@ -33,6 +33,7 @@ from .qudit import (
     PureState,
     RegisterLayout,
     _certain_value,
+    _check_side,
     _check_tol,
     _entropy,
     _fold,
@@ -237,7 +238,8 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
     before that family or any template state is built, a depth outside
     0..MAX_SEARCH_DEPTH, a d that RegisterLayout refuses, a rank_tol outside
     (0, inf), more than KEY_TUPLE_CAP key assignments, a state over (a, b, k,
-    e) above protocol.STATE_CAP amplitudes and a gate off registers k and e."""
+    e) above protocol.STATE_CAP amplitudes, a gate off registers k and e and a
+    dense gate whose matrix side is not d^len(targets)."""
     if isinstance(template, str):
         template = get_template(template)
     if not _is_integer(max_depth) or not 0 <= max_depth <= MAX_SEARCH_DEPTH:
@@ -253,6 +255,8 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
     off = {label for gate in gates for label in gate.registers} - {"k", "e"}
     if off:
         raise IllegalRegisterAccess(f"candidate gates may touch only k and e, found {sorted(off)}")
+    for gate in gates:
+        _check_side(gate, d, "candidate ")
     return template, d, gates
 
 

@@ -21,7 +21,7 @@ from .adversary import PRESETS, compile_schedule, script_from_obj
 from .analysis import TEMPLATES, feasibility_search, render_report
 from .errors import ConfigError, InputError, InvariantViolation
 from .protocol import STAGES, ProtocolConfig, _validate_script, control_check, run_session
-from .qudit import SCHMIDT_TOL
+from .qudit import SCHMIDT_TOL, _check_tol
 from .serialize import dumps, format_float
 
 EXIT_OK = 0
@@ -103,8 +103,10 @@ def _resolve_tol(flag_value: float | None) -> float:
             raise ConfigError(f"{TOL_ENV_VAR} = {env!r} is not a number") from exc
     else:
         return DEFAULT_TOL
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"{source} = {tol!r} is not a finite number above 0")
+    try:
+        _check_tol(tol)
+    except ValueError as exc:
+        raise ConfigError(f"{source} = {tol!r} is not a finite number above 0") from exc
     return tol
 
 

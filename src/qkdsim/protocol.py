@@ -26,7 +26,6 @@ from .errors import (
     ExplosionGuard,
     InvariantViolation,
     MissingRegister,
-    NonUnitaryMatrix,
     ScriptRegisterUnknown,
     ValueOutOfRange,
 )
@@ -35,6 +34,8 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _check_side,
+    _check_tol,
     _gated,
     _inserted,
     _is_integer,
@@ -285,13 +286,8 @@ def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> 
                 raise ScriptRegisterUnknown(
                     f"round {r} {action.timing} action references registers {sorted(unknown)}; "
                     f"available: {sorted(allowed[action.timing])}")
-            gate = action.gate
-            if gate is not None and gate.kind == "dense":
-                side = config.d ** len(gate.targets)
-                if gate.matrix.shape[0] != side:
-                    raise NonUnitaryMatrix(
-                        f"round {r} dense gate on {list(gate.targets)}: matrix side "
-                        f"{gate.matrix.shape[0]} does not match d^targets = {side}")
+            if action.gate is not None:
+                _check_side(action.gate, config.d, f"round {r} ")
 
 
 def _start(config: ProtocolConfig) -> Stage:
@@ -333,6 +329,7 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     """
     script = script if script is not None else adversary.EMPTY_SCRIPT
     _validate_script(config, script)
+    _check_tol(schmidt_tol)
     stages = tuple(diagnostics)
     unknown_stages = set(stages) - set(STAGES)
     if unknown_stages:

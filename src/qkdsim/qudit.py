@@ -358,13 +358,18 @@ def _gated(layout: RegisterLayout, amps: np.ndarray, gate: GateSpec) -> np.ndarr
         out[..., index] *= phase
         return out
     matrix = _fourier_matrix(d) if gate.kind == "fourier" else gate.matrix
-    shape, _, inverse, side = fold = _fold(layout, gate.targets)
-    if matrix.shape[0] != side:
-        raise NonUnitaryMatrix(
-            f"dense matrix side {matrix.shape[0]} does not match d^targets = {side}"
-        )
+    _check_side(gate, d)
+    shape, _, inverse, _ = fold = _fold(layout, gate.targets)
     out = (matrix @ _folded(amps, fold)).reshape(shape)
     return np.transpose(out, inverse).reshape(amps.shape)
+
+
+def _check_side(gate: GateSpec, d: int, where: str = "") -> None:
+    """The one rule for a dense gate's matrix: its side is d^len(targets)."""
+    side = d ** len(gate.targets)
+    if gate.kind == "dense" and gate.matrix.shape[0] != side:
+        raise NonUnitaryMatrix(f"{where}dense gate on {list(gate.targets)}: matrix side "
+                               f"{gate.matrix.shape[0]} does not match d^targets = {side}")
 
 
 @lru_cache(maxsize=256)
@@ -424,8 +429,8 @@ def _reduced(amps: np.ndarray, fold: tuple) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> None:
-    """The one rule for a Schmidt-rank cutoff: 0 < tol < inf."""
-    if not 0 < tol < math.inf:
+    """The one rule for a Schmidt-rank cutoff: a number, not a bool, with 0 < tol < inf."""
+    if isinstance(tol, (bool, np.bool_)) or not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 

@@ -346,6 +346,8 @@ class TestConditionalStates:
         (2, 7, "persistent_entangle", 1),
         (2, 5, "intercept_resend", 1),
         (3, 4, "reply_odd_stop_restart", 2),
+        # each representative holds one of d records: most cells one side only
+        (3, 3, "difference_leak", 1),
     ])
     def test_walk_equals_the_per_key_definition(self, d, rounds, preset, eve_registers):
         # the definition: one exhaustive session per key tuple, blocks summed by
@@ -354,6 +356,8 @@ class TestConditionalStates:
                                 eve_registers=eve_registers, seed=1)
         if preset == "measure_k":
             script = self._measure_k(rounds)
+        elif preset == "difference_leak":
+            script = difference_leak_script(d)
         else:
             script = compile_schedule(preset, config)
         eve_regs = protocol.eve_register_labels(eve_registers)
@@ -662,7 +666,7 @@ class TestConditionalStates:
         ia, ib = np.triu_indices(n, 1)
         tracemalloc.start()
         try:
-            distances = adversary._distances(block_dicts, ia, ib)
+            distances = adversary._distances(block_dicts)[ia, ib]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -673,6 +677,46 @@ class TestConditionalStates:
                 np.abs(np.linalg.eigvalsh(a.get(rec, 0) - b.get(rec, 0))).sum()
                 for rec in sorted(set(a) | set(b)))
             assert distances[p] == reference
+
+    @pytest.mark.parametrize("chunk_bytes", [1, adversary._CHUNK_BYTES])
+    def test_distance_table_holds_every_ordered_pair(self, chunk_bytes, monkeypatch):
+        # diagonal included; records held by every dict, by some and by one, and
+        # dicts that lack records others hold
+        monkeypatch.setattr(adversary, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(4)
+        block_dicts = []
+        for i in range(7):
+            blocks = {}
+            for record in [("all",)] + [("some", int(r)) for r in rng.choice(5, i % 4)]:
+                half = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                blocks[record] = half + half.conj().T
+            block_dicts.append(blocks)
+        block_dicts[3][("one",)] = np.eye(3, dtype=complex)
+        table = adversary._distances(block_dicts)
+        assert table.shape == (7, 7)
+        for (i, a), (j, b) in product(enumerate(block_dicts), repeat=2):
+            reference = 0.5 * sum(
+                np.abs(np.linalg.eigvalsh(a.get(rec, 0) - b.get(rec, 0))).sum()
+                for rec in sorted(set(a) | set(b)))
+            assert table[i, j] == reference, (i, j)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_key_pairs_read_every_cell_of_the_table(self, d, rounds, monkeypatch):
+        # q < q' with q1 = 0 < q1' = 1 reaches any pair of representatives
+        # (q2 - q1, ...), so the report's max is the table's max
+        n = d ** (rounds - 1)
+        monkeypatch.setattr(adversary, "_distances",
+                            lambda block_dicts: np.arange(n * n, dtype=float).reshape(n, n))
+        report = eve_conditional_states(ProtocolConfig(d=d, rounds=rounds, key_seed=0))
+
+        def rep(keys):
+            return sum((q - keys[0]) % d * d ** i for i, q in enumerate(reversed(keys[1:])))
+
+        for (ka, kb), cell in report.pairwise_distances.items():
+            assert cell == rep(ka) * n + rep(kb)
+        assert set(report.pairwise_distances.values()) == set(range(n * n))
+        assert report.max_pairwise_distance == n * n - 1
 
     def test_an_orbit_shares_read_only_blocks(self):
         config = ProtocolConfig(d=2, rounds=2, key_seed=0)

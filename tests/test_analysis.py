@@ -27,6 +27,7 @@ from qkdsim.errors import (
     IllegalRegisterAccess,
     InvalidDimension,
     InvariantViolation,
+    NonUnitaryMatrix,
 )
 from qkdsim.protocol import ProtocolConfig, alice_encode, init_carrier, run_session
 from qkdsim.adversary import compile_schedule
@@ -494,11 +495,21 @@ class TestEntryRules:
             with pytest.raises(InvalidDimension):
                 check()
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf])
+    # True used to run as a cutoff of 1, find nothing and write "rank_tol": true
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf, True, np.True_])
     def test_tolerance_follows_the_schmidt_rank_rule(self, tol):
         for check in (lambda: feasibility_search(never_built(), 2, max_depth=1, rank_tol=tol),
                       lambda: verify_candidate(never_built(), 2, (), rank_tol=tol)):
             with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                check()
+
+    def test_a_dense_gate_of_the_wrong_side_is_refused_before_any_state(self):
+        # a 4 x 4 unitary on one d=3 register used to fail only inside the gate
+        # kernel, after every template state was built
+        gate = GateSpec.dense(("k",), np.eye(4))
+        for check in (lambda: feasibility_search(never_built(2), 3, 1, family=[gate]),
+                      lambda: verify_candidate(never_built(2), 3, [gate])):
+            with pytest.raises(NonUnitaryMatrix, match=r"matrix side 4 .* d\^targets = 3"):
                 check()
 
     def test_size_caps_refuse_before_the_default_family_is_built(self, monkeypatch):

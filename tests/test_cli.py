@@ -530,6 +530,13 @@ class TestToleranceResolution:
         cli.main(["run", path, "--tol", "1e-5"])
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-5
 
+    @pytest.mark.parametrize("value", [True, 0.0, float("nan")])
+    def test_tolerance_follows_the_schmidt_rank_rule(self, value, monkeypatch):
+        # one rule with qudit's: a bool is refused too, with the CLI's message
+        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+        with pytest.raises(ConfigError, match=r"^--tol = .* is not a finite number above 0$"):
+            cli._resolve_tol(value)
+
     def test_unparseable_env_value(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.TOL_ENV_VAR, "tiny")
         path = honest_scenario(tmp_path)

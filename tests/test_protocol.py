@@ -1,6 +1,7 @@
 """Session state machine: carrier prep, per-round coding, transcripts."""
 
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -296,6 +297,18 @@ class TestDecode:
 
 
 class TestSession:
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, True, np.True_])
+    @pytest.mark.parametrize("diagnostics", [(), ("post_encode",)])
+    def test_schmidt_tol_is_refused_before_round_1(self, tol, diagnostics, monkeypatch):
+        # a nan used to be refused only at round 1's first diagnostic, and without
+        # diagnostics any cutoff, True among them (a cutoff of 1), was accepted
+        calls = []
+        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: calls.append(q))
+        config = ProtocolConfig(d=3, rounds=2, keys=(0, 1))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            run_session(config, diagnostics=diagnostics, schmidt_tol=tol)
+        assert calls == []
+
     def test_honest_rounds_decode_exactly(self):
         config = ProtocolConfig(d=3, rounds=4, keys=(0, 1, 2, 0))
         transcripts = run_session(config)

@@ -488,9 +488,10 @@ class TestSchmidtRank:
         with pytest.raises(ValueError):
             schmidt_rank(state, {"a"}, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, True, np.True_])
     def test_tolerance_outside_zero_to_infinity_is_refused(self, tol):
-        # nan and inf used to count no singular value at all: rank 0
+        # nan and inf used to count no singular value at all: rank 0; a bool is
+        # no tolerance, though 0 < True < inf, and True used to run as a cutoff of 1
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             schmidt_rank(init_carrier(3), {"a"}, tol=tol)
 

@@ -4,10 +4,12 @@ The search asks, for a parameterized family of mid-protocol states: is there
 a short sequence of mod-d gates on (k, e) after which Eve's memory is in a
 product state while Bob still decodes the current key exactly, for every key
 assignment at once?  Its inputs are checked once, at entry, before any
-template state is built; the start states are then built once and shared.
-Candidates found by the fast permutation path are re-verified on those states
-by the dense oracle, which lowers each gate and Bob's decode once to a matrix,
-before they are reported.
+template state is built.  The start states are then built once, as rows: one
+amplitude array, one row per key tuple, in key order.  The fast permutation
+path runs each sequence one key row at a time and drops it at its first
+failing key.  Its candidates are re-verified by the dense oracle on all key
+rows at once before they are reported; a search lowers each family gate and
+Bob's decode to a matrix once, for all its candidates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,16 +34,17 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
-    _certain_value,
+    _certain_values,
     _check_side,
     _check_tol,
     _entropy,
     _fold,
+    _gated,
     _is_integer,
     _rank,
+    _ranks,
     _reduced,
-    apply_gate,
-    schmidt_rank,
+    _split,
     to_dense,
 )
 
@@ -260,40 +263,63 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
     return template, d, gates
 
 
-def _start_states(template: RoundTemplate, d: int) -> dict:
-    """Every key assignment's template state, in key order."""
-    return {keys: template.build(d, keys) for keys in product(range(d), repeat=template.key_arity)}
+def _start_states(template: RoundTemplate, d: int) -> tuple:
+    """(keys, layout, amps): every key tuple in key order, the layout their template
+    states share and one (K, dim) array holding each state's amplitudes as a row.
 
-
-def _evidence(starts: dict, gates: Sequence[GateSpec], decode: GateSpec,
-              rank_tol: float) -> Iterator[KeyCaseEvidence]:
-    """Check both exit conditions for each key assignment, lazily, in key order.
-
-    Condition order per assignment: Eve's memory must be product across
-    {e} | {a,b,k} before the qudit is forwarded, then Bob's decode must yield
-    the last key of the tuple with certainty.
+    Refuses a template whose states do not share one layout, naming the first
+    key tuple whose layout differs from key 0's.
     """
-    for keys, state in starts.items():
-        for gate in gates:
-            state = apply_gate(state, gate)
-        rank = schmidt_rank(state, {"e"}, rank_tol)
-        outcome = _certain_value(apply_gate(state, decode), "k")
-        yield KeyCaseEvidence(
-            keys=keys,
-            rank_e=rank,
-            bob_outcome=outcome,
-            deterministic=outcome is not None,
-            residual=_certain_value(state, "e"),
-            ok=rank == 1 and outcome == keys[-1],
-        )
+    keys = tuple(product(range(d), repeat=template.key_arity))
+    first = template.build(d, keys[0])
+    amps = np.empty((len(keys), first.layout.dim), dtype=np.complex128)
+    amps[0] = first.amplitudes
+    for row, key in enumerate(keys[1:], 1):
+        state = template.build(d, key)
+        if state.layout != first.layout:
+            raise ConfigError(f"template {template.template_id!r}: keys {key} give a state over "
+                              f"{state.layout}, keys {keys[0]} one over {first.layout}; "
+                              "every key tuple's state must share one layout")
+        amps[row] = state.amplitudes
+    return keys, first.layout, amps
 
 
-def _dense_verdict(starts: dict, d: int, sequence: tuple[GateSpec, ...],
+def _evidence(starts: tuple, gates: Sequence[GateSpec], decode: GateSpec,
+              rank_tol: float) -> tuple[KeyCaseEvidence, ...]:
+    """Check both exit conditions for every row of starts, a _start_states triple.
+
+    Each gate runs once over all rows; one batched SVD across {e} | {a,b,k}
+    gives Eve's ranks, whose memory must be product before the qudit is
+    forwarded; one marginal after Bob's decode must give the last key of each
+    tuple with certainty, and one marginal of e gives her residual value.
+    """
+    keys, layout, amps = starts
+    for gate in gates:
+        amps = _gated(layout, amps, gate)
+    ranks = _ranks(amps, _fold(layout, ("e",)), rank_tol).tolist()
+    outcomes = _certain_values(_gated(layout, amps, decode), _split(layout, "k"))
+    residuals = _certain_values(amps, _split(layout, "e"))
+    return tuple(
+        KeyCaseEvidence(keys=key, rank_e=rank, bob_outcome=outcome,
+                        deterministic=outcome is not None, residual=residual,
+                        ok=rank == 1 and outcome == key[-1])
+        for key, rank, outcome, residual in zip(keys, ranks, outcomes, residuals))
+
+
+def _fast_path(starts: tuple, sequence: tuple[GateSpec, ...], rank_tol: float) -> bool:
+    """The exit conditions through the table kernels, one key row at a time,
+    stopping at the first key that fails."""
+    keys, layout, amps = starts
+    return all(_evidence((keys[row:row + 1], layout, amps[row:row + 1]), sequence,
+                         protocol._DECODE, rank_tol)[0].ok
+               for row in range(len(keys)))
+
+
+def _dense_verdict(starts: tuple, lowered: Sequence[GateSpec], decode: GateSpec,
                    rank_tol: float) -> CandidateVerdict:
-    """The dense oracle: each gate and Bob's decode lowered once to its matrix,
-    then run on every key's state through the matmul branch of the kernel."""
-    lowered = tuple(to_dense(gate, d) for gate in sequence)
-    evidence = tuple(_evidence(starts, lowered, to_dense(protocol._DECODE, d), rank_tol))
+    """The dense oracle: a sequence and Bob's decode already lowered to dense
+    gates, run through the matmul branch of the kernel on all key rows at once."""
+    evidence = _evidence(starts, lowered, decode, rank_tol)
     return CandidateVerdict(verified=all(ev.ok for ev in evidence), evidence=evidence)
 
 
@@ -302,10 +328,11 @@ def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[G
     """Re-check a candidate from fresh template states through dense matrices.
 
     Accepts any gate sequence confined to registers k and e, not only
-    members of the default search family.
+    members of the default search family.  Each gate is lowered once.
     """
     template, d, sequence = _entry(template, d, tuple(sequence), rank_tol)
-    return _dense_verdict(_start_states(template, d), d, sequence, rank_tol)
+    return _dense_verdict(_start_states(template, d), [to_dense(gate, d) for gate in sequence],
+                          to_dense(protocol._DECODE, d), rank_tol)
 
 
 def _affine_expression(values: dict, d: int, arity: int) -> str | None:
@@ -351,14 +378,22 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
         raise FamilyTooLarge(f"{total} sequences exceed the cap of {ENUMERATION_CAP}")
 
     starts = _start_states(template, d)
+    decode = to_dense(protocol._DECODE, d)
+
+    @lru_cache(maxsize=None)
+    def lowered(position: int) -> GateSpec:
+        """The family's gate at this position as a dense gate, lowered on first use."""
+        return to_dense(fam[position], d)
+
     enumerated = 0
     candidates = []
     for depth in range(max_depth + 1):
-        for sequence in product(fam, repeat=depth):
+        for positions in product(range(len(fam)), repeat=depth):
             enumerated += 1
-            if not all(ev.ok for ev in _evidence(starts, sequence, protocol._DECODE, rank_tol)):
+            sequence = tuple(fam[i] for i in positions)
+            if not _fast_path(starts, sequence, rank_tol):
                 continue
-            dense = _dense_verdict(starts, d, sequence, rank_tol)
+            dense = _dense_verdict(starts, [lowered(i) for i in positions], decode, rank_tol)
             if not dense.verified:
                 raise InvariantViolation(
                     "fast path accepted a sequence the dense oracle rejects")

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .adversary import PRESETS, compile_schedule, script_from_obj
@@ -259,9 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call of a process, not at
+    import, and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except InvariantViolation as exc:

@@ -15,6 +15,8 @@ explicit dense unitary, an independent cross-check path.
 Every measurement is one Born-rule step: `_marginal` over all rows,
 `_outcomes` to draw one outcome or keep each above BRANCH_PRUNE, and `_kept`
 to build the post rows, collapsed in place or sliced over a smaller layout.
+The Schmidt-rank cutoff (`_ranks`, one batched SVD) and the CERTAINTY rule
+(`_certain_values`) run on rows too.
 """
 
 from __future__ import annotations
@@ -429,16 +431,23 @@ def _reduced(amps: np.ndarray, fold: tuple) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> None:
-    """The one rule for a Schmidt-rank cutoff: a number, not a bool, with 0 < tol < inf."""
-    if isinstance(tol, (bool, np.bool_)) or not 0 < tol < math.inf:
+    """The one rule for a Schmidt-rank cutoff: an int, a float or a numpy integer or
+    floating value, not a bool, with 0 < tol < inf."""
+    if (not isinstance(tol, (int, float, np.integer, np.floating)) or isinstance(tol, bool)
+            or not 0 < tol < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _rank(state: PureState, fold: tuple, tol: float) -> int:
-    """Singular values above tol of the amplitudes folded by a _fold plan."""
+def _ranks(amps: np.ndarray, fold: tuple, tol: float) -> np.ndarray:
+    """For each row of amps, (..., dim): its singular values above tol, folded by a
+    _fold plan, from one batched SVD."""
     _check_tol(tol)
-    folded = _folded(state.amplitudes, fold)[0]
-    return int(np.count_nonzero(np.linalg.svd(folded, compute_uv=False) > tol))
+    return (np.linalg.svd(_folded(amps, fold), compute_uv=False) > tol).sum(-1)
+
+
+def _rank(state: PureState, fold: tuple, tol: float) -> int:
+    """The one-row view of _ranks."""
+    return int(_ranks(state.amplitudes, fold, tol)[0])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -560,11 +569,17 @@ def _inserted(amps: np.ndarray, layout: RegisterLayout, label: str, value) -> np
     return out.reshape(amps.shape[:-1] + (-1,))
 
 
+def _certain_values(amps: np.ndarray, split: tuple[int, int, int]) -> list[int | None]:
+    """For each row of amps, (B, dim): the value of the split's middle register if it
+    holds one with weight >= CERTAINTY, else None."""
+    probs = _marginal(amps, split)
+    return [v if row[v] >= CERTAINTY else None
+            for row, v in zip(probs.tolist(), probs.argmax(-1).tolist())]
+
+
 def _certain_value(state: PureState, register: str) -> int | None:
-    """The register's value if it holds one with weight >= CERTAINTY, else None."""
-    probs = state.probabilities(register)
-    value = int(np.argmax(probs))
-    return value if probs[value] >= CERTAINTY else None
+    """The one-row view of _certain_values."""
+    return _certain_values(state.amplitudes[None], _split(state.layout, register))[0]
 
 
 def remove_register(state: PureState, label: str) -> PureState:

@@ -2,14 +2,17 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkdsim import analysis, qudit
+from qkdsim import analysis, protocol, qudit
 from qkdsim.analysis import (
     FeasibilityReport,
     RoundTemplate,
@@ -371,8 +374,11 @@ class TestSearch:
         assert len(report.candidates) == 31
         assert len(entries) == 1
         assert len(built) == 3 ** 2
-        # the dense oracle lowers each gate and Bob's decode once per candidate
-        assert len(unitaries) == sum(len(c.sequence) + 1 for c in report.candidates) == 117
+        # the dense oracle lowers each gate its candidates use, and Bob's decode,
+        # once per search
+        used = {gate for c in report.candidates for gate in c.sequence} | {protocol._DECODE}
+        assert Counter(gate for gate, _ in unitaries) == Counter(used)
+        assert len(unitaries) == 7
 
     def test_a_faulty_table_kernel_is_caught_by_the_dense_oracle(self, monkeypatch):
         gate_table = qudit._gate_table
@@ -388,18 +394,19 @@ class TestSearch:
             feasibility_search("stage5_round1", 2, max_depth=1)
 
     def test_a_rejected_sequence_stops_at_its_first_failing_key(self, monkeypatch):
-        ranks = []
-        schmidt_rank = analysis.schmidt_rank
+        ranked = []
+        ranks = analysis._ranks
 
-        def counting_rank(*args):
-            ranks.append(schmidt_rank(*args))
-            return ranks[-1]
+        def counting_ranks(amps, fold, tol):
+            out = ranks(amps, fold, tol)
+            ranked.append((len(amps), out.tolist()))
+            return out
 
-        monkeypatch.setattr(analysis, "schmidt_rank", counting_rank)
-        # the empty sequence leaves e entangled for every key, so key 0 decides
+        monkeypatch.setattr(analysis, "_ranks", counting_ranks)
+        # the empty sequence leaves e entangled for every key, so key 0's row decides
         report = feasibility_search("stage5_round1", 3, max_depth=0)
         assert report.candidates == ()
-        assert ranks == [3]
+        assert ranked == [(1, [3])]
 
     def test_key_space_cap(self):
         with pytest.raises(ExplosionGuard):
@@ -473,6 +480,93 @@ class TestVerifyCandidate:
         assert verdict.verified
 
 
+def haar_unitary(n, rng):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def evidence_families(d):
+    """name -> (gates, decode): the default family through the table kernels and
+    lowered, as the dense oracle runs it, and three Haar-random dense (k, e) gates."""
+    family = default_gate_family(d)
+    rng = np.random.default_rng(d)
+    decode = qudit.to_dense(protocol._DECODE, d)
+    return {
+        "default": (family, protocol._DECODE),
+        "lowered": (tuple(qudit.to_dense(g, d) for g in family), decode),
+        "haar": (tuple(GateSpec.dense(("k", "e"), haar_unitary(d * d, rng)) for _ in range(3)),
+                 decode),
+    }
+
+
+class TestKeyRows:
+    """The search holds every key tuple's start state as one row of one array."""
+
+    @pytest.mark.parametrize("template_id", ["stage5_round1", "post_round1_round2"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("family", ["default", "lowered", "haar"])
+    def test_all_rows_match_the_one_row_calls(self, template_id, d, family):
+        template = get_template(template_id)
+        keys, layout, amps = starts = analysis._start_states(template, d)
+        assert keys == tuple(product(range(d), repeat=template.key_arity))
+        assert layout == RegisterLayout(d, ("a", "b", "k", "e"))
+        for key, row in zip(keys, amps):
+            assert np.array_equal(row, template.build(d, key).amplitudes)
+        gates, decode = evidence_families(d)[family]
+        for depth in range(3):
+            for sequence in product(gates, repeat=depth):
+                rows = [(keys[r:r + 1], layout, amps[r:r + 1]) for r in range(len(keys))]
+                whole = analysis._evidence(starts, sequence, decode, 1e-8)
+                assert whole == sum((analysis._evidence(row, sequence, decode, 1e-8)
+                                     for row in rows), ())
+                gated = amps
+                for gate in sequence:
+                    gated = qudit._gated(layout, gated, gate)
+                    rows = [(k, layout, qudit._gated(layout, a, gate)) for k, _, a in rows]
+                    assert np.array_equal(gated, np.concatenate([a for _, _, a in rows]))
+
+    def test_a_dense_family_is_lowered_once_per_search(self, monkeypatch):
+        # u then its inverse undoes itself, so exits pass through every gate
+        u = haar_unitary(4, np.random.default_rng(5))
+        exit_gate = qudit.to_dense(GateSpec.controlled_add("k", "e", 1), 2)
+        family = (GateSpec.dense(("k", "e"), u), GateSpec.dense(("k", "e"), u.conj().T),
+                  exit_gate)
+        unitaries = []
+        gate_unitary = qudit.gate_unitary
+        monkeypatch.setattr(qudit, "gate_unitary",
+                            lambda *args: unitaries.append(args) or gate_unitary(*args))
+        report = feasibility_search("stage5_round1", 2, max_depth=3, family=family)
+        assert [gate is exit_gate for gate in report.candidates[0].sequence] == [True]
+        assert any(len(c.sequence) == 3 for c in report.candidates)
+        for candidate in report.candidates:
+            assert verify_candidate("stage5_round1", 2, candidate.sequence).verified
+        # each family gate and Bob's decode: one gate_unitary call in the search,
+        # then one for each gate of each verify_candidate above
+        lowered = unitaries[:4]
+        assert sorted(id(gate) for gate, _ in lowered) == sorted(
+            [id(gate) for gate in family] + [id(protocol._DECODE)])
+        assert len(unitaries) == 4 + sum(len(c.sequence) + 1 for c in report.candidates)
+
+    def test_states_that_do_not_share_one_layout_are_refused(self, monkeypatch):
+        base = get_template("post_round1_round2")
+
+        def build(d, keys):
+            state = base.build(d, keys)
+            if keys >= (1, 0):
+                return PureState(RegisterLayout(d, ("b", "a", "k", "e")), state.amplitudes)
+            return state
+
+        calls = []
+        monkeypatch.setattr(analysis, "_evidence", lambda *args: calls.append(args))
+        template = RoundTemplate("two_layouts", 2, build)
+        for check in (lambda: feasibility_search(template, 2, max_depth=1),
+                      lambda: verify_candidate(template, 2, ())):
+            with pytest.raises(ConfigError, match=r"keys \(1, 0\) .*\('b', 'a', 'k', 'e'\)"):
+                check()
+        assert calls == []
+
+
 def never_built(key_arity=1):
     def build(d, keys):
         raise AssertionError(f"template state built for d={d}, keys={keys}")
@@ -495,8 +589,11 @@ class TestEntryRules:
             with pytest.raises(InvalidDimension):
                 check()
 
-    # True used to run as a cutoff of 1, find nothing and write "rank_tol": true
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf, True, np.True_])
+    # True used to run as a cutoff of 1, find nothing and write "rank_tol": true; a
+    # string or None raised a bare TypeError, and Decimal and Fraction ran the whole
+    # search, only render_report failing on them
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf, True, np.True_,
+                                     "1e-8", None, Decimal("1e-8"), Fraction(1, 10 ** 8)])
     def test_tolerance_follows_the_schmidt_rank_rule(self, tol):
         for check in (lambda: feasibility_search(never_built(), 2, max_depth=1, rank_tol=tol),
                       lambda: verify_candidate(never_built(), 2, (), rank_tol=tol)):

@@ -1,9 +1,12 @@
 """Command-line contract: exit codes, precedence rules, byte determinism."""
 
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -612,3 +615,32 @@ class TestSearch:
     def test_unknown_template_rejected_by_schema(self, tmp_path):
         path = write_scenario(tmp_path, d=2, template="round_9000")
         assert cli.main(["search", path]) == 1
+
+
+class TestParserReuse:
+    def test_one_process_gives_the_bytes_of_fresh_interpreters(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # main builds its parser on first use and reuses it for every later call
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), COLUMNS="80")
+        env.pop(cli.TOL_ENV_VAR, None)
+        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+        monkeypatch.setenv("COLUMNS", "80")
+        run_path = honest_scenario(tmp_path)
+        search_path = write_scenario(tmp_path, "search.json", d=2, template="stage5_round1")
+        calls = [["run", run_path], ["run", run_path, "--bogus"],
+                 ["search", search_path, "--depth", "2"], ["--version"]]
+        fresh = [subprocess.run([sys.executable, "-m", "qkdsim", *argv], capture_output=True,
+                                text=True, env=env, timeout=120)
+                 for argv in calls]
+        cli._parser.cache_clear()
+        in_process = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            in_process.append((code, out.out, out.err))
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _, _ in in_process] == [0, 1, 0, 0]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]

@@ -9,6 +9,8 @@ import cmath
 import itertools
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -488,12 +490,19 @@ class TestSchmidtRank:
         with pytest.raises(ValueError):
             schmidt_rank(state, {"a"}, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, True, np.True_])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, True, np.True_,
+                                     "1e-8", None, Decimal("1e-8"), Fraction(1, 10 ** 8)])
     def test_tolerance_outside_zero_to_infinity_is_refused(self, tol):
         # nan and inf used to count no singular value at all: rank 0; a bool is
-        # no tolerance, though 0 < True < inf, and True used to run as a cutoff of 1
+        # no tolerance, though 0 < True < inf, and True used to run as a cutoff of 1;
+        # a string or None raised a bare TypeError, and Decimal and Fraction passed
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             schmidt_rank(init_carrier(3), {"a"}, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1, np.int64(1), np.float32(1e-8), np.float64(1e-8)])
+    def test_ints_floats_and_numpy_numbers_are_tolerances(self, tol):
+        # the pair state's three singular values are 1/sqrt(3), below a cutoff of 1
+        assert schmidt_rank(pair_state(3), {"a"}, tol=tol) == (0 if tol == 1 else 3)
 
 
 class TestEntropy:
@@ -722,7 +731,7 @@ class TestCertaintyRule:
                 verdict = verify_candidate(template, 3, ())
             else:
                 starts = analysis._start_states(template, 3)
-                evidence = tuple(analysis._evidence(starts, (), _DECODE, 1e-8))
+                evidence = analysis._evidence(starts, (), _DECODE, 1e-8)
                 verdict = analysis.CandidateVerdict(all(ev.ok for ev in evidence), evidence)
             assert verdict.verified == certain
             for ev in verdict.evidence:

@@ -5,7 +5,9 @@ a short sequence of mod-d gates on (k, e) after which Eve's memory is in a
 product state while Bob still decodes the current key exactly, for every key
 assignment at once?  Its inputs are checked once, at entry, before any
 template state is built.  The start states are then built once, as rows: one
-amplitude array, one row per key tuple, in key order.  The fast permutation
+amplitude array, one row per key tuple, in key order.  Both built-in
+templates take those rows from the protocol's own round loop, at a moment of
+a session under the persistent_entangle preset.  The fast permutation
 path runs each sequence one key row at a time and drops it at its first
 failing key.  Its candidates are re-verified by the dense oracle on all key
 rows at once before they are reported; a search lowers each family gate and
@@ -15,7 +17,7 @@ Bob's decode to a matrix once, for all its candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -121,28 +123,39 @@ def diagnose(state: PureState, round_index: int, stage: str,
 class RoundTemplate:
     """Family of mid-round states over (a, b, k, e) parameterized by a key tuple.
 
-    Bob is about to decode the last key of the tuple.
+    rows(d, keys) takes a (K, key_arity) array of key tuples in key order and
+    returns (layout, amps): one layout and a complex (K, layout.dim) array, one
+    row per key tuple.  Bob is about to decode the last key of each tuple.
     """
 
     template_id: str
     key_arity: int
-    build: Callable[[int, tuple[int, ...]], PureState]
+    rows: Callable[[int, np.ndarray], tuple[RegisterLayout, np.ndarray]]
+
+    def build(self, d: int, keys: tuple[int, ...]) -> PureState:
+        """The one-row view of rows: the state for one key tuple."""
+        layout, amps = self.rows(d, np.array([keys]))
+        return PureState(layout, amps[0])
 
 
-def _in_transit(d: int, keys: tuple[int, ...]) -> PureState:
-    """sum_j |j, j, j + last key, j + first key> over (a, b, k, e): with one key,
-    round 1 in transit and Eve's memory holding a copy of the flying value; with
-    two, round 2 in transit after Eve stayed entangled through round 1."""
-    layout = RegisterLayout(d, ("a", "b", "k", "e"))
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    for j in range(d):
-        amps[layout.index_of((j, j, (j + keys[-1]) % d, (j + keys[0]) % d))] = 1.0 / np.sqrt(d)
-    return PureState(layout, amps)
+def _loop_rows(moment: str, d: int, keys: np.ndarray) -> tuple:
+    """(layout, amps) of protocol._round_loop under the persistent_entangle preset
+    at `moment` of the last key's round, one row per key tuple: column r of keys
+    is round r + 1's key."""
+    config = protocol.ProtocolConfig(d, keys.shape[1], key_seed=0)
+    start, first = protocol._start(config), np.zeros(len(keys), np.intp)
+    stage = start._replace(amps=start.amps[first], probs=start.probs[first],
+                           outcomes=start.outcomes[first])
+    script = adversary.compile_schedule("persistent_entangle", config)
+    for r, _, name, stage, _ in protocol._round_loop(stage, keys.T, 1, script, None):
+        if (r, name) == (config.rounds, moment):
+            return stage.layout, stage.amps
 
 
 TEMPLATES = {
-    "stage5_round1": RoundTemplate("stage5_round1", 1, _in_transit),
-    "post_round1_round2": RoundTemplate("post_round1_round2", 2, _in_transit),
+    "stage5_round1": RoundTemplate("stage5_round1", 1, partial(_loop_rows, "post_attack")),
+    "post_round1_round2": RoundTemplate("post_round1_round2", 2,
+                                        partial(_loop_rows, "post_encode")),
 }
 
 
@@ -245,13 +258,18 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
     dense gate whose matrix side is not d^len(targets)."""
     if isinstance(template, str):
         template = get_template(template)
+    if not _is_integer(template.key_arity) or template.key_arity < 1:
+        raise ConfigError(f"template {template.template_id!r}: key_arity "
+                          f"{template.key_arity!r} is not an integer >= 1")
     if not _is_integer(max_depth) or not 0 <= max_depth <= MAX_SEARCH_DEPTH:
         raise ConfigError(f"max_depth {max_depth!r} is not an integer in 0..{MAX_SEARCH_DEPTH}")
     d = RegisterLayout(d, ("a", "b", "k", "e")).d
     _check_tol(rank_tol)
-    if d ** template.key_arity > KEY_TUPLE_CAP:
-        raise ExplosionGuard(
-            f"d^arity = {d ** template.key_arity} key assignments exceed {KEY_TUPLE_CAP}")
+    # d >= 2, so an arity past KEY_TUPLE_CAP's bit length exceeds it without the power,
+    # and the message names d^arity, which may have more digits than str() allows
+    arity = template.key_arity
+    if arity > KEY_TUPLE_CAP.bit_length() or d ** arity > KEY_TUPLE_CAP:
+        raise ExplosionGuard(f"d^arity = {d}^{arity} key assignments exceed {KEY_TUPLE_CAP}")
     if d ** 4 > protocol.STATE_CAP:
         raise ExplosionGuard(f"a template state of {d}^4 amplitudes exceeds {protocol.STATE_CAP}")
     gates = default_gate_family(d) if gates is None else tuple(gates)
@@ -264,24 +282,24 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
 
 
 def _start_states(template: RoundTemplate, d: int) -> tuple:
-    """(keys, layout, amps): every key tuple in key order, the layout their template
-    states share and one (K, dim) array holding each state's amplitudes as a row.
+    """(keys, layout, amps): every key tuple in key order and the template's rows
+    for them, from one rows call.
 
-    Refuses a template whose states do not share one layout, naming the first
-    key tuple whose layout differs from key 0's.
+    Refuses, naming the template, a rows result that is not a RegisterLayout and
+    a complex128 array of shape (K, layout.dim).
     """
     keys = tuple(product(range(d), repeat=template.key_arity))
-    first = template.build(d, keys[0])
-    amps = np.empty((len(keys), first.layout.dim), dtype=np.complex128)
-    amps[0] = first.amplitudes
-    for row, key in enumerate(keys[1:], 1):
-        state = template.build(d, key)
-        if state.layout != first.layout:
-            raise ConfigError(f"template {template.template_id!r}: keys {key} give a state over "
-                              f"{state.layout}, keys {keys[0]} one over {first.layout}; "
-                              "every key tuple's state must share one layout")
-        amps[row] = state.amplitudes
-    return keys, first.layout, amps
+    result = template.rows(d, np.array(keys))
+    layout, amps = result if isinstance(result, tuple) and len(result) == 2 else (None, None)
+    if not (isinstance(layout, RegisterLayout) and isinstance(amps, np.ndarray)
+            and amps.dtype == np.complex128 and amps.shape == (len(keys), layout.dim)):
+        got = type(result).__name__ if layout is None else (
+            f"({type(layout).__name__}, {type(amps).__name__} of shape {np.shape(amps)} "
+            f"and dtype {np.asarray(amps).dtype})")
+        raise ConfigError(f"template {template.template_id!r}: rows gave {got}, not a "
+                          f"RegisterLayout and a complex128 array of shape ({len(keys)}, "
+                          "layout.dim), one row per key tuple")
+    return keys, layout, amps
 
 
 def _evidence(starts: tuple, gates: Sequence[GateSpec], decode: GateSpec,

@@ -13,10 +13,11 @@ Schmidt rank fold the same way.  Every gate kind can also be expanded to an
 explicit dense unitary, an independent cross-check path.
 
 Every measurement is one Born-rule step: `_marginal` over all rows,
-`_outcomes` to draw one outcome or keep each above BRANCH_PRUNE, and `_kept`
-to build the post rows, collapsed in place or sliced over a smaller layout.
-The Schmidt-rank cutoff (`_ranks`, one batched SVD) and the CERTAINTY rule
-(`_certain_values`) run on rows too.
+`_outcomes` to draw one outcome or keep each above BRANCH_PRUNE (exactly
+certain when every row keeps one), and `_kept` to build the post rows,
+collapsed in place or sliced over a smaller layout.  The Schmidt-rank cutoff
+(`_ranks`, one batched SVD) and the CERTAINTY rule (`_certain_values`) run on
+rows too.
 """
 
 from __future__ import annotations
@@ -477,11 +478,17 @@ def _outcomes(marginals: np.ndarray, rng: np.random.Generator | None) -> tuple:
     """The one Born-rule choice over (B, d) marginals: (rows, values, probs).
 
     With None, every (row, outcome) above BRANCH_PRUNE, row-major, as arrays.
+    Each row is normalized, so it keeps at least one outcome; when every row
+    keeps exactly one, that outcome is certain and its probability is exactly
+    1.0, not the marginal's rounded sum.  A batch where some row keeps more
+    than one keeps every marginal as it is.
     With an rng, one outcome drawn for the one row: rows None, an int and a float.
     """
     if rng is None:
         kept = marginals > BRANCH_PRUNE
-        return *kept.nonzero(), marginals[kept]
+        rows, values = kept.nonzero()
+        certain = len(rows) == len(marginals)  # one outcome kept in every row
+        return rows, values, np.ones(len(rows)) if certain else marginals[kept]
     # inverse-CDF draw on Python floats, cheaper than numpy calls on d values:
     # the running sum rounds as np.cumsum does, bisect_right is
     # searchsorted(side="right"), and min() clamps a u * total that rounds up to total

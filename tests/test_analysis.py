@@ -1,5 +1,6 @@
 """Diagnostics and the exit-sequence search, checked against golden files."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -52,18 +53,39 @@ def family_size(d, depth):
     return sum((3 * (d - 1)) ** level for level in range(depth + 1))
 
 
-def product_template(d_ignored):
+def product_template():
     """Template whose memory is already released: sum_j |j,j,j+q>|0>/sqrt(d)."""
 
-    def build(d, keys):
-        (q,) = keys
+    def rows(d, keys):
         layout = RegisterLayout(d, ("a", "b", "k", "e"))
-        amps = np.zeros(layout.dim, dtype=complex)
-        for j in range(d):
-            amps[layout.index_of((j, j, (j + q) % d, 0))] = 1 / np.sqrt(d)
-        return PureState(layout, amps)
+        amps = np.zeros((len(keys), layout.dim), dtype=complex)
+        for row, (q,) in enumerate(keys.tolist()):
+            for j in range(d):
+                amps[row, layout.index_of((j, j, (j + q) % d, 0))] = 1 / np.sqrt(d)
+        return layout, amps
 
-    return RoundTemplate("already_product", 1, build)
+    return RoundTemplate("already_product", 1, rows)
+
+
+def in_transit(d, keys):
+    """The closed form of both search templates: sum_j |j, j, j + last key,
+    j + first key> / sqrt(d) over (a, b, k, e)."""
+    layout = RegisterLayout(d, ("a", "b", "k", "e"))
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    for j in range(d):
+        amps[layout.index_of((j, j, (j + keys[-1]) % d, (j + keys[0]) % d))] = 1.0 / np.sqrt(d)
+    return amps
+
+
+def counting_rows(base):
+    """(template over base's rows, the key arrays it was asked for)."""
+    asked = []
+
+    def rows(d, keys):
+        asked.append(keys)
+        return base.rows(d, keys)
+
+    return RoundTemplate("counting", base.key_arity, rows), asked
 
 
 def sequences(d, depth):
@@ -215,26 +237,31 @@ class TestDiagnose:
 
 
 class TestTemplates:
-    @pytest.mark.parametrize("d,q1", [(2, 1), (3, 2)])
-    def test_exit_window_state(self, d, q1):
-        template = get_template("stage5_round1")
-        state = template.build(d, (q1,))
-        layout = state.layout
-        assert layout.labels == ("a", "b", "k", "e")
-        for j in range(d):
-            index = layout.index_of((j, j, (j + q1) % d, (j + q1) % d))
-            assert state.amplitudes[index] == 1 / np.sqrt(d)
-        assert np.count_nonzero(state.amplitudes) == d
+    """Both templates are moments of the round loop, equal to their closed form
+    bit for bit: Bob's honest round-1 decode must leave the amplitudes untouched."""
 
-    @pytest.mark.parametrize("d,q1,q2", [(2, 1, 0), (3, 1, 2)])
+    DS = (2, 3, 4, 5, 7)
+
+    @staticmethod
+    def check_row(template_id, d, key):
+        template = get_template(template_id)
+        keys = tuple(product(range(d), repeat=template.key_arity))
+        layout, amps = template.rows(d, np.array(keys))
+        assert layout == RegisterLayout(d, ("a", "b", "k", "e"))
+        row, expected = amps[keys.index(key)], in_transit(d, key)
+        assert (row == expected).all() and row.tobytes() == expected.tobytes()
+        state = template.build(d, key)
+        assert state.layout == layout and state.amplitudes.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("d,q1", [(d, q1) for d in DS for q1 in range(d)])
+    def test_exit_window_state(self, d, q1):
+        self.check_row("stage5_round1", d, (q1,))
+
+    @pytest.mark.parametrize("d,q1,q2", [(d, *key) for d in DS
+                                         for key in product(range(d), repeat=2)])
     def test_stale_memory_state(self, d, q1, q2):
-        template = get_template("post_round1_round2")
-        assert template.key_arity == 2
-        state = template.build(d, (q1, q2))
-        layout = state.layout
-        for j in range(d):
-            index = layout.index_of((j, j, (j + q2) % d, (j + q1) % d))
-            assert state.amplitudes[index] == 1 / np.sqrt(d)
+        assert get_template("post_round1_round2").key_arity == 2
+        self.check_row("post_round1_round2", d, (q1, q2))
 
     def test_unknown_template(self):
         with pytest.raises(ConfigError):
@@ -268,7 +295,7 @@ class TestSearch:
         assert candidate.residual_expression == f"0 (mod {d})"
 
     def test_product_template_needs_no_gates(self):
-        report = feasibility_search(product_template(2), 2, max_depth=1)
+        report = feasibility_search(product_template(), 2, max_depth=1)
         sequences = [c.sequence for c in report.candidates]
         assert () in sequences
 
@@ -345,35 +372,25 @@ class TestSearch:
     @pytest.mark.parametrize("template_id,d", [("stage5_round1", 3), ("post_round1_round2", 2)])
     def test_start_states_are_built_once_per_search(self, template_id, d):
         base = get_template(template_id)
-        built = []
-
-        def build(d, keys):
-            built.append(keys)
-            return base.build(d, keys)
-
-        counting = RoundTemplate("counting", base.key_arity, build)
+        counting, asked = counting_rows(base)
         report = feasibility_search(counting, d, max_depth=2)
         assert report.candidates
-        # once per search, shared by the fast path and every dense re-verification
-        assert len(built) == d ** base.key_arity
+        # one rows call per search, shared by the fast path and every dense re-verification
+        assert len(asked) == 1
+        assert asked[0].tolist() == [list(k) for k in product(range(d), repeat=base.key_arity)]
 
     def test_each_question_is_asked_once_per_search(self, monkeypatch):
-        base = get_template("post_round1_round2")
-        built, entries, unitaries = [], [], []
+        counting, built = counting_rows(get_template("post_round1_round2"))
+        entries, unitaries = [], []
         entry, gate_unitary = analysis._entry, qudit.gate_unitary
-
-        def build(d, keys):
-            built.append(keys)
-            return base.build(d, keys)
-
         monkeypatch.setattr(analysis, "_entry",
                             lambda *args: entries.append(args) or entry(*args))
         monkeypatch.setattr(qudit, "gate_unitary",
                             lambda *args: unitaries.append(args) or gate_unitary(*args))
-        report = feasibility_search(RoundTemplate("counting", 2, build), 3, max_depth=3)
+        report = feasibility_search(counting, 3, max_depth=3)
         assert len(report.candidates) == 31
         assert len(entries) == 1
-        assert len(built) == 3 ** 2
+        assert len(built) == 1
         # the dense oracle lowers each gate its candidates use, and Bob's decode,
         # once per search
         used = {gate for c in report.candidates for gate in c.sequence} | {protocol._DECODE}
@@ -418,11 +435,11 @@ class TestSearch:
         class Built(Exception):
             pass
 
-        def build(d, keys):
+        def rows(d, keys):
             raise Built(d)
 
         monkeypatch.setitem(analysis.TEMPLATES, template_id,
-                            replace(get_template(template_id), build=build))
+                            replace(get_template(template_id), rows=rows))
         # 45^4 amplitudes fit under protocol.STATE_CAP = 2^22, 46^4 do not
         for search in (lambda d: feasibility_search(template_id, d, max_depth=0),
                        lambda d: verify_candidate(template_id, d, ())):
@@ -548,30 +565,38 @@ class TestKeyRows:
             [id(gate) for gate in family] + [id(protocol._DECODE)])
         assert len(unitaries) == 4 + sum(len(c.sequence) + 1 for c in report.candidates)
 
-    def test_states_that_do_not_share_one_layout_are_refused(self, monkeypatch):
+    # rows results that are not a RegisterLayout and a complex128 (K, layout.dim)
+    # array; "state" is what an old per-key builder returns
+    MALFORMED = {
+        "state": lambda layout, amps: PureState(layout, amps[0]),
+        "labels": lambda layout, amps: (layout.labels, amps),
+        "short": lambda layout, amps: (layout, amps[1:]),
+        "flat": lambda layout, amps: (layout, amps.ravel()),
+        "real": lambda layout, amps: (layout, amps.real),
+        "list": lambda layout, amps: (layout, amps.tolist()),
+        "triple": lambda layout, amps: (layout, amps, None),
+    }
+
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED))
+    def test_malformed_rows_are_refused(self, malformed, monkeypatch):
         base = get_template("post_round1_round2")
-
-        def build(d, keys):
-            state = base.build(d, keys)
-            if keys >= (1, 0):
-                return PureState(RegisterLayout(d, ("b", "a", "k", "e")), state.amplitudes)
-            return state
-
+        template = RoundTemplate(
+            "malformed", 2, lambda d, keys: self.MALFORMED[malformed](*base.rows(d, keys)))
         calls = []
         monkeypatch.setattr(analysis, "_evidence", lambda *args: calls.append(args))
-        template = RoundTemplate("two_layouts", 2, build)
         for check in (lambda: feasibility_search(template, 2, max_depth=1),
                       lambda: verify_candidate(template, 2, ())):
-            with pytest.raises(ConfigError, match=r"keys \(1, 0\) .*\('b', 'a', 'k', 'e'\)"):
+            with pytest.raises(ConfigError, match=r"template 'malformed': rows gave .*, not a "
+                               r"RegisterLayout and a complex128 array of shape \(4, "):
                 check()
         assert calls == []
 
 
 def never_built(key_arity=1):
-    def build(d, keys):
-        raise AssertionError(f"template state built for d={d}, keys={keys}")
+    def rows(d, keys):
+        raise AssertionError(f"template rows built for d={d}, keys={keys.tolist()}")
 
-    return RoundTemplate("never_built", key_arity, build)
+    return RoundTemplate("never_built", key_arity, rows)
 
 
 class TestEntryRules:
@@ -581,6 +606,24 @@ class TestEntryRules:
     def test_depth_must_be_an_integer(self, depth):
         with pytest.raises(ConfigError, match="is not an integer in 0..3"):
             feasibility_search(never_built(), 2, max_depth=depth)
+
+    # arity 0 used to raise IndexError inside _evidence, -1 a ValueError from
+    # itertools and 1.0 a TypeError, while True ran silently as arity 1
+    @pytest.mark.parametrize("arity", [0, -1, 1.0, True, np.True_, "1", None])
+    def test_key_arity_must_be_a_positive_integer(self, arity):
+        for check in (lambda: feasibility_search(never_built(arity), 2, max_depth=1),
+                      lambda: verify_candidate(never_built(arity), 2, ())):
+            with pytest.raises(ConfigError,
+                               match=r"'never_built': key_arity .* is not an integer >= 1"):
+                check()
+
+    # 3^(10^6) used to be computed, then overflow str() in the guard's own message
+    @pytest.mark.parametrize("arity", [9, 14, 10 ** 6])
+    def test_key_count_cap_refuses_any_arity_before_any_state(self, arity):
+        for check in (lambda: feasibility_search(never_built(arity), 3, max_depth=0),
+                      lambda: verify_candidate(never_built(arity), 3, ())):
+            with pytest.raises(ExplosionGuard, match=rf"3\^{arity} key assignments exceed 10000"):
+                check()
 
     @pytest.mark.parametrize("d", [2.0, True, 1])
     def test_d_follows_the_layout_rule(self, d):
@@ -622,6 +665,18 @@ class TestEntryRules:
         report = feasibility_search("stage5_round1", np.int64(2), max_depth=1)
         assert type(report.d) is int
         assert render_report(report) == render_report(feasibility_search("stage5_round1", 2))
+
+
+class TestReportDigest:
+    def test_the_36_reports_keep_their_bytes(self):
+        # both templates x six (d, depth) x three rank_tol, rendered and concatenated
+        text = "".join(
+            render_report(feasibility_search(template_id, d, max_depth=depth, rank_tol=tol))
+            for template_id in ("stage5_round1", "post_round1_round2")
+            for d, depth in ((2, 3), (3, 3), (4, 2), (5, 2), (6, 1), (7, 1))
+            for tol in (1e-7, 1e-8, 1e-10))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "88dcc12eb6ecc89b252b625ad35400278f39cd9eb373b3cfd263a536e1b93552")
 
 
 class TestRenderReport:

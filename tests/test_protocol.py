@@ -447,6 +447,18 @@ class TestBranchExecutor:
         assert branches[0].probability == pytest.approx(1.0, abs=1e-12)
         assert branches[0].eve_records == ()
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_honest_decodes_return_the_start_state_bit_for_bit(self, d):
+        # each decode keeps one outcome, so it is certain: probability exactly 1 and
+        # no division; the rounded marginal sums used to give 1.0000000000000007 at
+        # d = 3 and a carrier amplitude one ulp off at d = 2
+        config = ProtocolConfig(d=d, rounds=3, keys=(1, 0, d - 1))
+        (branch,) = run_session_branches(config)
+        assert branch.probability == 1.0
+        start = insert_register(init_carrier(d), "e", 0, 2)
+        assert branch.state.layout == start.layout
+        assert np.array_equal(branch.state.amplitudes, start.amplitudes)
+
     def test_branch_probabilities_sum_to_one(self):
         config = ProtocolConfig(d=2, rounds=2, keys=(0, 1))
         script = AttackScript({

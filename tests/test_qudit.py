@@ -726,7 +726,11 @@ class TestCertaintyRule:
     @pytest.mark.parametrize("dense", [False, True])
     def test_search_evaluation(self, dense):
         for off, certain in ((self.INSIDE, True), (self.OUTSIDE, False)):
-            template = RoundTemplate("leaning", 1, lambda d, keys: self.leaning(off, *keys))
+            def rows(d, keys):
+                states = [self.leaning(off, q) for (q,) in keys.tolist()]
+                return states[0].layout, np.array([state.amplitudes for state in states])
+
+            template = RoundTemplate("leaning", 1, rows)
             if dense:
                 verdict = verify_candidate(template, 3, ())
             else:

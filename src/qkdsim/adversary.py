@@ -24,6 +24,7 @@ from .errors import (
     UnknownPreset,
 )
 from .qudit import (
+    _CHUNK_BYTES,
     DensityMatrix,
     GateSpec,
     PureState,
@@ -42,9 +43,6 @@ PROTECTED_REGISTERS = ("a", "b")
 
 # stream label separating Eve's compile-time randomness from session sampling
 _BASIS_STREAM = 0x0B
-
-# the most bytes one chunk of stacked block differences may take
-_CHUNK_BYTES = 128 * 1024
 
 # most key-tuple pairs eve_conditional_states may compare: its report takes
 # about 240 B a pair, so this is about 1 GB (d^rounds <= 2,896)

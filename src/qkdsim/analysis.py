@@ -8,10 +8,11 @@ template state is built.  The start states are then built once, as rows: one
 amplitude array, one row per key tuple, in key order.  Both built-in
 templates take those rows from the protocol's own round loop, at a moment of
 a session under the persistent_entangle preset.  The fast permutation
-path runs each sequence one key row at a time and drops it at its first
-failing key.  Its candidates are re-verified by the dense oracle on all key
-rows at once before they are reported; a search lowers each family gate and
-Bob's decode to a matrix once, for all its candidates.
+path runs each depth level key by key: key j's start row runs, as batches of
+rows, the sequences that passed the keys before it, so a sequence is dropped
+at its first failing key.  Its candidates are re-verified by the dense oracle
+on all key rows at once before they are reported; a search lowers each family
+gate and Bob's decode to a matrix once, for all its candidates.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     InvariantViolation,
 )
 from .qudit import (
+    _CHUNK_BYTES,
     SCHMIDT_TOL,
     GateSpec,
     PureState,
@@ -253,9 +255,10 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
     """(template, d, gates), None standing for the default family; refuses,
     before that family or any template state is built, a depth outside
     0..MAX_SEARCH_DEPTH, a d that RegisterLayout refuses, a rank_tol outside
-    (0, inf), more than KEY_TUPLE_CAP key assignments, a state over (a, b, k,
-    e) above protocol.STATE_CAP amplitudes, a gate off registers k and e and a
-    dense gate whose matrix side is not d^len(targets)."""
+    (0, inf), more than KEY_TUPLE_CAP key assignments, start rows of more than
+    protocol.STATE_CAP amplitudes in all (d^arity states over (a, b, k, e)), a
+    gate off registers k and e and a dense gate whose matrix side is not
+    d^len(targets)."""
     if isinstance(template, str):
         template = get_template(template)
     if not _is_integer(template.key_arity) or template.key_arity < 1:
@@ -270,8 +273,9 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
     arity = template.key_arity
     if arity > KEY_TUPLE_CAP.bit_length() or d ** arity > KEY_TUPLE_CAP:
         raise ExplosionGuard(f"d^arity = {d}^{arity} key assignments exceed {KEY_TUPLE_CAP}")
-    if d ** 4 > protocol.STATE_CAP:
-        raise ExplosionGuard(f"a template state of {d}^4 amplitudes exceeds {protocol.STATE_CAP}")
+    if d ** (arity + 4) > protocol.STATE_CAP:
+        raise ExplosionGuard(f"{d}^{arity} template states of {d}^4 amplitudes exceed "
+                             f"{protocol.STATE_CAP}")
     gates = default_gate_family(d) if gates is None else tuple(gates)
     off = {label for gate in gates for label in gate.registers} - {"k", "e"}
     if off:
@@ -304,7 +308,8 @@ def _start_states(template: RoundTemplate, d: int) -> tuple:
 
 def _evidence(starts: tuple, gates: Sequence[GateSpec], decode: GateSpec,
               rank_tol: float) -> tuple[KeyCaseEvidence, ...]:
-    """Check both exit conditions for every row of starts, a _start_states triple.
+    """Check both exit conditions for every row of starts, a _start_states triple
+    or, from the fast path, a batch of sequences already gated, each with its key.
 
     Each gate runs once over all rows; one batched SVD across {e} | {a,b,k}
     gives Eve's ranks, whose memory must be product before the qudit is
@@ -324,13 +329,32 @@ def _evidence(starts: tuple, gates: Sequence[GateSpec], decode: GateSpec,
         for key, rank, outcome, residual in zip(keys, ranks, outcomes, residuals))
 
 
-def _fast_path(starts: tuple, sequence: tuple[GateSpec, ...], rank_tol: float) -> bool:
-    """The exit conditions through the table kernels, one key row at a time,
-    stopping at the first key that fails."""
+def _level_exits(starts: tuple, family: Sequence[GateSpec], depth: int,
+                 rank_tol: float) -> np.ndarray:
+    """The fast path on every sequence of one length over family, through the table
+    kernels: the lexicographic numbers of those that pass on every key row, in order.
+
+    Key j's start row runs, as batches of at most _CHUNK_BYTES of rows, only the
+    sequences that passed the keys before it; in a batch each (step, gate) is one
+    gate call over the rows whose sequence has that gate at that step.
+    """
     keys, layout, amps = starts
-    return all(_evidence((keys[row:row + 1], layout, amps[row:row + 1]), sequence,
-                         protocol._DECODE, rank_tol)[0].ok
-               for row in range(len(keys)))
+    alive = np.arange(len(family) ** depth)
+    places = len(family) ** np.arange(depth - 1, -1, -1)
+    size = max(1, _CHUNK_BYTES // amps[0].nbytes)
+    for key, start in zip(keys, amps):
+        ok = []
+        for first in range(0, len(alive), size):
+            batch = alive[first:first + size]
+            rows = np.repeat(start[None], len(batch), 0)
+            for digits in (batch[:, None] // places % len(family)).T:
+                for position in set(digits.tolist()):
+                    at = digits == position
+                    rows[at] = _gated(layout, rows[at], family[position])
+            ok += [ev.ok for ev in _evidence(((key,) * len(batch), layout, rows), (),
+                                             protocol._DECODE, rank_tol)]
+        alive = alive[np.array(ok, bool)]
+    return alive
 
 
 def _dense_verdict(starts: tuple, lowered: Sequence[GateSpec], decode: GateSpec,
@@ -406,11 +430,12 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
     enumerated = 0
     candidates = []
     for depth in range(max_depth + 1):
-        for positions in product(range(len(fam)), repeat=depth):
+        exits = set(_level_exits(starts, fam, depth, rank_tol).tolist())
+        for number, positions in enumerate(product(range(len(fam)), repeat=depth)):
             enumerated += 1
-            sequence = tuple(fam[i] for i in positions)
-            if not _fast_path(starts, sequence, rank_tol):
+            if number not in exits:
                 continue
+            sequence = tuple(fam[i] for i in positions)
             dense = _dense_verdict(starts, [lowered(i) for i in positions], decode, rank_tol)
             if not dense.verified:
                 raise InvariantViolation(

@@ -51,6 +51,9 @@ SPECTRUM_FLOOR = 1e-12
 BRANCH_PRUNE = 1e-24
 # a register holds a value with certainty when its weight there is at least this
 CERTAINTY = 1.0 - 1e-9
+# the most bytes one batch of stacked rows may take: block differences in
+# adversary._distances, sequences in analysis._level_exits
+_CHUNK_BYTES = 128 * 1024
 
 GATE_KINDS = ("shift", "cadd", "phase", "fourier", "dense")
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
@@ -440,13 +441,17 @@ class TestSearch:
 
         monkeypatch.setitem(analysis.TEMPLATES, template_id,
                             replace(get_template(template_id), rows=rows))
-        # 45^4 amplitudes fit under protocol.STATE_CAP = 2^22, 46^4 do not
+        # all start rows, d^arity states of d^4 amplitudes, fit under protocol.STATE_CAP
+        # = 2^22 at d = 12 with two keys (12^6) and d = 21 with one (21^5), not above
+        arity = get_template(template_id).key_arity
+        fits = {1: 21, 2: 12}[arity]
         for search in (lambda d: feasibility_search(template_id, d, max_depth=0),
                        lambda d: verify_candidate(template_id, d, ())):
             with pytest.raises(Built):
-                search(45)
-            for d in (46, 100):
-                with pytest.raises(ExplosionGuard, match=rf"{d}\^4 amplitudes exceeds 4194304"):
+                search(fits)
+            for d in (fits + 1, 45, 100):
+                with pytest.raises(ExplosionGuard, match=rf"{d}\^{arity} template states "
+                                   rf"of {d}\^4 amplitudes exceed 4194304"):
                     search(d)
 
     def test_exit_to_a_non_basis_memory_has_no_residual(self):
@@ -515,6 +520,16 @@ def evidence_families(d):
         "haar": (tuple(GateSpec.dense(("k", "e"), haar_unitary(d * d, rng)) for _ in range(3)),
                  decode),
     }
+
+
+def custom_family(d):
+    """A phase gate, a Fourier gate and two seeded Haar-random dense (k, e) gates,
+    u and X u^dagger with X the exit cadd(k->e, d-1): the pair composes to X, so a
+    depth-2 search over this family finds an exit through non-table gates."""
+    u = haar_unitary(d * d, np.random.default_rng(d))
+    exit_matrix = qudit.gate_unitary(GateSpec.controlled_add("k", "e", d - 1), d)
+    return (GateSpec.phase("k", 1), GateSpec.fourier("e"), GateSpec.dense(("k", "e"), u),
+            GateSpec.dense(("k", "e"), exit_matrix @ u.conj().T))
 
 
 class TestKeyRows:
@@ -590,6 +605,97 @@ class TestKeyRows:
                                r"RegisterLayout and a complex128 array of shape \(4, "):
                 check()
         assert calls == []
+
+
+def one_row_verdict(starts, sequence):
+    """The fast path's definition: every key row alone passes the one evaluator."""
+    keys, layout, amps = starts
+    return all(analysis._evidence((keys[r:r + 1], layout, amps[r:r + 1]), sequence,
+                                  protocol._DECODE, 1e-8)[0].ok for r in range(len(keys)))
+
+
+class TestLevels:
+    """The fast path runs each depth level as batches of rows, key by key."""
+
+    @pytest.mark.parametrize("template_id", ["stage5_round1", "post_round1_round2"])
+    @pytest.mark.parametrize("d,depth", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("family", [default_gate_family, custom_family])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_each_verdict_is_the_one_row_definition(self, template_id, d, depth, family,
+                                                    budget, monkeypatch):
+        if budget is not None:  # one row per batch
+            monkeypatch.setattr(analysis, "_CHUNK_BYTES", budget)
+        gates = family(d)
+        starts = analysis._start_states(get_template(template_id), d)
+        found = 0
+        for level in range(depth + 1):
+            expected = [number for number, sequence in enumerate(product(gates, repeat=level))
+                        if one_row_verdict(starts, sequence)]
+            assert analysis._level_exits(starts, gates, level, 1e-8).tolist() == expected
+            found += len(expected)
+        assert found
+
+    @pytest.mark.parametrize("template_id", ["stage5_round1", "post_round1_round2"])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_key_j_ranks_exactly_the_sequences_that_passed_the_keys_before_it(
+            self, template_id, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(analysis, "_CHUNK_BYTES", budget)
+        d, level, gates = 3, 2, default_gate_family(3)
+        keys, layout, amps = starts = analysis._start_states(get_template(template_id), d)
+        calls = []  # (the keys asked about, the rows ranked) per _evidence call
+        evidence, ranks = analysis._evidence, analysis._ranks
+        monkeypatch.setattr(analysis, "_evidence", lambda rows, *rest: calls.append(
+            [set(rows[0])]) or evidence(rows, *rest))
+        monkeypatch.setattr(analysis, "_ranks", lambda rows, *rest: calls[-1].append(
+            rows.copy()) or ranks(rows, *rest))
+        exits = analysis._level_exits(starts, gates, level, 1e-8)
+        monkeypatch.undo()
+        alive = list(product(gates, repeat=level))
+        for key, start in zip(keys, amps):
+            batches = [rows for asked, rows in calls if asked == {key}]
+            expected = []
+            for sequence in alive:
+                row = start[None]
+                for gate in sequence:
+                    row = qudit._gated(layout, row, gate)
+                expected.append(row)
+            # no call for a key no sequence reaches, and one row per batch at 1 byte
+            assert len(batches) == (0 if not alive else 1 if budget is None else len(alive))
+            if alive:
+                assert np.array_equal(np.concatenate(batches), np.concatenate(expected))
+            alive = [sequence for sequence in alive if analysis._evidence(
+                ((key,), layout, start[None]), sequence, protocol._DECODE, 1e-8)[0].ok]
+        assert [tuple(gates[i] for i in np.unravel_index(n, (len(gates),) * level))
+                for n in exits.tolist()] == alive
+
+    def test_the_fast_path_holds_the_start_rows_and_a_few_batches(self):
+        gates = default_gate_family(5)
+        starts = analysis._start_states(get_template("post_round1_round2"), 5)
+
+        def levels():
+            for level in range(3):
+                analysis._level_exits(starts, gates, level, 1e-8)
+
+        levels()  # fills the gate tables and fold plans
+        tracemalloc.start()
+        try:
+            levels()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 0.40 MB here; the depth-2 level as one array would take 144 rows of 10 KB
+        assert peak <= starts[2].nbytes + 4 * analysis._CHUNK_BYTES, peak
+
+    def test_a_depth_3_search_makes_a_few_fast_path_rank_calls(self, monkeypatch):
+        calls = []
+        ranks = analysis._ranks
+        monkeypatch.setattr(analysis, "_ranks",
+                            lambda *args: calls.append(len(args[0])) or ranks(*args))
+        report = feasibility_search("post_round1_round2", 3, max_depth=3)
+        # the dense oracle: one call on all 9 key rows per candidate
+        assert calls.count(9) >= len(report.candidates) == 31
+        assert len(calls) - len(report.candidates) <= 40
 
 
 def never_built(key_arity=1):
@@ -677,6 +783,17 @@ class TestReportDigest:
             for tol in (1e-7, 1e-8, 1e-10))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "88dcc12eb6ecc89b252b625ad35400278f39cd9eb373b3cfd263a536e1b93552")
+
+    def test_the_custom_family_reports_keep_their_bytes(self):
+        # phase, Fourier and dense gates: both templates x d in {2, 3} x depth <= 2
+        reports = [feasibility_search(template_id, d, max_depth=depth,
+                                      family=custom_family(d))
+                   for template_id in ("stage5_round1", "post_round1_round2")
+                   for d in (2, 3) for depth in (0, 1, 2)]
+        assert [len(r.candidates) for r in reports] == [0, 0, 1] * 4
+        text = "".join(render_report(report) for report in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e52874427c7b539268e23c17e89d83cc4889d1e1128a2336ae9b2713702d7619")
 
 
 class TestRenderReport:

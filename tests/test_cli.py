@@ -7,12 +7,13 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import qkdsim.cli as cli
-from qkdsim import protocol
+from qkdsim import analysis, protocol
 from qkdsim.adversary import PRESETS, TIMINGS, action_from_obj
 from qkdsim.errors import (
     ConfigError,
@@ -615,6 +616,28 @@ class TestSearch:
     def test_unknown_template_rejected_by_schema(self, tmp_path):
         path = write_scenario(tmp_path, d=2, template="round_9000")
         assert cli.main(["search", path]) == 1
+
+    @pytest.mark.parametrize("template, d, refused", [
+        ("post_round1_round2", 12, False), ("post_round1_round2", 13, True),
+        ("post_round1_round2", 16, True), ("stage5_round1", 16, False)])
+    def test_validate_refuses_the_start_rows_search_refuses(self, template, d, refused,
+                                                           tmp_path, capsys, monkeypatch):
+        # all start rows must fit protocol.STATE_CAP: 13^2 * 13^4 amplitudes do not
+        def rows(d, keys):
+            raise AssertionError(f"template rows built for d={d}")
+
+        monkeypatch.setitem(analysis.TEMPLATES, template,
+                            replace(analysis.get_template(template), rows=rows))
+        path = write_scenario(tmp_path, d=d, template=template)
+        assert cli.main(["validate", path]) == refused
+        message = capsys.readouterr().err
+        if refused:
+            assert message == (f"error: {d}^2 template states of {d}^4 amplitudes exceed "
+                               "4194304\n")
+            assert cli.main(["search", path, "--depth", "0"]) == 1
+            assert capsys.readouterr().err == message
+        else:
+            assert message == ""
 
 
 class TestParserReuse:

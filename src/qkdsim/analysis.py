@@ -10,9 +10,11 @@ templates take those rows from the protocol's own round loop, at a moment of
 a session under the persistent_entangle preset.  The fast permutation
 path runs each depth level key by key: key j's start row runs, as batches of
 rows, the sequences that passed the keys before it, so a sequence is dropped
-at its first failing key.  Its candidates are re-verified by the dense oracle
-on all key rows at once before they are reported; a search lowers each family
-gate and Bob's decode to a matrix once, for all its candidates.
+at its first failing key.  It reads one verdict per row, from Eve's rank and
+Bob's outcome alone, and hands on the exits as family positions.  Those are
+re-verified by the dense oracle on all key rows at once before they are
+reported, and only the oracle reads Eve's residual values; a search lowers
+each family gate and Bob's decode to a matrix once, for all its candidates.
 """
 
 from __future__ import annotations
@@ -257,8 +259,8 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
     0..MAX_SEARCH_DEPTH, a d that RegisterLayout refuses, a rank_tol outside
     (0, inf), more than KEY_TUPLE_CAP key assignments, start rows of more than
     protocol.STATE_CAP amplitudes in all (d^arity states over (a, b, k, e)), a
-    gate off registers k and e and a dense gate whose matrix side is not
-    d^len(targets)."""
+    gate that is not a GateSpec, a gate off registers k and e and a dense gate
+    whose matrix side is not d^len(targets)."""
     if isinstance(template, str):
         template = get_template(template)
     if not _is_integer(template.key_arity) or template.key_arity < 1:
@@ -277,6 +279,9 @@ def _entry(template: RoundTemplate | str, d: int, gates: Sequence[GateSpec] | No
         raise ExplosionGuard(f"{d}^{arity} template states of {d}^4 amplitudes exceed "
                              f"{protocol.STATE_CAP}")
     gates = default_gate_family(d) if gates is None else tuple(gates)
+    for i, gate in enumerate(gates):
+        if not isinstance(gate, GateSpec):
+            raise ConfigError(f"candidate gate {i} is {gate!r}, not a GateSpec")
     off = {label for gate in gates for label in gate.registers} - {"k", "e"}
     if off:
         raise IllegalRegisterAccess(f"candidate gates may touch only k and e, found {sorted(off)}")
@@ -306,63 +311,62 @@ def _start_states(template: RoundTemplate, d: int) -> tuple:
     return keys, layout, amps
 
 
-def _evidence(starts: tuple, gates: Sequence[GateSpec], decode: GateSpec,
-              rank_tol: float) -> tuple[KeyCaseEvidence, ...]:
-    """Check both exit conditions for every row of starts, a _start_states triple
-    or, from the fast path, a batch of sequences already gated, each with its key.
-
-    Each gate runs once over all rows; one batched SVD across {e} | {a,b,k}
-    gives Eve's ranks, whose memory must be product before the qudit is
-    forwarded; one marginal after Bob's decode must give the last key of each
-    tuple with certainty, and one marginal of e gives her residual value.
+def _verdicts(rows: tuple, decode: GateSpec, rank_tol: float) -> tuple:
+    """(ranks, outcomes, oks) of rows, a (keys, layout, amps) triple already gated:
+    the one exit rule.  One batched SVD across {e} | {a,b,k} gives Eve's ranks, whose
+    memory must be product before the qudit is forwarded; Bob's outcome after decode
+    is None unless certain; a row exits when its rank is 1 and its outcome its last key.
     """
+    keys, layout, amps = rows
+    ranks = _ranks(amps, _fold(layout, ("e",)), rank_tol).tolist()
+    outcomes = _certain_values(_gated(layout, amps, decode), _split(layout, "k"))
+    return ranks, outcomes, [rank == 1 and outcome == key[-1]
+                             for key, rank, outcome in zip(keys, ranks, outcomes)]
+
+
+def _evidence(starts: tuple, gates: Sequence[GateSpec], decode: GateSpec,
+              rank_tol: float) -> CandidateVerdict:
+    """The dense oracle: run gates, each once over all rows of starts, a
+    _start_states triple, then check both exit conditions on every key row with
+    _verdicts; one marginal of e gives Eve's residual value."""
     keys, layout, amps = starts
     for gate in gates:
         amps = _gated(layout, amps, gate)
-    ranks = _ranks(amps, _fold(layout, ("e",)), rank_tol).tolist()
-    outcomes = _certain_values(_gated(layout, amps, decode), _split(layout, "k"))
+    ranks, outcomes, oks = _verdicts((keys, layout, amps), decode, rank_tol)
     residuals = _certain_values(amps, _split(layout, "e"))
-    return tuple(
+    return CandidateVerdict(verified=all(oks), evidence=tuple(
         KeyCaseEvidence(keys=key, rank_e=rank, bob_outcome=outcome,
-                        deterministic=outcome is not None, residual=residual,
-                        ok=rank == 1 and outcome == key[-1])
-        for key, rank, outcome, residual in zip(keys, ranks, outcomes, residuals))
+                        deterministic=outcome is not None, residual=residual, ok=ok)
+        for key, rank, outcome, residual, ok in zip(keys, ranks, outcomes, residuals, oks)))
 
 
 def _level_exits(starts: tuple, family: Sequence[GateSpec], depth: int,
                  rank_tol: float) -> np.ndarray:
     """The fast path on every sequence of one length over family, through the table
-    kernels: the lexicographic numbers of those that pass on every key row, in order.
+    kernels: the family positions of those that pass on every key row, one row per
+    exit, in lexicographic order.
 
     Key j's start row runs, as batches of at most _CHUNK_BYTES of rows, only the
     sequences that passed the keys before it; in a batch each (step, gate) is one
     gate call over the rows whose sequence has that gate at that step.
     """
     keys, layout, amps = starts
-    alive = np.arange(len(family) ** depth)
     places = len(family) ** np.arange(depth - 1, -1, -1)
+    alive = np.arange(len(family) ** depth)[:, None] // places % len(family)
     size = max(1, _CHUNK_BYTES // amps[0].nbytes)
     for key, start in zip(keys, amps):
         ok = []
         for first in range(0, len(alive), size):
             batch = alive[first:first + size]
             rows = np.repeat(start[None], len(batch), 0)
-            for digits in (batch[:, None] // places % len(family)).T:
+            for digits in batch.T:
                 for position in set(digits.tolist()):
                     at = digits == position
                     rows[at] = _gated(layout, rows[at], family[position])
-            ok += [ev.ok for ev in _evidence(((key,) * len(batch), layout, rows), (),
-                                             protocol._DECODE, rank_tol)]
+            ok += _verdicts(((key,) * len(batch), layout, rows), protocol._DECODE,
+                            rank_tol)[2]
         alive = alive[np.array(ok, bool)]
     return alive
-
-
-def _dense_verdict(starts: tuple, lowered: Sequence[GateSpec], decode: GateSpec,
-                   rank_tol: float) -> CandidateVerdict:
-    """The dense oracle: a sequence and Bob's decode already lowered to dense
-    gates, run through the matmul branch of the kernel on all key rows at once."""
-    evidence = _evidence(starts, lowered, decode, rank_tol)
-    return CandidateVerdict(verified=all(ev.ok for ev in evidence), evidence=evidence)
 
 
 def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[GateSpec],
@@ -373,8 +377,8 @@ def verify_candidate(template: RoundTemplate | str, d: int, sequence: Sequence[G
     members of the default search family.  Each gate is lowered once.
     """
     template, d, sequence = _entry(template, d, tuple(sequence), rank_tol)
-    return _dense_verdict(_start_states(template, d), [to_dense(gate, d) for gate in sequence],
-                          to_dense(protocol._DECODE, d), rank_tol)
+    return _evidence(_start_states(template, d), [to_dense(gate, d) for gate in sequence],
+                     to_dense(protocol._DECODE, d), rank_tol)
 
 
 def _affine_expression(values: dict, d: int, arity: int) -> str | None:
@@ -427,30 +431,21 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
         """The family's gate at this position as a dense gate, lowered on first use."""
         return to_dense(fam[position], d)
 
-    enumerated = 0
     candidates = []
     for depth in range(max_depth + 1):
-        exits = set(_level_exits(starts, fam, depth, rank_tol).tolist())
-        for number, positions in enumerate(product(range(len(fam)), repeat=depth)):
-            enumerated += 1
-            if number not in exits:
-                continue
-            sequence = tuple(fam[i] for i in positions)
-            dense = _dense_verdict(starts, [lowered(i) for i in positions], decode, rank_tol)
+        for positions in _level_exits(starts, fam, depth, rank_tol).tolist():
+            dense = _evidence(starts, [lowered(i) for i in positions], decode, rank_tol)
             if not dense.verified:
                 raise InvariantViolation(
                     "fast path accepted a sequence the dense oracle rejects")
             residual_values = {ev.keys: ev.residual for ev in dense.evidence}
             candidates.append(SearchCandidate(
-                sequence=sequence,
+                sequence=tuple(fam[i] for i in positions),
                 verdict="verified",
                 residual_expression=_affine_expression(
                     residual_values, d, template.key_arity),
                 residual_values=residual_values,
             ))
-    if enumerated != total:
-        raise InvariantViolation(
-            f"enumerated {enumerated} sequences, closed form says {total}")
     return FeasibilityReport(
         template_id=template.template_id,
         d=d,
@@ -459,7 +454,7 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
         rank_tol=rank_tol,
         candidates=tuple(candidates),
         exhaustive=True,
-        enumeration_count=enumerated,
+        enumeration_count=total,
     )
 
 

@@ -71,11 +71,28 @@ _FIELDS = {
 
 def load_scenario(path: str) -> dict:
     """Parse a scenario file and check each field against _FIELDS; integers must be
-    JSON integers (2, not 2.0).  Raises ConfigError naming every bad field."""
-    with open(path, "r", encoding="utf-8") as handle:
+    JSON integers (2, not 2.0).  Raises ConfigError naming every bad field, and the
+    file when it is not UTF-8 JSON: NaN, Infinity and a field named twice in one
+    object are refused, not read as a number or the last value."""
+    def unique(pairs: list) -> dict:
+        fields = dict(pairs)
+        if len(fields) < len(pairs):
+            names = [name for name, _ in pairs]
+            twice = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ConfigError(f"{path}: field {twice!r} appears more than once")
+        return fields
+
+    def constant(name: str):
+        raise ConfigError(f"{path}: {name} is not a JSON number")
+
+    with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        scenario = json.loads(raw)
+        scenario = json.loads(raw.decode("utf-8"), object_pairs_hook=unique,
+                              parse_constant=constant)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.start} "
+                          f"(0x{raw[exc.start]:02x}) is {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}") from exc

@@ -243,6 +243,9 @@ class GateSpec:
             m = np.array(self.matrix, dtype=np.complex128)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise NonUnitaryMatrix(f"dense matrix must be square, got shape {m.shape}")
+            if not np.isfinite(m).all():  # NaN would pass the check below: nan > tol is false
+                at = tuple(np.argwhere(~np.isfinite(m))[0].tolist())
+                raise NonUnitaryMatrix(f"dense matrix entry {at} is {m[at]}, not finite")
             dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
             if dev > UNITARY_TOL:
                 raise NonUnitaryMatrix(f"max |U^H U - I| = {dev:.3e} exceeds {UNITARY_TOL}")

@@ -348,7 +348,7 @@ class TestSearch:
 
     def test_family_off_k_and_e_refused_before_any_evaluation(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(analysis, "_evidence",
+        monkeypatch.setattr(analysis, "_verdicts",
                             lambda *args, **kwargs: calls.append(args))
         family = (GateSpec.controlled_add("k", "e", 1), GateSpec.phase("a", 1))
         with pytest.raises(IllegalRegisterAccess):
@@ -550,8 +550,9 @@ class TestKeyRows:
             for sequence in product(gates, repeat=depth):
                 rows = [(keys[r:r + 1], layout, amps[r:r + 1]) for r in range(len(keys))]
                 whole = analysis._evidence(starts, sequence, decode, 1e-8)
-                assert whole == sum((analysis._evidence(row, sequence, decode, 1e-8)
-                                     for row in rows), ())
+                assert whole.evidence == sum((analysis._evidence(row, sequence, decode,
+                                                                 1e-8).evidence
+                                              for row in rows), ())
                 gated = amps
                 for gate in sequence:
                     gated = qudit._gated(layout, gated, gate)
@@ -598,7 +599,7 @@ class TestKeyRows:
         template = RoundTemplate(
             "malformed", 2, lambda d, keys: self.MALFORMED[malformed](*base.rows(d, keys)))
         calls = []
-        monkeypatch.setattr(analysis, "_evidence", lambda *args: calls.append(args))
+        monkeypatch.setattr(analysis, "_verdicts", lambda *args: calls.append(args))
         for check in (lambda: feasibility_search(template, 2, max_depth=1),
                       lambda: verify_candidate(template, 2, ())):
             with pytest.raises(ConfigError, match=r"template 'malformed': rows gave .*, not a "
@@ -611,7 +612,8 @@ def one_row_verdict(starts, sequence):
     """The fast path's definition: every key row alone passes the one evaluator."""
     keys, layout, amps = starts
     return all(analysis._evidence((keys[r:r + 1], layout, amps[r:r + 1]), sequence,
-                                  protocol._DECODE, 1e-8)[0].ok for r in range(len(keys)))
+                                  protocol._DECODE, 1e-8).evidence[0].ok
+               for r in range(len(keys)))
 
 
 class TestLevels:
@@ -627,11 +629,20 @@ class TestLevels:
             monkeypatch.setattr(analysis, "_CHUNK_BYTES", budget)
         gates = family(d)
         starts = analysis._start_states(get_template(template_id), d)
+        verdicts, key_0 = analysis._verdicts, starts[0][0]
         found = 0
         for level in range(depth + 1):
-            expected = [number for number, sequence in enumerate(product(gates, repeat=level))
-                        if one_row_verdict(starts, sequence)]
-            assert analysis._level_exits(starts, gates, level, 1e-8).tolist() == expected
+            expected = [list(positions)
+                        for positions in product(range(len(gates)), repeat=level)
+                        if one_row_verdict(starts, [gates[i] for i in positions])]
+            evaluated = []  # the fast path's rows of key 0
+            monkeypatch.setattr(analysis, "_verdicts", lambda rows, *rest: evaluated.extend(
+                key for key in rows[0] if key == key_0) or verdicts(rows, *rest))
+            exits = analysis._level_exits(starts, gates, level, 1e-8)
+            monkeypatch.setattr(analysis, "_verdicts", verdicts)
+            # the first key evaluates every sequence of the level, so none is left out
+            assert len(evaluated) == len(gates) ** level
+            assert exits.tolist() == expected
             found += len(expected)
         assert found
 
@@ -643,10 +654,10 @@ class TestLevels:
             monkeypatch.setattr(analysis, "_CHUNK_BYTES", budget)
         d, level, gates = 3, 2, default_gate_family(3)
         keys, layout, amps = starts = analysis._start_states(get_template(template_id), d)
-        calls = []  # (the keys asked about, the rows ranked) per _evidence call
-        evidence, ranks = analysis._evidence, analysis._ranks
-        monkeypatch.setattr(analysis, "_evidence", lambda rows, *rest: calls.append(
-            [set(rows[0])]) or evidence(rows, *rest))
+        calls = []  # (the keys asked about, the rows ranked) per _verdicts call
+        verdicts, ranks = analysis._verdicts, analysis._ranks
+        monkeypatch.setattr(analysis, "_verdicts", lambda rows, *rest: calls.append(
+            [set(rows[0])]) or verdicts(rows, *rest))
         monkeypatch.setattr(analysis, "_ranks", lambda rows, *rest: calls[-1].append(
             rows.copy()) or ranks(rows, *rest))
         exits = analysis._level_exits(starts, gates, level, 1e-8)
@@ -665,9 +676,8 @@ class TestLevels:
             if alive:
                 assert np.array_equal(np.concatenate(batches), np.concatenate(expected))
             alive = [sequence for sequence in alive if analysis._evidence(
-                ((key,), layout, start[None]), sequence, protocol._DECODE, 1e-8)[0].ok]
-        assert [tuple(gates[i] for i in np.unravel_index(n, (len(gates),) * level))
-                for n in exits.tolist()] == alive
+                ((key,), layout, start[None]), sequence, protocol._DECODE, 1e-8).verified]
+        assert [tuple(gates[i] for i in positions) for positions in exits.tolist()] == alive
 
     def test_the_fast_path_holds_the_start_rows_and_a_few_batches(self):
         gates = default_gate_family(5)
@@ -696,6 +706,20 @@ class TestLevels:
         # the dense oracle: one call on all 9 key rows per candidate
         assert calls.count(9) >= len(report.candidates) == 31
         assert len(calls) - len(report.candidates) <= 40
+
+    def test_only_the_dense_oracle_builds_evidence_and_reads_residuals(self, monkeypatch):
+        built, marginals = [], []
+        evidence, certain_values = analysis.KeyCaseEvidence, analysis._certain_values
+        monkeypatch.setattr(analysis, "KeyCaseEvidence",
+                            lambda **fields: built.append(fields) or evidence(**fields))
+        monkeypatch.setattr(analysis, "_certain_values", lambda amps, split: marginals.append(
+            split) or certain_values(amps, split))
+        report = feasibility_search("post_round1_round2", 3, max_depth=3)
+        # one evidence per key row for each candidate, none for the fast path's rows
+        assert len(report.candidates) == 31
+        assert len(built) == 9 * 31
+        eve = qudit._split(RegisterLayout(3, ("a", "b", "k", "e")), "e")
+        assert marginals.count(eve) == 31
 
 
 def never_built(key_arity=1):
@@ -756,6 +780,15 @@ class TestEntryRules:
         for check in (lambda: feasibility_search(never_built(2), 3, 1, family=[gate]),
                       lambda: verify_candidate(never_built(2), 3, [gate])):
             with pytest.raises(NonUnitaryMatrix, match=r"matrix side 4 .* d\^targets = 3"):
+                check()
+
+    def test_an_element_that_is_not_a_gate_is_refused_before_any_state(self):
+        gate = GateSpec.shift("e", 1)
+        for check, named in ((lambda: feasibility_search(never_built(), 2, 1, family=["x"]),
+                              "candidate gate 0 is 'x'"),
+                             (lambda: verify_candidate(never_built(), 2, [gate, None]),
+                              "candidate gate 1 is None")):
+            with pytest.raises(ConfigError, match=f"{named}, not a GateSpec"):
                 check()
 
     def test_size_caps_refuse_before_the_default_family_is_built(self, monkeypatch):

@@ -164,6 +164,46 @@ class TestValidate:
         assert cli.main(["validate", str(path)]) == 1
         assert "line" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"schema_version": "scenario/1", "d": 2, "output": "é"}'
+                         .encode("latin-1"))
+        assert cli.main(["validate", str(path)]) == 1
+        assert f"{path}: not UTF-8 text: byte 52 (0xe9)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_literals_are_refused(self, literal, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"schema_version": "scenario/1", "d": 2, "rounds": 1, "keys": [0], '
+                        '"attack": {"script": {"rounds": {"1": [{"op": "dense", '
+                        '"targets": ["k"], "matrix": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]'
+                        '}]}}}}' % literal, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        assert f"{path}: {literal} is not a JSON number" in capsys.readouterr().err
+
+    def test_non_finite_matrix_entry_is_refused(self, tmp_path, capsys):
+        # 1e400 is valid JSON that parses to inf
+        path = tmp_path / "inf.json"
+        path.write_text('{"schema_version": "scenario/1", "d": 2, "rounds": 1, "keys": [0], '
+                        '"attack": {"script": {"rounds": {"1": [{"op": "dense", '
+                        '"targets": ["k"], "matrix": [[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]'
+                        '}]}}}}', encoding="utf-8")
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path)]) == 1
+            assert "dense matrix entry (0, 0) is (inf+0j), not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"schema_version": "scenario/1", "d": 2, "d": 3}', "d"),
+        ('{"schema_version": "scenario/1", "d": 2, "rounds": 1, "keys": [0], "attack": '
+         '{"script": {"rounds": {"1": [{"op": "shift", "target": "e", "s": 1}], "1": []}}}}',
+         "1"),
+    ])
+    def test_a_field_named_twice_is_refused(self, text, field, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        assert f"{path}: field {field!r} appears more than once" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self):
         assert cli.main(["validate", "/no/such/scenario.json"]) == 3
 

@@ -313,6 +313,15 @@ class TestGateSpecs:
         with pytest.raises(NonUnitaryMatrix):
             GateSpec.dense(("k",), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_dense_rejects_non_finite_entries(self, bad):
+        # max |U^H U - I| is NaN for these, and NaN > UNITARY_TOL is false
+        with pytest.raises(NonUnitaryMatrix, match=r"entry \(0, 0\) is .*, not finite"):
+            GateSpec.dense(("k",), [[bad, 0], [0, 1]])
+        with pytest.raises(NonUnitaryMatrix, match="not finite"):  # so no search gets one
+            verify_candidate("stage5_round1", 2,
+                             [GateSpec.dense(("k", "e"), np.full((4, 4), bad))])
+
     def test_dense_size_must_match_targets(self):
         state = random_state(RegisterLayout(3, ("a", "k")), seed=3)
         gate = GateSpec.dense(("k",), np.eye(2))
@@ -735,8 +744,7 @@ class TestCertaintyRule:
                 verdict = verify_candidate(template, 3, ())
             else:
                 starts = analysis._start_states(template, 3)
-                evidence = analysis._evidence(starts, (), _DECODE, 1e-8)
-                verdict = analysis.CandidateVerdict(all(ev.ok for ev in evidence), evidence)
+                verdict = analysis._evidence(starts, (), _DECODE, 1e-8)
             assert verdict.verified == certain
             for ev in verdict.evidence:
                 assert ev.rank_e == 1

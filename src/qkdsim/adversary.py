@@ -21,6 +21,7 @@ from .errors import (
     IllegalRegisterAccess,
     InvariantViolation,
     MissingRegister,
+    NonUnitaryMatrix,
     UnknownPreset,
 )
 from .qudit import (
@@ -115,27 +116,27 @@ class AttackScript:
 EMPTY_SCRIPT = AttackScript({})
 
 
-def eve_entangle(state: PureState, memory: str = "e") -> PureState:
-    """Copy the flying qudit's value into Eve's memory by a mod-d add.
+def eve_entangle(state: PureState) -> PureState:
+    """Copy the flying qudit's value into Eve's memory "e" by a mod-d add.
 
     Warns when the memory register is not resting in |0>; the operation is
     still applied.
     """
-    for reg in ("k", memory):
+    for reg in ("k", "e"):
         if reg not in state.layout.labels:
             raise MissingRegister(f"state has no register {reg!r}")
-    if _certain_value(state, memory) != 0:
-        warnings.warn(f"memory register {memory!r} is not in |0>; entangling anyway",
+    if _certain_value(state, "e") != 0:
+        warnings.warn("memory register 'e' is not in |0>; entangling anyway",
                       RuntimeWarning, stacklevel=2)
-    return apply_gate(state, GateSpec.controlled_add("k", memory, 1))
+    return apply_gate(state, GateSpec.controlled_add("k", "e", 1))
 
 
-def eve_disentangle(state: PureState, memory: str = "e") -> PureState:
-    """Inverse of eve_entangle: subtract the flying qudit from the memory."""
-    for reg in ("k", memory):
+def eve_disentangle(state: PureState) -> PureState:
+    """Inverse of eve_entangle: subtract the flying qudit from the memory "e"."""
+    for reg in ("k", "e"):
         if reg not in state.layout.labels:
             raise MissingRegister(f"state has no register {reg!r}")
-    return apply_gate(state, GateSpec.controlled_add("k", memory, state.layout.d - 1))
+    return apply_gate(state, GateSpec.controlled_add("k", "e", state.layout.d - 1))
 
 
 def compile_schedule(preset: str, config) -> AttackScript:
@@ -375,7 +376,7 @@ def _from_wire(obj: Mapping, timed: bool):
             timing = obj.get("timing", "pre_bob")
             built = (replace(built, timing=timing) if op == "measure"
                      else EveAction(timing, gate=built))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NonUnitaryMatrix) as exc:
         raise ConfigError(f"bad {op} object {obj!r}: {exc}") from exc
     if not all(isinstance(reg, str) for reg in built.registers):
         raise ConfigError(f"register names must be strings: {obj!r}")
@@ -412,6 +413,9 @@ def script_from_obj(obj: Mapping) -> AttackScript:
     for key, actions in obj["rounds"].items():
         if not isinstance(actions, (list, tuple)):
             raise ConfigError(f"round {key!r} must hold a list of actions, got {actions!r}")
-        rounds[key] = tuple(action_from_obj(a) for a in actions)
+        try:
+            rounds[key] = tuple(action_from_obj(a) for a in actions)
+        except ConfigError as exc:
+            raise ConfigError(f"round {key!r}: {exc}") from exc
     # AttackScript refuses a key that is not an integer, or two that name one round
     return AttackScript(rounds)

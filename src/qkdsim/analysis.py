@@ -458,18 +458,8 @@ def feasibility_search(template: RoundTemplate | str, d: int, max_depth: int = 1
     )
 
 
-def render_report(report) -> str:
-    """Deterministic JSON text for a feasibility report or diagnostics."""
-    if isinstance(report, FeasibilityReport):
-        return serialize.dumps(report.to_json_dict())
-    if isinstance(report, StageDiagnostics):
-        doc = {"schema_version": "diagnostics/1"}
-        doc.update(report.to_json_dict())
-        return serialize.dumps(doc)
-    if isinstance(report, (list, tuple)) and all(
-            isinstance(r, StageDiagnostics) for r in report):
-        return serialize.dumps({
-            "schema_version": "diagnostics/1",
-            "stages": [r.to_json_dict() for r in report],
-        })
-    raise TypeError(f"cannot render {type(report).__name__}")
+def render_report(report: FeasibilityReport) -> str:
+    """Deterministic JSON text for a feasibility report; anything else raises TypeError."""
+    if not isinstance(report, FeasibilityReport):
+        raise TypeError(f"cannot render {type(report).__name__}")
+    return serialize.dumps(report.to_json_dict())

@@ -4,8 +4,9 @@ Every command runs the same scenario check: load_scenario, then
 _checked_session.  Exit codes: 0 success, 1 bad command line or any
 errors.InputError (configuration, scenario or size), 2 internal invariant
 failure during a run, 3 I/O or unexpected internal error.  The tolerance used
-for Schmidt-rank cutoffs resolves as: --tol flag, then the QKDSIM_TOL
-environment variable, then qudit.SCHMIDT_TOL (1e-8).
+for Schmidt-rank cutoffs is the --tol flag, else qudit.SCHMIDT_TOL (1e-8); the
+scenario file and the command line are the only inputs, so the same ones give
+the same report bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from functools import lru_cache
 
@@ -29,9 +29,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_INTERNAL = 3
-
-DEFAULT_TOL = SCHMIDT_TOL
-TOL_ENV_VAR = "QKDSIM_TOL"
 
 
 def _is_int(value, low: int, high: float = math.inf) -> bool:
@@ -111,21 +108,13 @@ def load_scenario(path: str) -> dict:
 
 def _resolve_tol(flag_value: float | None) -> float:
     """The Schmidt-rank cutoff, refused unless it is a finite number above 0."""
-    if flag_value is not None:
-        tol, source = flag_value, "--tol"
-    elif TOL_ENV_VAR in os.environ:
-        env = os.environ[TOL_ENV_VAR]
-        try:
-            tol, source = float(env), TOL_ENV_VAR
-        except ValueError as exc:
-            raise ConfigError(f"{TOL_ENV_VAR} = {env!r} is not a number") from exc
-    else:
-        return DEFAULT_TOL
+    if flag_value is None:
+        return SCHMIDT_TOL
     try:
-        _check_tol(tol)
+        _check_tol(flag_value)
     except ValueError as exc:
-        raise ConfigError(f"{source} = {tol!r} is not a finite number above 0") from exc
-    return tol
+        raise ConfigError(f"--tol = {flag_value!r} is not a finite number above 0") from exc
+    return flag_value
 
 
 def _checked_session(scenario: dict, seed_flag: int | None = None,
@@ -172,7 +161,7 @@ def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     _checked_session(scenario)
     if "template" in scenario:  # the search's entry check, so validate refuses what it does
-        _entry(scenario["template"], scenario["d"], None, DEFAULT_TOL)
+        _entry(scenario["template"], scenario["d"], None, SCHMIDT_TOL)
     print(f"{args.scenario}: ok")
     return EXIT_OK
 

@@ -210,18 +210,15 @@ def alice_encode(state: PureState | Stage, q) -> PureState | Stage:
     return rows if isinstance(state, Stage) else rows.state(0)
 
 
-def bob_decode(state: PureState, rng: np.random.Generator | None = None,
-               ) -> tuple[int, PureState]:
+def bob_decode(state: PureState, rng: np.random.Generator) -> tuple[int, PureState]:
     """Subtract "b" from the key qudit, measure it, and drop it.
 
     Honest traffic makes the outcome certain; under attack it may be random,
-    in which case the optional rng drives the sampling.
+    and rng drives the sampling, as in qudit.measure.
     """
     for reg in (BOB, KEY):
         if reg not in state.layout.labels:
             raise MissingRegister(f"state has no register {reg!r}")
-    if rng is None:
-        rng = np.random.default_rng()
     stage, outcome = Stage.of(state).decode(rng)
     return outcome, stage.state(0)
 

@@ -187,15 +187,14 @@ class DensityMatrix:
         """Eigenvalues sorted in descending order."""
         return np.linalg.eigvalsh(self.entries)[::-1]
 
-    def validate(self, hermitian_tol: float = 1e-10, trace_tol: float = 1e-12,
-                 psd_floor: float = -1e-10) -> None:
-        """Raise ValueError unless Hermitian, unit trace, and PSD within tolerance."""
+    def validate(self) -> None:
+        """Raise ValueError unless Hermitian, unit trace, and PSD within fixed tolerances."""
         m = self.entries
-        if np.max(np.abs(m - m.conj().T)) > hermitian_tol:
+        if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
+        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
             raise ValueError("density matrix trace differs from 1 beyond tolerance")
-        if np.min(np.linalg.eigvalsh(m)) < psd_floor:
+        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
             raise ValueError("density matrix has an eigenvalue below the PSD floor")
 
 

@@ -193,8 +193,7 @@ def test_criterion_7_measurement_statistics_pass_chi_square():
           f"the 0.001 level for d in {{2,3,5}} ({elapsed:.2f}s)")
 
 
-def test_criterion_8_cli_reports_are_byte_deterministic(tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+def test_criterion_8_cli_reports_are_byte_deterministic(tmp_path):
     run_scenario = str(REPO / "scenarios" / "intercept_d2.json")
     search_scenario = str(REPO / "scenarios" / "search_even_round_d3.json")
     outputs = []

@@ -192,6 +192,24 @@ class TestValidate:
             assert cli.main([command, str(path)]) == 1
             assert "dense matrix entry (0, 0) is (inf+0j), not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, reason", [
+        ("1e400", "dense matrix entry (0, 0) is (inf+0j), not finite"),
+        ("2", "max |U^H U - I| = 3.000e+00 exceeds 1e-10"),
+        ("true", "matrix entries must be JSON numbers, not booleans")])
+    def test_a_refused_dense_action_is_named_with_its_round(self, entry, reason, tmp_path,
+                                                          capsys):
+        # every refusal names the round and the action, whichever check refused it
+        path = tmp_path / "dense.json"
+        path.write_text('{"schema_version": "scenario/1", "d": 2, "rounds": 2, "keys": [0, 1], '
+                        '"attack": {"script": {"rounds": {"2": [{"op": "dense", '
+                        '"targets": ["k"], "matrix": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]'
+                        '}]}}}}' % entry, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: round '2': bad dense object {'op': 'dense', "
+                              "'targets': ['k'], 'matrix': [[[")
+        assert err.endswith(f": {reason}\n")
+
     @pytest.mark.parametrize("text,field", [
         ('{"schema_version": "scenario/1", "d": 2, "d": 3}', "d"),
         ('{"schema_version": "scenario/1", "d": 2, "rounds": 1, "keys": [0], "attack": '
@@ -469,9 +487,8 @@ class TestRun:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     @pytest.mark.parametrize("name", ["intercept_d2", "reply_odd_d3"])
-    def test_matches_golden_transcript(self, name, tmp_path, monkeypatch):
+    def test_matches_golden_transcript(self, name, tmp_path):
         # seeded transcripts are a contract: the same scenario gives the same bytes
-        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
         out = tmp_path / "report.json"
         assert cli.main(["run", str(REPO / "scenarios" / f"{name}.json"),
                          "--out", str(out)]) == 0
@@ -556,41 +573,23 @@ class TestExitCodes:
 
 
 class TestToleranceResolution:
-    def test_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    def test_default(self, tmp_path, capsys):
         path = honest_scenario(tmp_path)
         cli.main(["run", path])
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-8
-
-    def test_env_overrides_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-3")
-        path = honest_scenario(tmp_path)
-        cli.main(["run", path])
-        assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-3
-
-    def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-3")
-        path = honest_scenario(tmp_path)
-        cli.main(["run", path, "--tol", "1e-5"])
+        cli.main(["run", path, "--tol", "1e-5"])  # the flag is the one way to change it
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-5
 
     @pytest.mark.parametrize("value", [True, 0.0, float("nan")])
-    def test_tolerance_follows_the_schmidt_rank_rule(self, value, monkeypatch):
+    def test_tolerance_follows_the_schmidt_rank_rule(self, value):
         # one rule with qudit's: a bool is refused too, with the CLI's message
-        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
         with pytest.raises(ConfigError, match=r"^--tol = .* is not a finite number above 0$"):
             cli._resolve_tol(value)
 
-    def test_unparseable_env_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "tiny")
-        path = honest_scenario(tmp_path)
-        assert cli.main(["run", path]) == 1
-
     @pytest.mark.parametrize("command", ["run", "search"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
     @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf"])
-    def test_tolerance_must_be_finite_and_positive(self, value, source, command, tmp_path,
-                                                   capsys, monkeypatch):
+    def test_tolerance_must_be_finite_and_positive(self, value, command, tmp_path, capsys,
+                                                   monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("work started on a refused tolerance")
 
@@ -601,35 +600,44 @@ class TestToleranceResolution:
         else:
             path = write_scenario(tmp_path, d=2, template="stage5_round1")
         out = tmp_path / "report.json"
-        argv = [command, path, "--out", str(out)]
-        if source == "flag":
-            monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
-            argv.append(f"--tol={value}")
-        else:
-            monkeypatch.setenv(cli.TOL_ENV_VAR, value)
-        assert cli.main(argv) == 1
+        assert cli.main([command, path, "--out", str(out), f"--tol={value}"]) == 1
         assert "finite number above 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_search_reports_the_tolerance(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    @pytest.mark.parametrize("value", ["1e-3", "tiny"])
+    def test_reports_do_not_read_the_environment(self, value, tmp_path, capsys, monkeypatch):
+        # the scenario and the command line are a report's only inputs, so a
+        # variable named like a second --tol moves no byte
+        monkeypatch.setenv("QKDSIM_TOL", value)
+        for name in ("intercept_d2", "reply_odd_d3"):
+            out = tmp_path / f"run_{name}.json"
+            assert cli.main(["run", str(REPO / "scenarios" / f"{name}.json"),
+                             "--out", str(out)]) == 0
+            assert out.read_bytes() == (GOLDEN / f"run_{name}.json").read_bytes()
+        for d in (2, 3):
+            path = write_scenario(tmp_path, d=d, template="post_round1_round2")
+            out = tmp_path / f"search_d{d}.json"
+            assert cli.main(["search", path, "--depth", "1", "--out", str(out)]) == 0
+            golden = GOLDEN / f"feasibility_post_round1_round2_d{d}_depth1.json"
+            assert out.read_bytes() == golden.read_bytes()
+        assert cli.main(["run", honest_scenario(tmp_path), "--format", "text"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" tol=1e-08")
+
+    def test_search_reports_the_tolerance(self, tmp_path, capsys):
         path = write_scenario(tmp_path, d=2, template="stage5_round1")
         cli.main(["search", path, "--tol", "1e-6"])
         assert json.loads(capsys.readouterr().out)["rank_tol"] == 1e-6
 
 
 class TestSearch:
-    def test_matches_golden_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    def test_matches_golden_file(self, tmp_path):
         path = write_scenario(tmp_path, d=3, template="post_round1_round2")
         out = tmp_path / "report.json"
         assert cli.main(["search", path, "--depth", "1", "--out", str(out)]) == 0
         golden = GOLDEN / "feasibility_post_round1_round2_d3_depth1.json"
         assert out.read_bytes() == golden.read_bytes()
 
-    def test_exit_window_search_finds_the_reversal(self, tmp_path, capsys,
-                                                   monkeypatch):
-        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    def test_exit_window_search_finds_the_reversal(self, tmp_path, capsys):
         path = write_scenario(tmp_path, d=2, template="stage5_round1")
         assert cli.main(["search", path]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -685,8 +693,6 @@ class TestParserReuse:
                                                               monkeypatch):
         # main builds its parser on first use and reuses it for every later call
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"), COLUMNS="80")
-        env.pop(cli.TOL_ENV_VAR, None)
-        monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
         monkeypatch.setenv("COLUMNS", "80")
         run_path = honest_scenario(tmp_path)
         search_path = write_scenario(tmp_path, "search.json", d=2, template="stage5_round1")

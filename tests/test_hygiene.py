@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports, no module-level functions nothing calls, and
-runtime dependencies that match the imports.
+"""Source hygiene: no unused imports, no module-level functions nothing calls, no
+reads of the process environment, and runtime dependencies that match the imports.
 
 Every module under src/qkdsim is parsed with ast, never imported, so the
 check sees the code as written; only the import-time check imports the
@@ -72,6 +72,23 @@ def test_no_unused_imports_or_unreferenced_private_functions():
                      for node in tree.body
                      if isinstance(node, ast.FunctionDef)
                      and not node.name.startswith("__") and node.name not in referenced]
+    assert not problems, "\n".join(problems)
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # the scenario and the command line are a report's only inputs: an
+    # environment variable would change its bytes from outside both
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+                problems.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                problems += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                             for alias in node.names if alias.name in _ENVIRONMENT]
     assert not problems, "\n".join(problems)
 
 

@@ -261,7 +261,12 @@ class TestDecode:
 
     def test_needs_flying_qudit(self):
         with pytest.raises(MissingRegister):
-            bob_decode(init_carrier(3))
+            bob_decode(init_carrier(3), np.random.default_rng(0))
+
+    def test_needs_an_rng(self):
+        # as qudit.measure does: no unseeded generator stands in for a missing one
+        with pytest.raises(TypeError):
+            bob_decode(alice_encode(init_carrier(3), 1))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("eve_registers", [1, 2])

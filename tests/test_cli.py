@@ -604,10 +604,11 @@ class TestToleranceResolution:
         assert "finite number above 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["1e-3", "tiny"])
+    @pytest.mark.parametrize("value", ["1e-3", "tiny", "0", "-1e-8", "nan", "inf"])
     def test_reports_do_not_read_the_environment(self, value, tmp_path, capsys, monkeypatch):
         # the scenario and the command line are a report's only inputs, so a
-        # variable named like a second --tol moves no byte
+        # variable named like a second --tol moves no byte, and a value that
+        # --tol would refuse stops no run
         monkeypatch.setenv("QKDSIM_TOL", value)
         for name in ("intercept_d2", "reply_odd_d3"):
             out = tmp_path / f"run_{name}.json"
@@ -622,6 +623,17 @@ class TestToleranceResolution:
             assert out.read_bytes() == golden.read_bytes()
         assert cli.main(["run", honest_scenario(tmp_path), "--format", "text"]) == 0
         assert capsys.readouterr().out.splitlines()[0].endswith(" tol=1e-08")
+
+    @pytest.mark.parametrize("command", ["run", "search"])
+    def test_the_flag_sets_the_tolerance_whatever_the_environment_holds(
+            self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QKDSIM_TOL", "1e-3")
+        if command == "run":
+            path, key = honest_scenario(tmp_path), "tolerance"
+        else:
+            path, key = write_scenario(tmp_path, d=2, template="stage5_round1"), "rank_tol"
+        assert cli.main([command, path, "--tol", "1e-5"]) == 0
+        assert json.loads(capsys.readouterr().out)[key] == 1e-5
 
     def test_search_reports_the_tolerance(self, tmp_path, capsys):
         path = write_scenario(tmp_path, d=2, template="stage5_round1")

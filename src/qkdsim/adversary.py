@@ -20,7 +20,6 @@ from .errors import (
     ExplosionGuard,
     IllegalRegisterAccess,
     InvariantViolation,
-    MissingRegister,
     NonUnitaryMatrix,
     UnknownPreset,
 )
@@ -35,6 +34,7 @@ from .qudit import (
     _fourier_matrix,
     _is_integer,
     _reduced,
+    _require,
     apply_gate,
 )
 
@@ -91,11 +91,11 @@ class AttackScript:
     def __post_init__(self):
         normalized, keys = {}, {}
         for round_index, actions in self.rounds.items():
-            if not (_is_integer(round_index) or isinstance(round_index, str)):
-                raise ConfigError(f"round key {round_index!r} is not an integer")
-            try:
+            try:  # int() alone would also take a float or a bool
+                if not (_is_integer(round_index) or isinstance(round_index, str)):
+                    raise ValueError
                 r = int(round_index)
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ConfigError(f"round key {round_index!r} is not an integer") from None
             if r < 1:
                 raise ConfigError(f"round indices start at 1, got {r}")
@@ -122,9 +122,7 @@ def eve_entangle(state: PureState) -> PureState:
     Warns when the memory register is not resting in |0>; the operation is
     still applied.
     """
-    for reg in ("k", "e"):
-        if reg not in state.layout.labels:
-            raise MissingRegister(f"state has no register {reg!r}")
+    _require(state, "k", "e")
     if _certain_value(state, "e") != 0:
         warnings.warn("memory register 'e' is not in |0>; entangling anyway",
                       RuntimeWarning, stacklevel=2)
@@ -133,9 +131,7 @@ def eve_entangle(state: PureState) -> PureState:
 
 def eve_disentangle(state: PureState) -> PureState:
     """Inverse of eve_entangle: subtract the flying qudit from the memory "e"."""
-    for reg in ("k", "e"):
-        if reg not in state.layout.labels:
-            raise MissingRegister(f"state has no register {reg!r}")
+    _require(state, "k", "e")
     return apply_gate(state, GateSpec.controlled_add("k", "e", state.layout.d - 1))
 
 
@@ -279,13 +275,12 @@ def eve_conditional_states(config, script: AttackScript | None = None) -> Condit
     """
     from . import protocol  # imported here to avoid a module cycle
 
-    script = script if script is not None else EMPTY_SCRIPT
     tuples_count = config.d ** config.rounds
     # the message names d^rounds, which may have more digits than str() allows
     if tuples_count * (tuples_count - 1) // 2 > PAIR_CAP:
         raise ExplosionGuard(f"{config.d}^{config.rounds} key assignments make more than "
                              f"{PAIR_CAP} pairs")
-    protocol._validate_script(config, script)
+    script = protocol._validate_script(config, script)
 
     # depth first over runs of whole key prefixes (q1 = 0), numbered in the first outcome column
     def walk(r, run, q):  # prefix -> blocks of the leaves below a run, from round r on

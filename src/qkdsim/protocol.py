@@ -7,7 +7,10 @@ read the key back, which also returns the carrier to its starting state, so
 the same pair serves every round.
 
 One round loop runs every kind of session on a `Stage`, whose branches are
-rows of arrays, so each gate, measurement and decode is one array operation.
+rows of arrays, so each encode, gate, measurement and decode is one array
+operation, and each round is four `Stage` steps: encode, Eve's pre_bob
+actions, decode, her post_decode actions.  `alice_encode` and `bob_decode` are
+the checked one-row views of the encode and decode steps.
 With `run_session`'s rng each measurement draws one outcome: one row.
 `run_session_branches` passes None, so each row repeats once per outcome.  The
 exact analysis (`adversary.eve_conditional_states`) stacks key prefixes as rows.
@@ -25,7 +28,6 @@ from .errors import (
     ConfigError,
     ExplosionGuard,
     InvariantViolation,
-    MissingRegister,
     ScriptRegisterUnknown,
     ValueOutOfRange,
 )
@@ -36,12 +38,14 @@ from .qudit import (
     RegisterLayout,
     _check_side,
     _check_tol,
+    _check_value,
     _gated,
     _inserted,
     _is_integer,
     _kept,
     _marginal,
     _outcomes,
+    _require,
     _split,
     insert_register,
 )
@@ -163,11 +167,11 @@ class Stage(NamedTuple):
         return Stage(self.layout, _gated(self.layout, self.amps, gate), *self[2:])
 
     def measure(self, register: str, rng: np.random.Generator | None,
-                record: tuple[int, str] | None = None, drop: bool = False):
+                record: tuple[int, str] | None = None):
         """(stage, outcome): with an rng one drawn outcome (B is 1), else each row
         repeated once per outcome above BRANCH_PRUNE, one outcome per row, refused
-        past BRANCH_CAP rows before they are built.  `record` adds a header
-        column; `drop` slices the register away."""
+        past BRANCH_CAP rows before they are built.  A `record` adds a header column
+        and collapses the register in place; without one the register is sliced away."""
         split = _split(self.layout, register)
         rows, values, probs = _outcomes(_marginal(self.amps, split), rng)
         if rows is not None and len(rows) > BRANCH_CAP:
@@ -177,8 +181,8 @@ class Stage(NamedTuple):
             grown = np.empty((len(outcomes), len(self.header) + 1), np.intp)
             grown[:, :-1], grown[:, -1] = outcomes, values
             outcomes = grown
-        return Stage(self.layout.drop(register) if drop else self.layout,
-                     _kept(self.amps, split, rows, values, probs, drop),
+        return Stage(self.layout.drop(register) if record is None else self.layout,
+                     _kept(self.amps, split, rows, values, probs, record is None),
                      self.probs if rows is None else self.probs.take(rows) * probs,
                      self.header + (() if record is None else (record,)), outcomes), values
 
@@ -190,24 +194,21 @@ class Stage(NamedTuple):
                      stage.measure(action.measure, rng, (round_index, action.measure))[0])
         return stage
 
+    def encode(self, q) -> "Stage":
+        """Alice's step, unchecked: adjoin k in |q>, q an int or one per row, add "a" onto it."""
+        new = self.layout.insert(KEY, self.layout.axis(BOB) + 1)
+        return Stage(new, _gated(new, _inserted(self.amps, new, KEY, q), _ENCODE), *self[2:])
+
     def decode(self, rng: np.random.Generator | None):
         """Bob subtracts "b" from k, measures k unrecorded and slices it away."""
-        return self.gate(_DECODE).measure(KEY, rng, drop=True)
+        return self.gate(_DECODE).measure(KEY, rng)
 
 
-def alice_encode(state: PureState | Stage, q) -> PureState | Stage:
-    """Adjoin the key qudit in |q> and add the carrier half "a" onto it, to a
-    PureState or to every row of a Stage, with q an int or an array, one per row."""
-    layout = state.layout
-    if not (0 <= q < layout.d if isinstance(q, int) else 0 <= q.min() <= q.max() < layout.d):
-        raise ValueOutOfRange(f"key value {q} not in [0, {layout.d})")
-    for reg in (ALICE, BOB):
-        if reg not in layout.labels:
-            raise MissingRegister(f"state has no register {reg!r}")
-    rows = state if isinstance(state, Stage) else Stage.of(state)
-    new = layout.insert(KEY, layout.axis(BOB) + 1)
-    rows = Stage(new, _gated(new, _inserted(rows.amps, new, KEY, q), _ENCODE), *rows[2:])
-    return rows if isinstance(state, Stage) else rows.state(0)
+def alice_encode(state: PureState, q: int) -> PureState:
+    """Adjoin the key qudit in |q> and add the carrier half "a" onto it."""
+    _require(state, ALICE, BOB)
+    _check_value(q, KEY, state.layout.d)
+    return Stage.of(state).encode(q).state(0)
 
 
 def bob_decode(state: PureState, rng: np.random.Generator) -> tuple[int, PureState]:
@@ -216,9 +217,7 @@ def bob_decode(state: PureState, rng: np.random.Generator) -> tuple[int, PureSta
     Honest traffic makes the outcome certain; under attack it may be random,
     and rng drives the sampling, as in qudit.measure.
     """
-    for reg in (BOB, KEY):
-        if reg not in state.layout.labels:
-            raise MissingRegister(f"state has no register {reg!r}")
+    _require(state, BOB, KEY)
     stage, outcome = Stage.of(state).decode(rng)
     return outcome, stage.state(0)
 
@@ -264,13 +263,15 @@ def control_check(transcripts: Sequence[RoundTranscript],
     return ControlCheck(checked=len(relevant), mismatches=mismatches, rate=rate)
 
 
-def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> None:
-    """Refuse a script with a round past the session, a register its slot lacks,
-    or a dense gate whose matrix side is not d^len(targets).
+def _validate_script(config: ProtocolConfig,
+                     script: adversary.AttackScript | None) -> adversary.AttackScript:
+    """The script to run (EMPTY_SCRIPT for None), refused for a round past the session, a
+    register its slot lacks, or a dense gate whose matrix side is not d^len(targets).
 
     pre_bob actions may touch k and Eve's registers; post_decode actions only
     Eve's, since Bob has dropped k by then.
     """
+    script = adversary.EMPTY_SCRIPT if script is None else script
     last = max(script.rounds, default=0)
     if last > config.rounds:
         raise ConfigError(f"script addresses round {last}, session has {config.rounds}")
@@ -285,6 +286,7 @@ def _validate_script(config: ProtocolConfig, script: adversary.AttackScript) -> 
                     f"available: {sorted(allowed[action.timing])}")
             if action.gate is not None:
                 _check_side(action.gate, config.d, f"round {r} ")
+    return script
 
 
 def _start(config: ProtocolConfig) -> Stage:
@@ -306,7 +308,7 @@ def _round_loop(stage: Stage, keys: Iterable[int], first_round: int,
     for r, q in enumerate(keys, start=first_round):
         if rng is not None:  # sampled: each round's records are read at its end
             stage = Stage(*stage[:3], (), stage.outcomes[:, :0])
-        stage = alice_encode(stage, q)
+        stage = stage.encode(q)
         yield r, q, "post_encode", stage, None
         stage = stage.act(script.actions(r, "pre_bob"), r, rng)
         yield r, q, "post_attack", stage, None
@@ -324,8 +326,7 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     `diagnostics` selects stages (subset of STAGES) at which to attach a
     StageDiagnostics snapshot to the round transcript.
     """
-    script = script if script is not None else adversary.EMPTY_SCRIPT
-    _validate_script(config, script)
+    script = _validate_script(config, script)
     _check_tol(schmidt_tol)
     stages = tuple(diagnostics)
     unknown_stages = set(stages) - set(STAGES)
@@ -376,8 +377,7 @@ def run_session_branches(config: ProtocolConfig,
     Bob's decode outcomes are expanded but not recorded; Eve's measurement
     outcomes are kept as records.  Branch probabilities sum to 1.
     """
-    script = script if script is not None else adversary.EMPTY_SCRIPT
-    _validate_script(config, script)
+    script = _validate_script(config, script)
     for *_, stage, _ in _round_loop(_start(config), resolved_keys(config), 1, script, None):
         pass
     return [SessionBranch(p, stage.state(i), stage.records(i))

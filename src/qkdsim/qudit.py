@@ -37,6 +37,7 @@ from .errors import (
     InvalidBipartition,
     InvalidDimension,
     LayoutMismatch,
+    MissingRegister,
     NonUnitaryMatrix,
     RegisterCollision,
     RegisterNotSeparable,
@@ -63,6 +64,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_value(value, label: str, d: int) -> None:
+    """The one rule for a register value: an integer (not a bool) in [0, d)."""
+    if not (_is_integer(value) and 0 <= value < d):
+        raise ValueOutOfRange(f"value {value!r} for register {label!r} not in [0, {d})")
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered, distinct register names sharing one dimension d."""
@@ -79,6 +86,11 @@ class RegisterLayout:
             raise ValueError("a layout needs at least one register")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"register labels must be distinct: {self.labels}")
+        # every lru_cache lookup a layout keys hashes it; equality stays field by field
+        object.__setattr__(self, "_hash", hash((self.d, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -102,8 +114,7 @@ class RegisterLayout:
             raise ValueError(f"expected {len(self.labels)} values, got {len(values)}")
         index = 0
         for label, v in zip(self.labels, values):
-            if not 0 <= v < self.d:
-                raise ValueOutOfRange(f"value {v} for register {label!r} not in [0, {self.d})")
+            _check_value(v, label, self.d)
             index = index * self.d + v
         return index
 
@@ -566,8 +577,7 @@ def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-12) -> 
 def insert_register(state: PureState, label: str, value: int, position: int) -> PureState:
     """Adjoin a fresh register in basis state |value> at the given position."""
     layout = state.layout
-    if not 0 <= value < layout.d:
-        raise ValueOutOfRange(f"value {value} not in [0, {layout.d})")
+    _check_value(value, label, layout.d)
     new_layout = layout.insert(label, position)
     return PureState._trusted(new_layout, _inserted(state.amplitudes, new_layout, label, value))
 
@@ -579,6 +589,13 @@ def _inserted(amps: np.ndarray, layout: RegisterLayout, label: str, value) -> np
     rows = (np.arange(len(value)), slice(None)) if isinstance(value, np.ndarray) else (...,)
     out[rows + (value, slice(None))] = amps.reshape(amps.shape[:-1] + (pre, post))
     return out.reshape(amps.shape[:-1] + (-1,))
+
+
+def _require(state: PureState, *labels: str) -> None:
+    """The one refusal of a state that lacks a register an operation needs."""
+    for label in labels:
+        if label not in state.layout.labels:
+            raise MissingRegister(f"state has no register {label!r}")
 
 
 def _certain_values(amps: np.ndarray, split: tuple[int, int, int]) -> list[int | None]:

@@ -412,13 +412,13 @@ class TestConditionalStates:
         # one row per prefix.  Rerunning a prefix would add rows; looping per prefix
         # or per row would add encodes
         calls = []
-        encode = protocol.alice_encode
+        encode = protocol.Stage.encode
 
-        def counting_encode(state, q):
+        def counting_encode(stage, q):
             calls.append(np.asarray(q).tolist())
-            return encode(state, q)
+            return encode(stage, q)
 
-        monkeypatch.setattr(protocol, "alice_encode", counting_encode)
+        monkeypatch.setattr(protocol.Stage, "encode", counting_encode)
         for d, rounds, tuples in [(2, 4, 16), (3, 3, 27)]:
             calls.clear()
             report = eve_conditional_states(ProtocolConfig(d=d, rounds=rounds, key_seed=0))
@@ -530,7 +530,7 @@ class TestConditionalStates:
     def test_pair_cap_refuses_before_any_encode(self, monkeypatch):
         # d=2, R=12: 4,096 key tuples make 8,386,560 pairs
         calls = []
-        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: calls.append(q))
+        monkeypatch.setattr(protocol.Stage, "encode", lambda stage, q: calls.append(q))
         with pytest.raises(ExplosionGuard, match="pairs"):
             eve_conditional_states(ProtocolConfig(d=2, rounds=12, key_seed=0))
         assert calls == []
@@ -562,7 +562,7 @@ class TestConditionalStates:
 
     def test_post_decode_action_on_k_refused_before_any_encode(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: calls.append(q))
+        monkeypatch.setattr(protocol.Stage, "encode", lambda stage, q: calls.append(q))
         script = AttackScript({3: (EveAction.measurement("k", timing="post_decode"),)})
         with pytest.raises(ScriptRegisterUnknown, match="post_decode"):
             eve_conditional_states(ProtocolConfig(d=2, rounds=3, key_seed=0), script)

@@ -454,6 +454,12 @@ class TestSearch:
                                    rf"of {d}\^4 amplitudes exceed 4194304"):
                     search(d)
 
+    def test_residuals_that_no_affine_form_fits_have_no_expression(self):
+        # q = 0, 1, 2 give 0, 1, 1: the units fix 0 + q, which predicts 2 at q = 2
+        values = {(0,): 0, (1,): 1, (2,): 1}
+        assert analysis._affine_expression(values, 3, 1) is None
+        assert analysis._affine_expression({**values, (2,): 2}, 3, 1) == "q1 (mod 3)"
+
     def test_exit_to_a_non_basis_memory_has_no_residual(self):
         # at d = 2 cadd(k->e, 1) clears e to |0> and fourier turns it into |+>:
         # an exit whose memory is product but holds no single value

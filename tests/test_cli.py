@@ -285,7 +285,7 @@ class TestValidate:
             "op_not_string"])
     def test_validate_refuses_what_run_refuses(self, fields, tmp_path, capsys, monkeypatch):
         encodes = []
-        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: encodes.append(q))
+        monkeypatch.setattr(protocol.Stage, "encode", lambda stage, q: encodes.append(q))
         path = write_scenario(tmp_path, d=2, **fields)
         assert cli.main(["validate", path]) == 1
         refused = capsys.readouterr().err

@@ -75,6 +75,19 @@ def test_no_unused_imports_or_unreferenced_private_functions():
     assert not problems, "\n".join(problems)
 
 
+def test_no_refusal_is_written_twice():
+    # each refusal has one owner that every caller shares, so its rule and its
+    # message cannot drift apart between copies
+    places = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                places.setdefault(ast.unparse(node.exc), []).append(f"{path.name}:{node.lineno}")
+    problems = [f"{', '.join(where)}: raise {exc}" for exc, where in places.items()
+                if len(where) > 1]
+    assert not problems, "\n".join(problems)
+
+
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 

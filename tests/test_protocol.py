@@ -24,6 +24,7 @@ from qkdsim.errors import (
     ConfigError,
     ExplosionGuard,
     InvalidDimension,
+    InvariantViolation,
     MissingRegister,
     NonUnitaryMatrix,
     RegisterCollision,
@@ -206,9 +207,12 @@ class TestEncode:
             rho = partial_trace(alice_encode(init_carrier(d), q), {"k"})
             assert np.max(np.abs(rho.entries - np.eye(d) / d)) <= 1e-12
 
-    def test_rejects_bad_key_value(self):
-        with pytest.raises(ValueOutOfRange):
-            alice_encode(init_carrier(3), 3)
+    @pytest.mark.parametrize("q", [3, -1, 1.0, "1", True, np.True_],
+                             ids=["above", "negative", "float", "str", "bool", "numpy_bool"])
+    def test_rejects_bad_key_value(self, q):
+        # a float or a string used to fail on q.min(), and True on a shape mismatch
+        with pytest.raises(ValueOutOfRange, match=r"register 'k' not in \[0, 3\)"):
+            alice_encode(init_carrier(3), q)
 
     def test_per_row_keys(self):
         # the exact walk's encode: a Stage of identical rows with one key value
@@ -217,13 +221,10 @@ class TestEncode:
         stage = protocol.Stage(carrier.layout, np.repeat(carrier.amplitudes[None], 4, 0),
                                np.ones(4), (), np.zeros((4, 0), np.intp))
         keys = np.array([2, 0, 1, 2])
-        encoded = alice_encode(stage, keys)
+        encoded = stage.encode(keys)
         for row, q in enumerate(keys.tolist()):
             assert encoded.state(row).amplitudes.tobytes() == \
                 alice_encode(carrier, q).amplitudes.tobytes()
-        for bad in ([0, 3, 1, 2], [0, -1, 1, 2]):
-            with pytest.raises(ValueOutOfRange, match=r"key value \[.*\] not in \[0, 3\)"):
-                alice_encode(stage, np.array(bad))
 
     def test_rejects_second_flying_qudit(self):
         once = alice_encode(init_carrier(2), 0)
@@ -308,11 +309,26 @@ class TestSession:
         # a nan used to be refused only at round 1's first diagnostic, and without
         # diagnostics any cutoff, True among them (a cutoff of 1), was accepted
         calls = []
-        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: calls.append(q))
+        monkeypatch.setattr(protocol.Stage, "encode", lambda stage, q: calls.append(q))
         config = ProtocolConfig(d=3, rounds=2, keys=(0, 1))
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             run_session(config, diagnostics=diagnostics, schmidt_tol=tol)
         assert calls == []
+
+    def test_a_round_that_loses_norm_is_named(self, monkeypatch):
+        # the second decode keeps 0.9 of each amplitude: round 2 ends at norm 0.9
+        decode, calls = protocol.Stage.decode, []
+
+        def leaky_decode(stage, rng):
+            calls.append(rng)
+            stage, outcome = decode(stage, rng)
+            return (stage._replace(amps=stage.amps * 0.9) if len(calls) == 2 else stage), outcome
+
+        monkeypatch.setattr(protocol.Stage, "decode", leaky_decode)
+        config = ProtocolConfig(d=3, rounds=3, keys=(0, 1, 2))
+        with pytest.raises(InvariantViolation, match=r"drifted to 0\.9000.* after round 2"):
+            run_session(config)
+        assert len(calls) == 2
 
     def test_honest_rounds_decode_exactly(self):
         config = ProtocolConfig(d=3, rounds=4, keys=(0, 1, 2, 0))
@@ -365,13 +381,13 @@ class TestSession:
     def test_post_decode_action_on_k_refused_before_any_encode(self, monkeypatch):
         # Bob has dropped k by post_decode; the bad action sits in the last round
         calls = []
-        encode = protocol.alice_encode
+        encode = protocol.Stage.encode
 
-        def counting_encode(state, q):
+        def counting_encode(stage, q):
             calls.append(q)
-            return encode(state, q)
+            return encode(stage, q)
 
-        monkeypatch.setattr(protocol, "alice_encode", counting_encode)
+        monkeypatch.setattr(protocol.Stage, "encode", counting_encode)
         config = ProtocolConfig(d=2, rounds=12, key_seed=0)
         script = AttackScript({12: (EveAction.measurement("k", timing="post_decode"),)})
         with pytest.raises(ScriptRegisterUnknown, match="post_decode"):
@@ -381,7 +397,7 @@ class TestSession:
     def test_dense_gate_of_the_wrong_size_refused_before_any_encode(self, monkeypatch):
         # a 4 x 4 unitary on one d=2 register would only fail inside apply_gate
         calls = []
-        monkeypatch.setattr(protocol, "alice_encode", lambda state, q: calls.append(q))
+        monkeypatch.setattr(protocol.Stage, "encode", lambda stage, q: calls.append(q))
         config = ProtocolConfig(d=2, rounds=2, keys=(0, 1))
         script = AttackScript({2: (EveAction.apply(GateSpec.dense(["k"], np.eye(4))),)})
         for run in (run_session, run_session_branches, eve_conditional_states):

@@ -6,6 +6,7 @@ index helpers), so the two paths can only agree if both are right.
 """
 
 import cmath
+import dataclasses
 import itertools
 import math
 import warnings
@@ -176,6 +177,13 @@ class TestRegisterLayout:
         states = [insert_register(pair_state(3), "k", q, 2) for q in range(3)]
         assert all(s.layout is inserted for s in states)
 
+    def test_equal_layouts_hash_equal_and_compare_field_by_field(self):
+        layout = RegisterLayout(3, ["a", "b", "k", "e", "e2"])
+        twin = RegisterLayout(np.int64(3), ("a", "b", "k", "e", "e2"))
+        assert layout == twin and hash(layout) == hash(twin) == hash((3, layout.labels))
+        assert layout != RegisterLayout(3, ("a", "b", "k", "e", "e3"))
+        assert [f.name for f in dataclasses.fields(RegisterLayout)] == ["d", "labels"]
+
     def test_bad_insert_or_drop_raises_on_every_call(self):
         layout = RegisterLayout(2, ("a", "b"))
         for _ in range(3):
@@ -185,6 +193,26 @@ class TestRegisterLayout:
                 layout.insert("k", 3)
             with pytest.raises(UnknownRegister):
                 layout.drop("k")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RegisterLayout(2, ()), "at least one register"),
+        (lambda: RegisterLayout(2, ("a", "b")).index_of((0,)), "expected 2 values, got 1"),
+        (lambda: PureState(RegisterLayout(2, ("a",)), [1, 0, 0]), "length 3, layout needs 2"),
+        (lambda: DensityMatrix(RegisterLayout(2, ("a",)), np.eye(3)), r"2 x 2, got \(3, 3\)"),
+        (lambda: DensityMatrix(RegisterLayout(2, ("a",)), np.diag([1.5, -0.5])).validate(),
+         "PSD floor"),
+        (lambda: GateSpec("swap", ("a",)), "unknown gate kind 'swap'"),
+        (lambda: GateSpec("fourier", ("a", "b")), "fourier gate acts on exactly one register"),
+        (lambda: GateSpec("cadd", ("a",), s=1), "cadd gate needs a control and one target"),
+        (lambda: GateSpec("dense", ("a",)), "dense gate needs targets and a matrix"),
+        (lambda: GateSpec.dense(("a", "a"), np.eye(4)), "dense gate targets must be distinct"),
+    ], ids=["no_labels", "index_of_length", "state_length", "density_shape", "psd_floor",
+            "gate_kind", "one_register_kind", "cadd_control", "dense_matrix", "dense_targets"])
+    def test_malformed_objects_are_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestBasisState:
@@ -197,11 +225,12 @@ class TestBasisState:
         state = basis_state(RegisterLayout(2, ("k",)), (0,))
         assert np.array_equal(state.amplitudes, [1.0, 0.0])
 
-    def test_value_out_of_range(self):
-        with pytest.raises(ValueOutOfRange):
-            basis_state(RegisterLayout(2, ("a", "b")), (0, 2))
-        with pytest.raises(ValueOutOfRange):
-            basis_state(RegisterLayout(2, ("a", "b")), (0, -1))
+    @pytest.mark.parametrize("value", [2, -1, True, np.True_, 1.0, "1"],
+                             ids=["above", "negative", "bool", "numpy_bool", "float", "str"])
+    def test_value_out_of_range(self, value):
+        # True used to index like 1 and build |1, 0> without a word
+        with pytest.raises(ValueOutOfRange, match="register 'a'"):
+            basis_state(RegisterLayout(2, ("a", "b")), (value, 0))
 
 
 class TestPermutationGates:
@@ -568,9 +597,9 @@ class TestMeasurement:
 
         The expected outcome is drawn on a twin generator with cumsum and
         searchsorted; the expected post-state zeroes the other slices of
-        the tensor and divides the kept one by sqrt(p).  With drop=True (Bob's
-        decode) the post state is that kept slice alone, over the layout
-        without the register.
+        the tensor and divides the kept one by sqrt(p).  A Stage measure
+        without a record (Bob's decode) returns that kept slice alone, over the
+        layout without the register.
         """
         gen = np.random.default_rng(100 + d)
         for n in (1, 2, 3):
@@ -590,11 +619,11 @@ class TestMeasurement:
                     assert rng.random() == twin.random()
                     branches = measurement_branches(state, label)
                     if n > 1:
-                        rows, values = Stage.of(state).measure(label, None, drop=True)
+                        rows, values = Stage.of(state).measure(label, None)
                         dropped = [(v, p, rows.state(i)) for i, (v, p) in
                                    enumerate(zip(values.tolist(), rows.probs.tolist()))]
                         row, sampled_v = Stage.of(state).measure(
-                            label, np.random.default_rng(seed), drop=True)
+                            label, np.random.default_rng(seed))
                         sampled = row.state(0)
                         assert (sampled_v, row.probs.tolist()) == (outcome, [1.0])
                     for v in range(d):
@@ -633,7 +662,7 @@ class TestMeasurement:
                 [(_, p, branch)] = measurement_branches(state, label)
                 assert p == 1.0
                 assert branch.amplitudes.tobytes() == state.amplitudes.tobytes()
-                rows, _ = Stage.of(state).measure(label, None, drop=True)
+                rows, _ = Stage.of(state).measure(label, None)
                 assert rows.state(0).amplitudes.tobytes() == \
                     remove_register(state, label).amplitudes.tobytes()
 
@@ -682,9 +711,12 @@ class TestRegisterEditing:
         back = remove_register(grown, "k")
         assert np.array_equal(back.amplitudes, state.amplitudes)
 
-    def test_insert_value_out_of_range(self):
-        with pytest.raises(ValueOutOfRange):
-            insert_register(pair_state(2), "k", 2, 0)
+    @pytest.mark.parametrize("value", [2, 1.0, True, "1", np.float64(1.0)],
+                             ids=["above", "float", "bool", "str", "numpy_float"])
+    def test_insert_value_out_of_range(self, value):
+        # all but 2 used to fail inside numpy, with an IndexError, a ValueError or a TypeError
+        with pytest.raises(ValueOutOfRange, match="register 'k'"):
+            insert_register(pair_state(2), "k", value, 0)
 
     def test_insert_position_out_of_range(self):
         # list.insert would take -1 as "before the last" and move a's value into x

@@ -91,8 +91,9 @@ class AttackScript:
     def __post_init__(self):
         normalized, keys = {}, {}
         for round_index, actions in self.rounds.items():
-            try:  # int() alone would also take a float or a bool
-                if not (_is_integer(round_index) or isinstance(round_index, str)):
+            try:  # int() alone would also take a float, a bool, "1_0" or non-ASCII digits
+                if not (_is_integer(round_index) or isinstance(round_index, str)
+                        and round_index.isascii() and "_" not in round_index):
                     raise ValueError
                 r = int(round_index)
             except ValueError:

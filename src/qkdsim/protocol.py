@@ -14,11 +14,19 @@ the checked one-row views of the encode and decode steps.
 With `run_session`'s rng each measurement draws one outcome: one row.
 `run_session_branches` passes None, so each row repeats once per outcome.  The
 exact analysis (`adversary.eve_conditional_states`) stacks key prefixes as rows.
+
+Because the carrier comes back after every decode, a sampled session keeps
+revisiting a few rows.  So the loop gives it a step table (`_Steps`) for the
+session's life: rows interned by (layout, bytes) at round start, and for each
+held row the result of each step once (the encode per key value, each gate,
+a measurement's marginal and kept rows, `analysis.diagnose`).  Every
+measurement still draws from the session rng, so outputs keep every bit.  The
+table holds at most STEP_TABLE_BYTES and closes on rows that do not come back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -32,6 +40,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .qudit import (
+    _CHUNK_BYTES,
     SCHMIDT_TOL,
     GateSpec,
     PureState,
@@ -57,12 +66,17 @@ BRANCH_CAP = 100_000
 # most amplitudes in a session's largest state, over a, b, k and every Eve
 # register: 2^22 complex amplitudes take 64 MiB
 STATE_CAP = 2 ** 22
+# most bytes of rows and results one sampled session's step table holds (512 KiB)
+STEP_TABLE_BYTES = 4 * _CHUNK_BYTES
 
 # independent seed streams for key generation and in-session sampling
 _KEY_STREAM = 0x4B
 _SESSION_STREAM = 0x5E
 
 _ENCODE = GateSpec.controlled_add(ALICE, KEY, 1)
+# a sampled round's records before its first measurement: one row, no columns
+_NO_RECORDS = np.zeros((1, 0), np.intp)
+_NO_RECORDS.setflags(write=False)
 _DECODE = GateSpec.controlled_add(BOB, KEY, -1)
 
 
@@ -141,16 +155,126 @@ def init_carrier(d: int) -> PureState:
     return PureState(layout, amps)
 
 
+class _Steps:
+    """One sampled session's step table: each distinct (held row, step) is computed once.
+
+    The table holds rows as `_Held` entries, each a read-only row and its
+    steps' results by step key, so no row is known by its id().  A round's
+    start row is interned by (layout, bytes): it is held from the second visit
+    of its bytes on, or at once if the round before ended on a held row.  A
+    step on a held row holds its result.  A stage carries its row's entry, or
+    None, and the other rounds run the plain steps.  A held row is charged its
+    bytes plus ENTRY_BYTES, each stored result ENTRY_BYTES plus, if it is not
+    a row, OBJECT_BYTES, and each noted start its bytes, against
+    STEP_TABLE_BYTES; past it nothing more is held.  The table closes, and
+    every later round runs without it, once its misses (steps computed on held
+    rows, and first visits) outnumber its hits by SLACK: rows that do not come
+    back then cost nothing more.  Draws are never cached.
+    """
+
+    ENTRY_BYTES = 256  # a dict entry, its key and an array header
+    OBJECT_BYTES = 1024  # a result that is not a row: a marginal or a diagnostics snapshot
+    SLACK = 64
+
+    def __init__(self):
+        self.room = STEP_TABLE_BYTES
+        self.balance = 0  # hits less misses
+        self.gates = {}  # id -> gate, for every gate a step key names by id
+        self._starts = {}  # (layout, bytes) -> the held start row, or None after one visit
+
+    def fits(self, size: int) -> bool:
+        """Take size bytes of the budget if they are left."""
+        if size > self.room:
+            return False
+        self.room -= size
+        return True
+
+    def start(self, stage: "Stage") -> "Stage":
+        """The stage a sampled round starts from: no records, over the held row with
+        the stage's layout and bytes if there is one."""
+        if self.balance < -self.SLACK:  # closed
+            return Stage(stage.layout, stage.amps, stage.probs, (), _NO_RECORDS)
+        held = stage.held
+        if held is not None and held.amps is not stage.amps:
+            held = None
+        start = None if held is None else held.get("start")
+        if start is None:
+            start = self._intern(stage.layout, stage.amps, held)
+            if held is not None and start is not None and self.fits(self.ENTRY_BYTES):
+                held["start"] = start  # the next visit of this row finds it in one lookup
+        return Stage(stage.layout, stage.amps if start is None else start.amps, stage.probs, (),
+                     _NO_RECORDS, start)
+
+    def _intern(self, layout: RegisterLayout, amps: np.ndarray, held) -> "_Held | None":
+        key = layout, amps.tobytes()
+        start = self._starts.get(key, self)
+        if start is self and held is None:  # a first visit notes the bytes
+            self.balance -= 1
+            if self.fits(len(key[1])):
+                self._starts[key] = None
+            return None
+        if start is self or start is None:  # a second visit, or one that ends a held round
+            if held is None and self.fits(amps.nbytes + self.ENTRY_BYTES):
+                held = _Held(amps, self)
+            if held is not None and self.fits(len(key[1])):
+                self._starts[key] = held
+            return held
+        return start
+
+
+class _Held(dict):
+    """A row the step table holds: its read-only amplitudes, and each step's result on
+    it by step key, a row's as (amps, its _Held or None)."""
+
+    __slots__ = ("amps", "table")
+
+    def __init__(self, amps: np.ndarray, table: _Steps):  # an empty dict: no super() call
+        amps.setflags(write=False)
+        self.amps, self.table = amps, table
+
+    def row(self, key, fn, *args) -> tuple:
+        """(amps, held) of the step `key` on this row: fn(*args) once, then its result."""
+        hit = self.get(key)
+        table = self.table
+        if hit is not None:
+            table.balance += 1
+            return hit
+        table.balance -= 1
+        amps = fn(*args)  # a new row costs its bytes and an entry; the identity only the key
+        size = table.ENTRY_BYTES + (0 if amps is self.amps else amps.nbytes + table.ENTRY_BYTES)
+        if size > table.room:
+            return amps, None
+        table.room -= size
+        hit = self[key] = amps, self if amps is self.amps else _Held(amps, table)
+        return hit
+
+    def value(self, key, fn, *args):
+        """fn(*args) once per step `key` on this row: a marginal or a diagnostics snapshot."""
+        hit = self.get(key)
+        table = self.table
+        if hit is not None:
+            table.balance += 1
+            return hit
+        table.balance -= 1
+        hit = fn(*args)
+        if table.fits(table.ENTRY_BYTES + table.OBJECT_BYTES):
+            self[key] = hit
+        return hit
+
+
 class Stage(NamedTuple):
     """A session's branches at one stage, as rows over one layout: amps is
     (B, layout.dim), probs (B,), and Eve's records (and the exact walk's key
-    prefix) a header of (round, register) columns over a (B, len(header)) matrix."""
+    prefix) a header of (round, register) columns over a (B, len(header)) matrix.
+    A sampled stage (B is 1) whose row its session's step table holds carries
+    the row's entry, else None; each step on it reads the entry first."""
 
     layout: RegisterLayout
     amps: np.ndarray
     probs: np.ndarray
     header: tuple
     outcomes: np.ndarray
+    held: _Held | None = None
 
     @classmethod
     def of(cls, state: PureState) -> "Stage":
@@ -164,27 +288,39 @@ class Stage(NamedTuple):
         return tuple((*column, v) for column, v in zip(self.header, self.outcomes[row].tolist()))
 
     def gate(self, gate: GateSpec) -> "Stage":
-        return Stage(self.layout, _gated(self.layout, self.amps, gate), *self[2:])
+        held = self.held
+        if held is None or held.amps is not self.amps:  # no entry, or another row's
+            return Stage(self.layout, _gated(self.layout, self.amps, gate), *self[2:5])
+        held.table.gates[id(gate)] = gate  # the step key names the gate by id
+        amps, held = held.row(id(gate), _gated, self.layout, self.amps, gate)
+        return Stage(self.layout, amps, *self[2:5], held)
 
     def measure(self, register: str, rng: np.random.Generator | None,
                 record: tuple[int, str] | None = None):
         """(stage, outcome): with an rng one drawn outcome (B is 1), else each row
         repeated once per outcome above BRANCH_PRUNE, one outcome per row, refused
         past BRANCH_CAP rows before they are built.  A `record` adds a header column
-        and collapses the register in place; without one the register is sliced away."""
-        split = _split(self.layout, register)
-        rows, values, probs = _outcomes(_marginal(self.amps, split), rng)
+        and collapses the register in place; without one the register is sliced away.
+        A held row's marginal and kept rows are computed once; the draw runs every time."""
+        split, drop, held, amps = _split(self.layout, register), record is None, self.held, self.amps
+        if held is not None and held.amps is not amps:
+            held = None
+        marginal = (_marginal(amps, split) if held is None else
+                    held.value(("marginal", register), _marginal, amps, split))
+        rows, values, probs = _outcomes(marginal, rng)
         if rows is not None and len(rows) > BRANCH_CAP:
             raise ExplosionGuard(f"branch count {len(rows)} exceeds the cap of {BRANCH_CAP}")
         outcomes = self.outcomes if rows is None else self.outcomes.take(rows, 0)
-        if record is not None:
+        if not drop:
             grown = np.empty((len(outcomes), len(self.header) + 1), np.intp)
             grown[:, :-1], grown[:, -1] = outcomes, values
             outcomes = grown
-        return Stage(self.layout.drop(register) if record is None else self.layout,
-                     _kept(self.amps, split, rows, values, probs, record is None),
+        kept, held = ((_kept(amps, split, rows, values, probs, drop), None) if held is None else
+                      held.row((register, values, drop), _kept, amps, split, rows, values, probs,
+                               drop))
+        return Stage(self.layout.drop(register) if drop else self.layout, kept,
                      self.probs if rows is None else self.probs.take(rows) * probs,
-                     self.header + (() if record is None else (record,)), outcomes), values
+                     self.header + (() if drop else (record,)), outcomes, held), values
 
     def act(self, actions: Sequence, round_index: int, rng) -> "Stage":
         """Eve's actions in order; callers check their registers first."""
@@ -196,12 +332,20 @@ class Stage(NamedTuple):
 
     def encode(self, q) -> "Stage":
         """Alice's step, unchecked: adjoin k in |q>, q an int or one per row, add "a" onto it."""
-        new = self.layout.insert(KEY, self.layout.axis(BOB) + 1)
-        return Stage(new, _gated(new, _inserted(self.amps, new, KEY, q), _ENCODE), *self[2:])
+        new, held = self.layout.insert(KEY, self.layout.axis(BOB) + 1), self.held
+        if held is None or held.amps is not self.amps:
+            return Stage(new, _encoded(self.amps, new, q), *self[2:5])
+        amps, held = held.row(("encode", q), _encoded, self.amps, new, q)
+        return Stage(new, amps, *self[2:5], held)
 
     def decode(self, rng: np.random.Generator | None):
         """Bob subtracts "b" from k, measures k unrecorded and slices it away."""
         return self.gate(_DECODE).measure(KEY, rng)
+
+
+def _encoded(amps: np.ndarray, layout: RegisterLayout, q) -> np.ndarray:
+    """Rows of amps with k adjoined in |q> over `layout`, and "a" added onto it."""
+    return _gated(layout, _inserted(amps, layout, KEY, q), _ENCODE)
 
 
 def alice_encode(state: PureState, q: int) -> PureState:
@@ -304,10 +448,12 @@ def _round_loop(stage: Stage, keys: Iterable[int], first_round: int,
     Runs one round per key (an int, or one per row) from round first_round on.
     After each of STAGES it yields (round, key, stage name, Stage, Bob's outcome,
     one per row without an rng, or None); Stage.measure refuses more than BRANCH_CAP rows.
+    With an rng, one step table (`_Steps`) serves the loop's rounds.
     """
+    steps = None if rng is None else _Steps()
     for r, q in enumerate(keys, start=first_round):
-        if rng is not None:  # sampled: each round's records are read at its end
-            stage = Stage(*stage[:3], (), stage.outcomes[:, :0])
+        if steps is not None:  # sampled: each round's records are read at its end
+            stage = steps.start(stage)
         stage = stage.encode(q)
         yield r, q, "post_encode", stage, None
         stage = stage.act(script.actions(r, "pre_bob"), r, rng)
@@ -340,8 +486,15 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     for r, q, name, stage, decoded in _round_loop(
             _start(config), resolved_keys(config), 1, script, rng):
         if name in stages:
-            diag[name] = analysis.diagnose(stage.state(0), r, name, tol=schmidt_tol,
-                                           decode_ok=None if decoded is None else decoded == q)
+            ok = None if decoded is None else decoded == q
+            held = stage.held
+            if held is None or held.amps is not stage.amps:
+                diag[name] = analysis.diagnose(stage.state(0), r, name, ok, schmidt_tol)
+            else:  # once per held row, stamped with each round's own fields
+                snapshot = held.value("diagnose", analysis.diagnose,
+                                      stage.state(0), r, name, ok, schmidt_tol)
+                diag[name] = replace(snapshot, round_index=r, stage=name, decode_ok=ok,
+                                     schmidt_ranks=dict(snapshot.schmidt_ranks))
         if name != "round_end":
             continue
         state = stage.state(0)

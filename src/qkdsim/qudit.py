@@ -66,8 +66,18 @@ def _is_integer(value) -> bool:
 
 def _check_value(value, label: str, d: int) -> None:
     """The one rule for a register value: an integer (not a bool) in [0, d)."""
-    if not (_is_integer(value) and 0 <= value < d):
+    if not _below(value, d):
         raise ValueOutOfRange(f"value {value!r} for register {label!r} not in [0, {d})")
+
+
+def _check_index(index, dim: int) -> None:
+    """The same rule for a flat amplitude index: an integer (not a bool) in [0, dim)."""
+    if not _below(index, dim):
+        raise ValueOutOfRange(f"index {index!r} not in [0, {dim})")
+
+
+def _below(value, bound: int) -> bool:
+    return _is_integer(value) and 0 <= value < bound
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,7 @@ class RegisterLayout:
         return index
 
     def values_of(self, index: int) -> tuple[int, ...]:
+        _check_index(index, self.dim)
         values = []
         for _ in self.labels:
             index, v = divmod(index, self.d)

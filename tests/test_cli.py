@@ -264,6 +264,11 @@ class TestValidate:
         {"rounds": 2, "keys": [0, 1], "attack": {"script": {"rounds": {
             "1": [{"op": "measure", "register": "e"}],
             " 1": [{"op": "shift", "target": "e", "s": 1}]}}}},
+        # round keys int() reads only through a digit separator or non-ASCII digits
+        {"rounds": 10, "keys": [0] * 10, "attack": {"script": {"rounds": {
+            "1_0": [{"op": "measure", "register": "e"}]}}}},
+        {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {
+            "\u0661": [{"op": "measure", "register": "e"}]}}}},
         # a 4 x 4 unitary on the one register k at d=2
         {"rounds": 1, "keys": [0], "attack": {"script": {"rounds": {"1": [
             {"op": "dense", "targets": ["k"],
@@ -280,7 +285,8 @@ class TestValidate:
             "keys_only", "control_only", "measure_timing", "gate_timing", "action_not_object",
             "rounds_not_object", "actions_not_list", "gate_register_not_string",
             "measure_register_not_string", "repeated_round_zero_padded",
-            "repeated_round_space_padded", "dense_wrong_size", "s_float", "s_bool",
+            "repeated_round_space_padded", "round_digit_separator", "round_arabic_indic_digit",
+            "dense_wrong_size", "s_float", "s_bool",
             "s_string", "shift_with_control", "fourier_with_s", "measure_with_target",
             "op_not_string"])
     def test_validate_refuses_what_run_refuses(self, fields, tmp_path, capsys, monkeypatch):

@@ -105,6 +105,39 @@ def test_no_module_reads_the_environment():
     assert not problems, "\n".join(problems)
 
 
+def _outside_functions(node):
+    """Every node under node that no function body holds; decorators are outside."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            outside = child.decorator_list
+        else:
+            outside = [] if isinstance(child, ast.Lambda) else [child]
+        for outer in outside:
+            yield outer
+            yield from _outside_functions(outer)
+
+
+def test_every_cache_outside_a_function_is_bounded():
+    # a cache that outlives a call keeps what it stores for the life of the
+    # process, so each names a finite maxsize; one made in a function body dies with it
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        nodes = list(_outside_functions(ast.parse(path.read_text(encoding="utf-8"))))
+        bounded = set()
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                size = node.args[0] if node.args else next(
+                    (k.value for k in node.keywords if k.arg == "maxsize"), None)
+                if (isinstance(size, ast.Constant) and type(size.value) is int
+                        and size.value > 0):
+                    bounded.add(node.func)
+        problems += [f"{path.name}:{node.lineno}: {ast.unparse(node)} names no finite maxsize"
+                     for node in nodes
+                     if (getattr(node, "id", None) or getattr(node, "attr", None))
+                     in ("lru_cache", "cache") and node not in bounded]
+    assert not problems, "\n".join(problems)
+
+
 # lists every lru_cache reachable from the qkdsim modules, as module.name or
 # module.Class.name, with its current size
 _CACHE_PROBE = """

@@ -428,6 +428,118 @@ class TestSession:
         assert doc["diagnostics"]["post_encode"]["stage"] == "post_encode"
 
 
+def _sampled(config, script, monkeypatch, budget=None):
+    """run_session with every diagnostic stage, at the table's budget or `budget`
+    bytes, and the session rng it drew from."""
+    made = {}
+
+    def default_rng(seed):
+        made[repr(seed)] = rng = np.random.Generator(np.random.PCG64(seed))
+        return rng
+
+    with monkeypatch.context() as patched:
+        patched.setattr(protocol.np.random, "default_rng", default_rng)
+        if budget is not None:
+            patched.setattr(protocol, "STEP_TABLE_BYTES", budget)
+        transcripts = run_session(config, script, diagnostics=protocol.STAGES)
+    return transcripts, made[repr([protocol._SESSION_STREAM, config.seed])]
+
+
+class TestStepTable:
+    """A sampled session computes each distinct (row, step) once and changes no bit."""
+
+    @pytest.mark.parametrize("eve", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_an_empty_table_changes_no_bit(self, preset, d, eve, monkeypatch):
+        # 60 rounds reach every kind of round: cached, uncached, and after the
+        # table closes on rows that do not come back (intercept_resend at d >= 3)
+        config = ProtocolConfig(d=d, rounds=60, key_seed=d, eve_registers=eve, seed=eve,
+                                control_rounds=frozenset({1, 30}))
+        script = compile_schedule(preset, config)
+        cached, cached_rng = _sampled(config, script, monkeypatch)
+        uncached, uncached_rng = _sampled(config, script, monkeypatch, budget=0)
+        assert cached == uncached
+        # repr round-trips a float bit for bit and tells -0.0 from 0.0
+        assert (json.dumps([t.to_json_dict() for t in cached])
+                == json.dumps([t.to_json_dict() for t in uncached]))
+        # no draw is skipped or added: the session rng ends in the same state
+        assert cached_rng.bit_generator.state == uncached_rng.bit_generator.state
+        assert cached_rng.bit_generator.state != np.random.default_rng(
+            [protocol._SESSION_STREAM, config.seed]).bit_generator.state  # every decode draws
+
+    def test_repeated_rows_are_computed_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        from qkdsim import analysis
+        monkeypatch.setattr(protocol, "_gated", counting("gate", protocol._gated))
+        monkeypatch.setattr(analysis, "diagnose", counting("diagnose", analysis.diagnose))
+        config = ProtocolConfig(d=3, rounds=400, key_seed=1, seed=2)
+        script = compile_schedule("persistent_entangle", config)
+        stages = ("post_encode", "round_end")
+        cached = run_session(config, script, diagnostics=stages)
+        assert calls["gate"] <= 5 * config.d and calls["diagnose"] <= 5 * config.d
+        calls.clear()
+        monkeypatch.setattr(protocol, "STEP_TABLE_BYTES", 0)
+        assert run_session(config, script, diagnostics=stages) == cached
+        # without the table: encode and decode gate every round, and two diagnoses
+        assert calls["gate"] >= 800 and calls["diagnose"] == 800
+
+    def test_no_table_outlives_its_session(self, monkeypatch):
+        import gc
+        import weakref
+
+        tables = []
+
+        class Recorded(protocol._Steps):
+            def __init__(self):
+                super().__init__()
+                tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(protocol, "_Steps", Recorded)
+        config = ProtocolConfig(d=3, rounds=50, key_seed=1)
+        transcripts = run_session(config, compile_schedule("persistent_entangle", config),
+                                  diagnostics=protocol.STAGES)
+        gc.collect()
+        assert len(tables) == 1 and tables[0]() is None and len(transcripts) == 50
+
+    def test_every_round_still_calls_its_steps(self, monkeypatch):
+        encode, decode, calls = protocol.Stage.encode, protocol.Stage.decode, Counter()
+        monkeypatch.setattr(protocol.Stage, "encode",
+                            lambda stage, q: calls.update(["encode"]) or encode(stage, q))
+        monkeypatch.setattr(protocol.Stage, "decode",
+                            lambda stage, rng: calls.update(["decode"]) or decode(stage, rng))
+        run_session(ProtocolConfig(d=3, rounds=200, key_seed=1), diagnostics=("round_end",))
+        assert calls == {"encode": 200, "decode": 200}
+
+    @pytest.mark.parametrize("budget", ["default", 64 * 1024])
+    @pytest.mark.parametrize("preset", ["intercept_resend", "none"])
+    def test_the_table_holds_at_most_its_budget(self, preset, budget, monkeypatch):
+        import tracemalloc
+
+        config = ProtocolConfig(d=5, rounds=100, key_seed=3, seed=4, eve_registers=2)
+        script = compile_schedule(preset, config)
+        budget = protocol.STEP_TABLE_BYTES if budget == "default" else budget
+
+        def peak(table_bytes):
+            monkeypatch.setattr(protocol, "STEP_TABLE_BYTES", table_bytes)
+            tracemalloc.start()
+            try:
+                run_session(config, script, diagnostics=("post_encode", "round_end"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        base = min(peak(0), peak(0))
+        assert peak(budget) <= base + budget + 256 * 1024
+
+
 class TestControlCheck:
     def test_honest_sessions_show_zero_mismatch(self):
         config = ProtocolConfig(d=3, rounds=10, key_seed=4, control_rounds={1, 5, 9})

@@ -9,6 +9,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -213,6 +214,15 @@ class TestRefusals:
     def test_malformed_objects_are_refused(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("index", [9, -1, True, np.int64(9), 1.0],
+                             ids=["above", "negative", "bool", "numpy_above", "float"])
+    def test_values_of_refuses_what_index_of_refuses(self, index):
+        # values_of once wrapped 9 to (0, 0), -1 to (2, 2) and True to (0, 1)
+        layout = RegisterLayout(3, ("a", "b"))
+        with pytest.raises(ValueOutOfRange, match=re.escape(f"index {index!r} not in [0, 9)")):
+            layout.values_of(index)
+        assert layout.values_of(np.int64(8)) == (2, 2)
 
 
 class TestBasisState:

@@ -165,8 +165,11 @@ def compile_schedule(preset: str, config) -> AttackScript:
             measure,
             EveAction.apply(GateSpec.dense(("k",), fourier)),
         )
-        return AttackScript({r: direct if rng.integers(2) == 0 else rotated
-                             for r in range(1, config.rounds + 1)})
+        # numpy spends one 32-bit word on each bounded draw, so one call gives the bases
+        # and the generator state of one rng.integers(2) per round
+        bases = rng.integers(2, size=config.rounds).tolist()
+        return AttackScript({r: direct if basis == 0 else rotated
+                             for r, basis in enumerate(bases, start=1)})
     raise UnknownPreset(f"unknown attack preset {preset!r}; known: {PRESETS}")
 
 

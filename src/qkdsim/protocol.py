@@ -19,14 +19,16 @@ Because the carrier comes back after every decode, a sampled session keeps
 revisiting a few rows.  So the loop gives it a step table (`_Steps`) for the
 session's life: rows interned by (layout, bytes) at round start, and for each
 held row the result of each step once (the encode per key value, each gate,
-a measurement's marginal and kept rows, `analysis.diagnose`).  Every
-measurement still draws from the session rng, so outputs keep every bit.  The
-table holds at most STEP_TABLE_BYTES and closes on rows that do not come back.
+a measurement's draw table and kept rows, `analysis.diagnose`), stored as the
+Stage the step leads to, so a warm round is a few lookups.  Every measurement
+still draws from the session rng, so outputs keep every bit.  The norm check
+runs every round, once per held row.  The table holds at most
+STEP_TABLE_BYTES and closes on rows that do not come back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +50,8 @@ from .qudit import (
     _check_side,
     _check_tol,
     _check_value,
+    _draw,
+    _draws,
     _gated,
     _inserted,
     _is_integer,
@@ -114,12 +118,15 @@ class ProtocolConfig:
             keys = tuple(self.keys)
             if len(keys) != self.rounds:
                 raise ConfigError(f"{len(keys)} keys given for {self.rounds} rounds")
-            for i, q in enumerate(keys):
-                if not _is_integer(q):
-                    raise ConfigError(f"keys[{i}] must be an integer, got {q!r}")
-                if not 0 <= q < self.d:
-                    raise ValueOutOfRange(f"keys[{i}] = {q} not in [0, {self.d})")
-            object.__setattr__(self, "keys", tuple(int(q) for q in keys))
+            # plain ints in range pass in one sweep; anything else is checked key by key
+            if set(map(type, keys)) != {int} or min(keys) < 0 or max(keys) >= self.d:
+                for i, q in enumerate(keys):
+                    if not _is_integer(q):
+                        raise ConfigError(f"keys[{i}] must be an integer, got {q!r}")
+                    if not 0 <= q < self.d:
+                        raise ValueOutOfRange(f"keys[{i}] = {q} not in [0, {self.d})")
+                keys = tuple(int(q) for q in keys)
+            object.__setattr__(self, "keys", keys)
         if not all(_is_integer(r) for r in self.control_rounds):
             raise ConfigError(f"control rounds must be integers, got {self.control_rounds!r}")
         control = frozenset(int(r) for r in self.control_rounds)
@@ -158,22 +165,24 @@ def init_carrier(d: int) -> PureState:
 class _Steps:
     """One sampled session's step table: each distinct (held row, step) is computed once.
 
-    The table holds rows as `_Held` entries, each a read-only row and its
-    steps' results by step key, so no row is known by its id().  A round's
-    start row is interned by (layout, bytes): it is held from the second visit
-    of its bytes on, or at once if the round before ended on a held row.  A
-    step on a held row holds its result.  A stage carries its row's entry, or
-    None, and the other rounds run the plain steps.  A held row is charged its
-    bytes plus ENTRY_BYTES, each stored result ENTRY_BYTES plus, if it is not
-    a row, OBJECT_BYTES, and each noted start its bytes, against
-    STEP_TABLE_BYTES; past it nothing more is held.  The table closes, and
-    every later round runs without it, once its misses (steps computed on held
-    rows, and first visits) outnumber its hits by SLACK: rows that do not come
-    back then cost nothing more.  Draws are never cached.
+    The table holds rows as `_Held` entries, each a read-only row, its norm
+    once read, and its steps' results by step key, so no row is known by its
+    id().  A round's start row is interned by (layout, bytes): it is held from
+    the second visit of its bytes on, or at once if the round before ended on
+    a held row.  A step on a held row stores the record-free Stage it leads
+    to, over a held row, so a hit builds nothing; a measurement also stores
+    its draw table.  A stage carries its row's entry, or None, and the other
+    rounds run the plain steps.  A held row is charged its bytes plus
+    ENTRY_BYTES, each stored result ENTRY_BYTES plus, if it is not a Stage,
+    OBJECT_BYTES, and each noted start its bytes, against STEP_TABLE_BYTES;
+    past it nothing more is held.  The table closes, and every later round
+    runs without it, once its misses (steps computed on held rows, and first
+    visits) outnumber its hits by SLACK: rows that do not come back then cost
+    nothing more.  Draws are never cached.
     """
 
-    ENTRY_BYTES = 256  # a dict entry, its key and an array header
-    OBJECT_BYTES = 1024  # a result that is not a row: a marginal or a diagnostics snapshot
+    ENTRY_BYTES = 256  # a dict entry and its key, with an array header, a Stage or a norm
+    OBJECT_BYTES = 1024  # a result that is not a Stage: a draw table or a diagnostics snapshot
     SLACK = 64
 
     def __init__(self):
@@ -199,11 +208,12 @@ class _Steps:
             held = None
         start = None if held is None else held.get("start")
         if start is None:
-            start = self._intern(stage.layout, stage.amps, held)
-            if held is not None and start is not None and self.fits(self.ENTRY_BYTES):
+            entry = self._intern(stage.layout, stage.amps, held)
+            start = Stage(stage.layout, stage.amps if entry is None else entry.amps, stage.probs,
+                          (), _NO_RECORDS, entry)
+            if held is not None and entry is not None and self.fits(self.ENTRY_BYTES):
                 held["start"] = start  # the next visit of this row finds it in one lookup
-        return Stage(stage.layout, stage.amps if start is None else start.amps, stage.probs, (),
-                     _NO_RECORDS, start)
+        return start
 
     def _intern(self, layout: RegisterLayout, amps: np.ndarray, held) -> "_Held | None":
         key = layout, amps.tobytes()
@@ -223,43 +233,40 @@ class _Steps:
 
 
 class _Held(dict):
-    """A row the step table holds: its read-only amplitudes, and each step's result on
-    it by step key, a row's as (amps, its _Held or None)."""
+    """A row the step table holds: its read-only amplitudes, its norm once read, and
+    each step's result on it by step key: the record-free Stage the step leads to, a
+    measurement's draw table, or a diagnostics snapshot."""
 
-    __slots__ = ("amps", "table")
+    __slots__ = ("amps", "table", "norm")
 
     def __init__(self, amps: np.ndarray, table: _Steps):  # an empty dict: no super() call
         amps.setflags(write=False)
-        self.amps, self.table = amps, table
+        self.amps, self.table, self.norm = amps, table, None
 
-    def row(self, key, fn, *args) -> tuple:
-        """(amps, held) of the step `key` on this row: fn(*args) once, then its result."""
+    def hit(self, key):
+        """The stored result of the step `key` on this row, or None; either counts."""
         hit = self.get(key)
-        table = self.table
-        if hit is not None:
-            table.balance += 1
-            return hit
-        table.balance -= 1
-        amps = fn(*args)  # a new row costs its bytes and an entry; the identity only the key
+        self.table.balance += 1 if hit is not None else -1
+        return hit
+
+    def keep(self, key, layout: RegisterLayout, amps: np.ndarray, probs: np.ndarray) -> "Stage":
+        """The record-free Stage over `amps`, the step `key`'s new row, stored if it fits:
+        a new row costs its bytes and an entry, the identity only the key."""
+        table, held = self.table, None
         size = table.ENTRY_BYTES + (0 if amps is self.amps else amps.nbytes + table.ENTRY_BYTES)
-        if size > table.room:
-            return amps, None
-        table.room -= size
-        hit = self[key] = amps, self if amps is self.amps else _Held(amps, table)
-        return hit
+        if size <= table.room:
+            table.room -= size
+            held = self if amps is self.amps else _Held(amps, table)
+        stage = Stage(layout, amps, probs, (), _NO_RECORDS, held)
+        if held is not None:
+            self[key] = stage
+        return stage
 
-    def value(self, key, fn, *args):
-        """fn(*args) once per step `key` on this row: a marginal or a diagnostics snapshot."""
-        hit = self.get(key)
-        table = self.table
-        if hit is not None:
-            table.balance += 1
-            return hit
-        table.balance -= 1
-        hit = fn(*args)
-        if table.fits(table.ENTRY_BYTES + table.OBJECT_BYTES):
-            self[key] = hit
-        return hit
+    def store(self, key, value):
+        """value, stored as the step `key`'s result if it fits: a draw table or a snapshot."""
+        if self.table.fits(self.table.ENTRY_BYTES + self.table.OBJECT_BYTES):
+            self[key] = value
+        return value
 
 
 class Stage(NamedTuple):
@@ -267,7 +274,8 @@ class Stage(NamedTuple):
     (B, layout.dim), probs (B,), and Eve's records (and the exact walk's key
     prefix) a header of (round, register) columns over a (B, len(header)) matrix.
     A sampled stage (B is 1) whose row its session's step table holds carries
-    the row's entry, else None; each step on it reads the entry first."""
+    the row's entry, else None; each step on it reads the entry first, and takes
+    a stored result with this stage's own records (`_recorded`)."""
 
     layout: RegisterLayout
     amps: np.ndarray
@@ -287,13 +295,23 @@ class Stage(NamedTuple):
         """The row's (round, register, outcome) records, oldest first."""
         return tuple((*column, v) for column, v in zip(self.header, self.outcomes[row].tolist()))
 
+    def _recorded(self, stored: "Stage") -> "Stage":
+        """A stored record-free step result with this stage's records."""
+        if not self.header:
+            return stored
+        return Stage(stored.layout, stored.amps, self.probs, self.header, self.outcomes,
+                     stored.held)
+
     def gate(self, gate: GateSpec) -> "Stage":
         held = self.held
         if held is None or held.amps is not self.amps:  # no entry, or another row's
             return Stage(self.layout, _gated(self.layout, self.amps, gate), *self[2:5])
-        held.table.gates[id(gate)] = gate  # the step key names the gate by id
-        amps, held = held.row(id(gate), _gated, self.layout, self.amps, gate)
-        return Stage(self.layout, amps, *self[2:5], held)
+        stored = held.hit(id(gate))
+        if stored is None:
+            held.table.gates[id(gate)] = gate  # the step key names the gate by id
+            stored = held.keep(id(gate), self.layout, _gated(self.layout, self.amps, gate),
+                               self.probs)
+        return self._recorded(stored)
 
     def measure(self, register: str, rng: np.random.Generator | None,
                 record: tuple[int, str] | None = None):
@@ -301,26 +319,35 @@ class Stage(NamedTuple):
         repeated once per outcome above BRANCH_PRUNE, one outcome per row, refused
         past BRANCH_CAP rows before they are built.  A `record` adds a header column
         and collapses the register in place; without one the register is sliced away.
-        A held row's marginal and kept rows are computed once; the draw runs every time."""
+        A held row's draw table and kept rows are computed once; the draw runs every time."""
         split, drop, held, amps = _split(self.layout, register), record is None, self.held, self.amps
-        if held is not None and held.amps is not amps:
-            held = None
-        marginal = (_marginal(amps, split) if held is None else
-                    held.value(("marginal", register), _marginal, amps, split))
-        rows, values, probs = _outcomes(marginal, rng)
-        if rows is not None and len(rows) > BRANCH_CAP:
-            raise ExplosionGuard(f"branch count {len(rows)} exceeds the cap of {BRANCH_CAP}")
+        if held is not None and held.amps is amps:  # one draw on a held row
+            draws = held.hit(("draws", register))
+            if draws is None:
+                draws = held.store(("draws", register), _draws(_marginal(amps, split)))
+            values, probs = _draw(draws, rng)
+            stored = held.hit((register, values, drop))
+            if stored is None:
+                stored = held.keep((register, values, drop),
+                                   self.layout.drop(register) if drop else self.layout,
+                                   _kept(amps, split, None, values, probs, drop), self.probs)
+            if drop:
+                return self._recorded(stored), values
+            rows, layout, kept, weights, held = None, *stored[:3], stored.held
+        else:
+            rows, values, probs = _outcomes(_marginal(amps, split), rng)
+            if rows is not None and len(rows) > BRANCH_CAP:
+                raise ExplosionGuard(f"branch count {len(rows)} exceeds the cap of {BRANCH_CAP}")
+            layout, kept, held = (self.layout.drop(register) if drop else self.layout,
+                                  _kept(amps, split, rows, values, probs, drop), None)
+            weights = self.probs if rows is None else self.probs.take(rows) * probs
         outcomes = self.outcomes if rows is None else self.outcomes.take(rows, 0)
         if not drop:
             grown = np.empty((len(outcomes), len(self.header) + 1), np.intp)
             grown[:, :-1], grown[:, -1] = outcomes, values
             outcomes = grown
-        kept, held = ((_kept(amps, split, rows, values, probs, drop), None) if held is None else
-                      held.row((register, values, drop), _kept, amps, split, rows, values, probs,
-                               drop))
-        return Stage(self.layout.drop(register) if drop else self.layout, kept,
-                     self.probs if rows is None else self.probs.take(rows) * probs,
-                     self.header + (() if drop else (record,)), outcomes, held), values
+        return Stage(layout, kept, weights, self.header + (() if drop else (record,)), outcomes,
+                     held), values
 
     def act(self, actions: Sequence, round_index: int, rng) -> "Stage":
         """Eve's actions in order; callers check their registers first."""
@@ -332,11 +359,15 @@ class Stage(NamedTuple):
 
     def encode(self, q) -> "Stage":
         """Alice's step, unchecked: adjoin k in |q>, q an int or one per row, add "a" onto it."""
-        new, held = self.layout.insert(KEY, self.layout.axis(BOB) + 1), self.held
+        held = self.held
         if held is None or held.amps is not self.amps:
+            new = self.layout.insert(KEY, self.layout.axis(BOB) + 1)
             return Stage(new, _encoded(self.amps, new, q), *self[2:5])
-        amps, held = held.row(("encode", q), _encoded, self.amps, new, q)
-        return Stage(new, amps, *self[2:5], held)
+        stored = held.hit(("encode", q))
+        if stored is None:
+            new = self.layout.insert(KEY, self.layout.axis(BOB) + 1)
+            stored = held.keep(("encode", q), new, _encoded(self.amps, new, q), self.probs)
+        return self._recorded(stored)
 
     def decode(self, rng: np.random.Generator | None):
         """Bob subtracts "b" from k, measures k unrecorded and slices it away."""
@@ -421,7 +452,10 @@ def _validate_script(config: ProtocolConfig,
         raise ConfigError(f"script addresses round {last}, session has {config.rounds}")
     eve = eve_register_labels(config.eve_registers)
     allowed = {"pre_bob": {KEY, *eve}, "post_decode": set(eve)}
+    passed = set()  # ids of action tuples already checked: presets share one across rounds
     for r, actions in sorted(script.rounds.items()):
+        if id(actions) in passed:
+            continue
         for action in actions:
             unknown = set(action.registers) - allowed[action.timing]
             if unknown:
@@ -430,6 +464,7 @@ def _validate_script(config: ProtocolConfig,
                     f"available: {sorted(allowed[action.timing])}")
             if action.gate is not None:
                 _check_side(action.gate, config.d, f"round {r} ")
+        passed.add(id(actions))
     return script
 
 
@@ -491,22 +526,26 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
             if held is None or held.amps is not stage.amps:
                 diag[name] = analysis.diagnose(stage.state(0), r, name, ok, schmidt_tol)
             else:  # once per held row, stamped with each round's own fields
-                snapshot = held.value("diagnose", analysis.diagnose,
-                                      stage.state(0), r, name, ok, schmidt_tol)
-                diag[name] = replace(snapshot, round_index=r, stage=name, decode_ok=ok,
-                                     schmidt_ranks=dict(snapshot.schmidt_ranks))
+                snapshot = held.hit("diagnose") or held.store("diagnose", analysis.diagnose(
+                    stage.state(0), r, name, ok, schmidt_tol))
+                diag[name] = analysis.StageDiagnostics(
+                    r, name, snapshot.rho_k_spectrum, snapshot.entropy_k,
+                    dict(snapshot.schmidt_ranks), ok)
         if name != "round_end":
             continue
-        state = stage.state(0)
-        if abs(state.norm() - 1.0) > 1e-10:
-            raise InvariantViolation(
-                f"state norm drifted to {state.norm():.12f} after round {r}")
+        held = stage.held
+        if held is None or held.amps is not stage.amps:
+            norm = stage.state(0).norm()
+        else:  # a held row is read-only: its norm once
+            norm = held.norm = stage.state(0).norm() if held.norm is None else held.norm
+        if abs(norm - 1.0) > 1e-10:
+            raise InvariantViolation(f"state norm drifted to {norm:.12f} after round {r}")
         transcripts.append(RoundTranscript(
             round_index=r,
             mode="control" if r in config.control_rounds else "message",
             key_sent=q,
             key_decoded=decoded,
-            eve_records=stage.records(0),
+            eve_records=stage.records(0) if stage.header else (),
             diagnostics=diag,
         ))
         diag = {}

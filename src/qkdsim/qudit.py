@@ -13,11 +13,11 @@ Schmidt rank fold the same way.  Every gate kind can also be expanded to an
 explicit dense unitary, an independent cross-check path.
 
 Every measurement is one Born-rule step: `_marginal` over all rows,
-`_outcomes` to draw one outcome or keep each above BRANCH_PRUNE (exactly
-certain when every row keeps one), and `_kept` to build the post rows,
-collapsed in place or sliced over a smaller layout.  The Schmidt-rank cutoff
-(`_ranks`, one batched SVD) and the CERTAINTY rule (`_certain_values`) run on
-rows too.
+`_outcomes` to draw one outcome (`_draw`, from the marginal's `_draws` table)
+or keep each above BRANCH_PRUNE (exactly certain when every row keeps one),
+and `_kept` to build the post rows, collapsed in place or sliced over a
+smaller layout.  The Schmidt-rank cutoff (`_ranks`, one batched SVD) and the
+CERTAINTY rule (`_certain_values`) run on rows too.
 """
 
 from __future__ import annotations
@@ -516,13 +516,26 @@ def _outcomes(marginals: np.ndarray, rng: np.random.Generator | None) -> tuple:
         rows, values = kept.nonzero()
         certain = len(rows) == len(marginals)  # one outcome kept in every row
         return rows, values, np.ones(len(rows)) if certain else marginals[kept]
-    # inverse-CDF draw on Python floats, cheaper than numpy calls on d values:
-    # the running sum rounds as np.cumsum does, bisect_right is
-    # searchsorted(side="right"), and min() clamps a u * total that rounds up to total
-    probs = marginals.ravel().tolist()
-    edges = list(accumulate(probs))
-    value = min(bisect_right(edges, rng.random() * edges[-1]), len(edges) - 1)
-    return None, value, probs[value]
+    return (None, *_draw(_draws(marginals), rng))
+
+
+def _draws(marginal: np.ndarray) -> tuple[list, list]:
+    """The draw table of one row's marginal: its running sums and its probabilities, as
+    Python floats, cheaper to draw from than numpy calls on d values.  The running sum
+    rounds as np.cumsum does."""
+    probs = marginal.ravel().tolist()
+    return [*accumulate(probs)], probs
+
+
+def _draw(draws: tuple[list, list], rng: np.random.Generator) -> tuple[int, float]:
+    """The one inverse-CDF draw from a draw table: (value, its probability) for one
+    rng.random().  bisect_right is searchsorted(side="right"), and a u * total that
+    rounds up to total is clamped to the last value."""
+    edges, probs = draws
+    value = bisect_right(edges, rng.random() * edges[-1])
+    if value == len(edges):
+        value -= 1
+    return value, probs[value]
 
 
 @lru_cache(maxsize=256)
@@ -573,7 +586,7 @@ def measurement_branches(state: PureState, register: str) -> list[tuple[int, flo
 def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[int, PureState]:
     """Sample one outcome by the Born rule; deterministic given the rng state."""
     split = _split(state.layout, register)
-    _, value, p = _outcomes(_marginal(state.amplitudes, split), rng)
+    value, p = _draw(_draws(_marginal(state.amplitudes, split)), rng)
     return value, PureState._trusted(state.layout,
                                      _kept(state.amplitudes, split, None, value, p, False))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,26 +47,33 @@ def _other_scalar(value) -> str | None:
     return None
 
 
+@lru_cache(maxsize=1024)
+def _key(key: str, level: int) -> str:
+    """The indented `"key": ` text that opens a dict entry at this nesting level."""
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be str, got {key!r}")
+    return "  " * level + _string(key) + ": "
+
+
 def _write(value, out: list[str], level: int) -> None:
     render = _SCALARS.get(type(value))
     if render is not None:
         out.append(render(value))
-        return
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(value, dict):
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
         out.append("{\n")
-        last = len(value) - 1
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {key!r}")
-            out.append(inner + _string(key) + ": ")
-            _write(item, out, level + 1)
-            out.append(",\n" if i < last else "\n")
-        out.append(pad + "}")
+        for key, item in value.items():
+            out.append(_key(key, level + 1))
+            render = _SCALARS.get(type(item))
+            if render is not None:  # a scalar inline, with no recursive call
+                out.append(render(item))
+            else:
+                _write(item, out, level + 1)
+            out.append(",\n")
+        out[-1] = "\n"  # no comma after the last entry
+        out.append("  " * level + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -82,12 +90,13 @@ def _write(value, out: list[str], level: int) -> None:
             out.append("[" + ", ".join(texts) + "]")
             return
         out.append("[\n")
-        last = len(value) - 1
-        for i, item in enumerate(value):
+        inner = "  " * (level + 1)
+        for item in value:
             out.append(inner)
             _write(item, out, level + 1)
-            out.append(",\n" if i < last else "\n")
-        out.append(pad + "]")
+            out.append(",\n")
+        out[-1] = "\n"  # no comma after the last item
+        out.append("  " * level + "]")
     else:
         text = _other_scalar(value)
         if text is None:

@@ -196,6 +196,22 @@ class TestSchedules:
             assert shapes[0] in (1, 3)
             assert any(a.measure == "k" for a in script.rounds[r])
 
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 7, 100, 401])
+    def test_intercept_bases_are_one_draw_per_round(self, rounds):
+        # compile_schedule draws every basis in one rng.integers(2, size=rounds) call; numpy
+        # spends one 32-bit word on each bounded draw, so that is the per-round loop's bases
+        # and generator end state
+        for seed in range(40):
+            config = ProtocolConfig(d=3, rounds=rounds, key_seed=0, seed=seed)
+            loop = np.random.default_rng([adversary._BASIS_STREAM, seed])
+            bases = [int(loop.integers(2)) for _ in range(rounds)]
+            script = compile_schedule("intercept_resend", config)
+            assert [len(script.rounds[r]) for r in range(1, rounds + 1)] == [
+                3 if basis else 1 for basis in bases]
+            batch = np.random.default_rng([adversary._BASIS_STREAM, seed])
+            assert batch.integers(2, size=rounds).tolist() == bases
+            assert batch.bit_generator.state == loop.bit_generator.state
+
     def test_unknown_preset(self):
         config = ProtocolConfig(d=2, rounds=1, keys=(0,))
         with pytest.raises(UnknownPreset):

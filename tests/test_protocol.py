@@ -110,12 +110,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="integer"):
             ProtocolConfig(**{**base, **fields})
 
+    @pytest.mark.parametrize("keys,error,message", [
+        ((0, True, 1), ConfigError, r"keys\[1\] must be an integer, got True"),
+        ((False, 1, 1), ConfigError, r"keys\[0\] must be an integer, got False"),
+        ((0, 1, np.int64(3)), ValueOutOfRange, r"keys\[2\] = 3 not in \[0, 3\)"),
+        ((0, np.int32(-1), 2), ValueOutOfRange, r"keys\[1\] = -1 not in \[0, 3\)"),
+        ((2, 1, 3), ValueOutOfRange, r"keys\[2\] = 3 not in \[0, 3\)"),
+        ((-1, 1, 2), ValueOutOfRange, r"keys\[0\] = -1 not in \[0, 3\)"),
+        ((0, 2.0, 1), ConfigError, r"keys\[1\] must be an integer, got 2\.0"),
+    ], ids=["bool", "bool_first", "numpy_too_large", "numpy_negative", "int_too_large",
+            "int_negative", "float"])
+    def test_every_key_refusal_names_its_index(self, keys, error, message):
+        with pytest.raises(error, match=message):
+            ProtocolConfig(d=3, rounds=3, keys=keys)
+
     def test_numpy_integers_accepted(self):
         config = ProtocolConfig(d=2, rounds=np.int64(2), keys=np.array([0, 1]),
                                 eve_registers=np.int32(1), seed=np.uint8(3),
                                 control_rounds={np.int64(2)})
         assert config.keys == (0, 1)
         assert all(type(q) is int for q in config.keys)
+        mixed = ProtocolConfig(d=3, rounds=3, keys=(2, np.int64(1), 0)).keys
+        assert mixed == (2, 1, 0) and all(type(q) is int for q in mixed)
         assert ProtocolConfig(d=2, rounds=1, key_seed=np.int64(4)).key_seed == 4
 
     def test_numpy_integer_dimension_accepted(self):
@@ -378,6 +394,21 @@ class TestSession:
         with pytest.raises(ScriptRegisterUnknown):
             run_session(config, script)
 
+    @pytest.mark.parametrize("bad,error", [
+        (EveAction.apply(GateSpec.shift("e2", 1)), ScriptRegisterUnknown),
+        (EveAction.apply(GateSpec.dense(["k"], np.eye(4))), NonUnitaryMatrix),
+    ], ids=["unknown_register", "dense_side"])
+    def test_a_shared_bad_tuple_is_refused_at_its_lowest_round(self, bad, error):
+        # each distinct action tuple is checked once, in round order
+        good = (EveAction.measurement("k"),)
+        shared = (EveAction.measurement("k"), bad)
+        script = AttackScript({5: shared, 1: good, 3: shared, 2: good, 4: good})
+        assert script.rounds[3] is script.rounds[5]
+        config = ProtocolConfig(d=2, rounds=6, key_seed=0)
+        for run in (run_session, run_session_branches):
+            with pytest.raises(error, match=r"^round 3 "):
+                run(config, script)
+
     def test_post_decode_action_on_k_refused_before_any_encode(self, monkeypatch):
         # Bob has dropped k by post_decode; the bad action sits in the last round
         calls = []
@@ -490,6 +521,50 @@ class TestStepTable:
         assert run_session(config, script, diagnostics=stages) == cached
         # without the table: encode and decode gate every round, and two diagnoses
         assert calls["gate"] >= 800 and calls["diagnose"] == 800
+
+    def test_a_warm_round_builds_no_stage(self, monkeypatch):
+        # a held row stores the Stage each step leads to, so a hit builds nothing
+        built = Counter()
+        new = protocol.Stage.__new__
+
+        def counting(cls, *args, **kwargs):
+            built["stage"] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(protocol.Stage, "__new__", counting)
+        config = ProtocolConfig(d=3, rounds=400, key_seed=1, seed=2)
+        script = compile_schedule("persistent_entangle", config)
+        cached = run_session(config, script)
+        assert built["stage"] <= 10 * config.d
+        built.clear()
+        monkeypatch.setattr(protocol, "STEP_TABLE_BYTES", 0)
+        assert run_session(config, script) == cached
+        # without the table: start, encode, gate, measure, and the pre_bob gate of round 1
+        assert built["stage"] >= 4 * config.rounds
+
+    @pytest.mark.parametrize("preset", ["none", "persistent_entangle"])
+    def test_a_held_row_that_drifts_is_refused_in_its_first_round(self, preset, monkeypatch):
+        # key 2 is first decoded in round 7, on held rows, so its drifted row is held;
+        # the norm check runs every round, on a held row once, and still catches it
+        kept, held = protocol._kept, []
+
+        def drifting(amps, split, rows, values, probs, drop):
+            out = kept(amps, split, rows, values, probs, drop)
+            return out * 1.001 if drop and rows is None and values == 2 else out
+
+        class Recorded(protocol._Held):
+            __slots__ = ()
+
+            def __init__(self, amps, table):
+                super().__init__(amps, table)
+                held.append(amps)
+
+        monkeypatch.setattr(protocol, "_kept", drifting)
+        monkeypatch.setattr(protocol, "_Held", Recorded)
+        config = ProtocolConfig(d=3, rounds=12, keys=(0, 0, 0, 1, 0, 1, 2, 2, 0, 2, 1, 2))
+        with pytest.raises(InvariantViolation, match=r"drifted to 1\.001000000000 after round 7$"):
+            run_session(config, compile_schedule(preset, config))
+        assert abs(np.linalg.norm(held[-1]) - 1.0) > 1e-6  # the last row held drifted
 
     def test_no_table_outlives_its_session(self, monkeypatch):
         import gc

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from qkdsim.adversary import compile_schedule
+from qkdsim.protocol import STAGES, ProtocolConfig, run_session
 from qkdsim.serialize import dumps, format_float
 
 
@@ -179,12 +181,24 @@ def random_tree(rng, depth):
     return children
 
 
+def run_transcripts():
+    """The shape of a `run` report's transcripts: a list of dicts with nested
+    diagnostics, None and bool fields, float spectra and record lists."""
+    config = ProtocolConfig(d=3, rounds=6, key_seed=2, seed=5, eve_registers=2,
+                            control_rounds=frozenset({2, 5}))
+    script = compile_schedule("intercept_resend", config)
+    return [t.to_json_dict() for t in run_session(config, script, diagnostics=STAGES)]
+
+
 def test_writer_keeps_the_reference_bytes():
     rng = np.random.default_rng(11)
     for _ in range(400):
         tree = random_tree(rng, 4)
         assert dumps(tree) == reference_dumps(tree)
-    for value in ([], {}, (), [[]], {"": {}}, [{}, []], SCALARS, {s: s for s in STRINGS}):
+    transcripts = run_transcripts()
+    assert transcripts[0]["eve_records"] and "diagnostics" in transcripts[0]
+    for value in ([], {}, (), [[]], {"": {}}, [{}, []], SCALARS, {s: s for s in STRINGS},
+                  transcripts, {"rounds": 6, "transcripts": transcripts}):
         assert dumps(value) == reference_dumps(value)
 
 

@@ -500,6 +500,15 @@ class TestRun:
                          "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"run_{name}.json").read_bytes()
 
+    def test_matches_golden_diagnostics_at_every_stage(self, tmp_path):
+        # records, spectra, entropies and None fields at all four stages, pinned as bytes
+        path = write_scenario(
+            tmp_path, d=3, rounds=12, keys={"seed": 7}, control_rounds=[2, 5, 8, 11],
+            attack={"preset": "intercept_resend"}, diagnostics=list(protocol.STAGES), seed=3)
+        out = tmp_path / "report.json"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_intercept_diag_d3.json").read_bytes()
+
     def test_scenario_output_field_is_honored(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         path = honest_scenario(tmp_path, output=str(target))

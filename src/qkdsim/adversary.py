@@ -91,13 +91,16 @@ class AttackScript:
     def __post_init__(self):
         normalized, keys = {}, {}
         for round_index, actions in self.rounds.items():
-            try:  # int() alone would also take a float, a bool, "1_0" or non-ASCII digits
-                if not (_is_integer(round_index) or isinstance(round_index, str)
-                        and round_index.isascii() and "_" not in round_index):
-                    raise ValueError
-                r = int(round_index)
-            except ValueError:
-                raise ConfigError(f"round key {round_index!r} is not an integer") from None
+            if type(round_index) is int:
+                r = round_index
+            else:
+                try:  # int() alone would also take a float, a bool, "1_0" or non-ASCII digits
+                    if not (_is_integer(round_index) or isinstance(round_index, str)
+                            and round_index.isascii() and "_" not in round_index):
+                        raise ValueError
+                    r = int(round_index)
+                except ValueError:
+                    raise ConfigError(f"round key {round_index!r} is not an integer") from None
             if r < 1:
                 raise ConfigError(f"round indices start at 1, got {r}")
             if r in normalized:
@@ -105,10 +108,16 @@ class AttackScript:
                     f"round keys {keys[r]!r} and {round_index!r} both name round {r}")
             normalized[r], keys[r] = tuple(actions), round_index
         object.__setattr__(self, "rounds", normalized)
-        # actions(r, timing) is a lookup; an absent slot holds no actions
-        object.__setattr__(self, "_slots", {
-            (r, timing): tuple(a for a in actions if a.timing == timing)
-            for r, actions in normalized.items() for timing in TIMINGS})
+        # actions(r, timing) is a lookup; an absent slot holds no actions.  Each
+        # distinct action tuple is split once: the presets share one across rounds
+        split, slots = {}, {}
+        for r, actions in normalized.items():
+            pair = split.get(id(actions))
+            if pair is None:
+                pair = split[id(actions)] = [
+                    tuple(a for a in actions if a.timing == timing) for timing in TIMINGS]
+            slots[r, TIMINGS[0]], slots[r, TIMINGS[1]] = pair
+        object.__setattr__(self, "_slots", slots)
 
     def actions(self, round_index: int, timing: str) -> tuple[EveAction, ...]:
         return self._slots.get((round_index, timing), ())

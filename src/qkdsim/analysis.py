@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,9 +59,9 @@ ENUMERATION_CAP = 1_000_000
 KEY_TUPLE_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class StageDiagnostics:
-    """Snapshot of one protocol stage: key-qudit spectrum and Schmidt cuts."""
+class StageDiagnostics(NamedTuple):
+    """Snapshot of one protocol stage: key-qudit spectrum and Schmidt cuts.
+    `to_json_dict` is the reference document of its `run` report entry."""
 
     round_index: int
     stage: str
@@ -113,14 +113,8 @@ def diagnose(state: PureState, round_index: int, stage: str,
         eigs = np.linalg.eigvalsh(_reduced(state.amplitudes, k_fold)[0])
         spectrum = tuple(float(x) for x in eigs[::-1])
         entropy = _entropy(eigs, state.layout.d)
-    return StageDiagnostics(
-        round_index=round_index,
-        stage=stage,
-        rho_k_spectrum=spectrum,
-        entropy_k=entropy,
-        schmidt_ranks={name: _rank(state, fold, tol) for name, fold in cuts},
-        decode_ok=decode_ok,
-    )
+    return StageDiagnostics(round_index, stage, spectrum, entropy,
+                            {name: _rank(state, fold, tol) for name, fold in cuts}, decode_ok)
 
 
 @dataclass(frozen=True)

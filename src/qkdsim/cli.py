@@ -19,11 +19,18 @@ from functools import lru_cache
 
 from . import __version__
 from .adversary import PRESETS, compile_schedule, script_from_obj
-from .analysis import TEMPLATES, _entry, feasibility_search, render_report
+from .analysis import TEMPLATES, StageDiagnostics, _entry, feasibility_search, render_report
 from .errors import ConfigError, InputError, InvariantViolation
-from .protocol import STAGES, ProtocolConfig, _validate_script, control_check, run_session
+from .protocol import (
+    STAGES,
+    ProtocolConfig,
+    RoundTranscript,
+    _validate_script,
+    control_check,
+    run_session,
+)
 from .qudit import SCHMIDT_TOL, _check_tol
-from .serialize import dumps, format_float
+from .serialize import Raw, _string, dumps, flat, format_float, nested, scalar, template
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -187,6 +194,38 @@ def _text_report(config, attack_name, tol, transcripts, check) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_rows(transcripts) -> Raw:
+    """The report's transcript list, as dumps writes [t.to_json_dict() for t in
+    transcripts] at level 1, one template per row.  The templates take their keys
+    from those reference documents.  A stage entry is rendered once per (stage,
+    spectrum, entropy, decode_ok, ranks) and keeps a slot for its round: rounds on a
+    held row share one snapshot."""
+    probe = StageDiagnostics(0, "", None, None, {}, None)
+    plain, full = (template(tuple(RoundTranscript(0, "", 0, 0, (), diag).to_json_dict()), 2)
+                   for diag in ({}, {"": probe}))
+    entry = template(tuple(probe.to_json_dict()), 4)
+    entries, rows = {}, []
+    for r, mode, sent, decoded, records, diagnostics in transcripts:
+        records = nested([flat((str(i), _string(reg), str(v))) for i, reg, v in records], 3)
+        if not diagnostics:
+            rows.append(plain % (r, _string(mode), sent, decoded, records))
+            continue
+        stages = []
+        for i, stage, spectrum, entropy, ranks, ok in diagnostics.values():
+            key = stage, spectrum, entropy, ok, *ranks.items()
+            text = entries.get(key)
+            if text is None:
+                texts = (_string(stage),
+                         scalar(None) if spectrum is None else flat(map(format_float, spectrum)),
+                         scalar(entropy), template(tuple(ranks), 5) % tuple(ranks.values()),
+                         scalar(ok))
+                text = entries[key] = entry % ("%s", *(t.replace("%", "%%") for t in texts))
+            stages.append(text % i)
+        rows.append(full % (r, _string(mode), sent, decoded, records,
+                            template(tuple(diagnostics), 3) % tuple(stages)))
+    return Raw(nested(rows, 1))
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     tol = _resolve_tol(args.tol)
@@ -208,7 +247,7 @@ def cmd_run(args) -> int:
             "seed": config.seed,
             "tolerance": tol,
             "attack": attack_name,
-            "transcripts": [t.to_json_dict() for t in transcripts],
+            "transcripts": _json_rows(transcripts),
             "control_check": {
                 "checked": check.checked,
                 "mismatches": check.mismatches,

@@ -19,11 +19,14 @@ Because the carrier comes back after every decode, a sampled session keeps
 revisiting a few rows.  So the loop gives it a step table (`_Steps`) for the
 session's life: rows interned by (layout, bytes) at round start, and for each
 held row the result of each step once (the encode per key value, each gate,
-a measurement's draw table and kept rows, `analysis.diagnose`), stored as the
-Stage the step leads to, so a warm round is a few lookups.  Every measurement
-still draws from the session rng, so outputs keep every bit.  The norm check
-runs every round, once per held row.  The table holds at most
-STEP_TABLE_BYTES and closes on rows that do not come back.
+a measurement's draw table and kept rows, Bob's decode as one step with no
+gated row held, `analysis.diagnose`), stored as the Stage the step leads to,
+so a warm round is a few lookups.  Every measurement still draws from the
+session rng, so outputs keep every bit.  The norm check runs every round, once
+per held row.  The table holds at most STEP_TABLE_BYTES, closes on steps that
+do not come back, and is emptied when the loop ends, so reference counting
+frees it.  A round's record, `RoundTranscript`, is a tuple; `cli` writes the
+`run` report's rows from it through `serialize`'s templates.
 """
 
 from __future__ import annotations
@@ -178,7 +181,8 @@ class _Steps:
     past it nothing more is held.  The table closes, and every later round
     runs without it, once its misses (steps computed on held rows, and first
     visits) outnumber its hits by SLACK: rows that do not come back then cost
-    nothing more.  Draws are never cached.
+    nothing more.  Draws are never cached.  The round loop closes the table
+    when it ends (`release`), so no held row outlives it in a cycle.
     """
 
     ENTRY_BYTES = 256  # a dict entry and its key, with an array header, a Stage or a norm
@@ -190,6 +194,15 @@ class _Steps:
         self.balance = 0  # hits less misses
         self.gates = {}  # id -> gate, for every gate a step key names by id
         self._starts = {}  # (layout, bytes) -> the held start row, or None after one visit
+        self.rows = []  # every held row, so release() can empty them
+
+    def release(self):
+        """Empty every held row: their stored stages name each other and the start table
+        names them, so without this the table lives until the cyclic collector runs."""
+        for held in self.rows:
+            held.clear()
+        self.rows.clear()
+        self._starts.clear()
 
     def fits(self, size: int) -> bool:
         """Take size bytes of the budget if they are left."""
@@ -242,6 +255,7 @@ class _Held(dict):
     def __init__(self, amps: np.ndarray, table: _Steps):  # an empty dict: no super() call
         amps.setflags(write=False)
         self.amps, self.table, self.norm = amps, table, None
+        table.rows.append(self)
 
     def hit(self, key):
         """The stored result of the step `key` on this row, or None; either counts."""
@@ -370,8 +384,25 @@ class Stage(NamedTuple):
         return self._recorded(stored)
 
     def decode(self, rng: np.random.Generator | None):
-        """Bob subtracts "b" from k, measures k unrecorded and slices it away."""
-        return self.gate(_DECODE).measure(KEY, rng)
+        """Bob subtracts "b" from k, measures k unrecorded and slices it away.  On a held
+        row this is one step: its draw table and the kept row per drawn value are
+        stored, the gated row between them is not."""
+        held = self.held
+        if held is None or held.amps is not self.amps:
+            return self.gate(_DECODE).measure(KEY, rng)
+        split, gated = _split(self.layout, KEY), None
+        draws = held.hit("decode")
+        if draws is None:
+            gated = _gated(self.layout, self.amps, _DECODE)
+            draws = held.store("decode", _draws(_marginal(gated, split)))
+        value, prob = _draw(draws, rng)
+        stored = held.hit(("decode", value))
+        if stored is None:
+            if gated is None:
+                gated = _gated(self.layout, self.amps, _DECODE)
+            stored = held.keep(("decode", value), self.layout.drop(KEY),
+                               _kept(gated, split, None, value, prob, True), self.probs)
+        return self._recorded(stored), value
 
 
 def _encoded(amps: np.ndarray, layout: RegisterLayout, q) -> np.ndarray:
@@ -397,8 +428,11 @@ def bob_decode(state: PureState, rng: np.random.Generator) -> tuple[int, PureSta
     return outcome, stage.state(0)
 
 
-@dataclass(frozen=True)
-class RoundTranscript:
+class RoundTranscript(NamedTuple):
+    """One sampled round: its index, mode, sent and decoded keys, Eve's records and
+    the StageDiagnostics by stage name.  `to_json_dict` is the reference document
+    of the `run` report's row."""
+
     round_index: int
     mode: str
     key_sent: int
@@ -486,17 +520,21 @@ def _round_loop(stage: Stage, keys: Iterable[int], first_round: int,
     With an rng, one step table (`_Steps`) serves the loop's rounds.
     """
     steps = None if rng is None else _Steps()
-    for r, q in enumerate(keys, start=first_round):
-        if steps is not None:  # sampled: each round's records are read at its end
-            stage = steps.start(stage)
-        stage = stage.encode(q)
-        yield r, q, "post_encode", stage, None
-        stage = stage.act(script.actions(r, "pre_bob"), r, rng)
-        yield r, q, "post_attack", stage, None
-        stage, decoded = stage.decode(rng)
-        yield r, q, "post_decode", stage, decoded
-        stage = stage.act(script.actions(r, "post_decode"), r, rng)
-        yield r, q, "round_end", stage, decoded
+    try:
+        for r, q in enumerate(keys, start=first_round):
+            if steps is not None:  # sampled: each round's records are read at its end
+                stage = steps.start(stage)
+            stage = stage.encode(q)
+            yield r, q, "post_encode", stage, None
+            stage = stage.act(script.actions(r, "pre_bob"), r, rng)
+            yield r, q, "post_attack", stage, None
+            stage, decoded = stage.decode(rng)
+            yield r, q, "post_decode", stage, decoded
+            stage = stage.act(script.actions(r, "post_decode"), r, rng)
+            yield r, q, "round_end", stage, decoded
+    finally:
+        if steps is not None:  # reference counting frees the table once the loop ends
+            steps.release()
 
 
 def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = None,
@@ -516,7 +554,7 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     from . import analysis  # imported here to avoid a module cycle
 
     rng = np.random.default_rng([_SESSION_STREAM, config.seed])
-    transcripts = []
+    control, transcripts = config.control_rounds, []
     diag: dict = {}
     for r, q, name, stage, decoded in _round_loop(
             _start(config), resolved_keys(config), 1, script, rng):
@@ -541,13 +579,8 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
         if abs(norm - 1.0) > 1e-10:
             raise InvariantViolation(f"state norm drifted to {norm:.12f} after round {r}")
         transcripts.append(RoundTranscript(
-            round_index=r,
-            mode="control" if r in config.control_rounds else "message",
-            key_sent=q,
-            key_decoded=decoded,
-            eve_records=stage.records(0) if stage.header else (),
-            diagnostics=diag,
-        ))
+            r, "control" if r in control else "message", q, decoded,
+            stage.records(0) if stage.header else (), diag))
         diag = {}
     return transcripts
 

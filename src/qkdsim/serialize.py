@@ -3,6 +3,11 @@
 Field order is the insertion order of the dicts handed in; floats are
 printed with 17 significant digits so values survive a round trip and two
 runs of the same computation serialize identically.
+
+`dumps` walks any document.  A caller that writes many rows of one shape
+fills `template`s instead, with values rendered by `scalar` (or its parts,
+`_string` and `format_float`) and by `flat` and `nested` for lists, and hands the
+text in as `Raw`: the same bytes, with no dict built per row.
 """
 
 from __future__ import annotations
@@ -26,8 +31,13 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+class Raw(str):
+    """Text that dumps writes as it stands: a value already rendered at its place."""
+
+
 # scalar renderers by exact type; numpy scalars and subclasses go through _other_scalar
 _SCALARS = {
+    Raw: str.__str__,
     str: _string,
     float: format_float,
     int: int.__repr__,
@@ -47,12 +57,45 @@ def _other_scalar(value) -> str | None:
     return None
 
 
+def scalar(value) -> str:
+    """dumps' text of a scalar."""
+    render = _SCALARS.get(type(value))
+    text = render(value) if render is not None else _other_scalar(value)
+    if text is None:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return text
+
+
 @lru_cache(maxsize=1024)
 def _key(key: str, level: int) -> str:
     """The indented `"key": ` text that opens a dict entry at this nesting level."""
     if not isinstance(key, str):
         raise TypeError(f"JSON object keys must be str, got {key!r}")
     return "  " * level + _string(key) + ": "
+
+
+@lru_cache(maxsize=64)
+def template(keys: tuple[str, ...], level: int) -> str:
+    """dumps' text of a dict with these keys at this nesting level, with one %s per
+    value: `template(keys, level) % texts` for the values' rendered texts."""
+    if not keys:
+        return "{}"
+    entries = ",\n".join(_key(key, level + 1).replace("%", "%%") + "%s" for key in keys)
+    return "{\n" + entries + "\n" + "  " * level + "}"
+
+
+def flat(texts) -> str:
+    """dumps' text of a list of scalars, given their rendered texts: one line."""
+    return "[" + ", ".join(texts) + "]"
+
+
+def nested(texts: list[str], level: int) -> str:
+    """dumps' text of a list at this nesting level whose items are not all scalars,
+    given the items' texts rendered at level + 1: one item per line."""
+    if not texts:
+        return "[]"
+    inner = "  " * (level + 1)
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + "  " * level + "]"
 
 
 def _write(value, out: list[str], level: int) -> None:
@@ -87,7 +130,7 @@ def _write(value, out: list[str], level: int) -> None:
                 break
             texts.append(text)
         else:
-            out.append("[" + ", ".join(texts) + "]")
+            out.append(flat(texts))
             return
         out.append("[\n")
         inner = "  " * (level + 1)
@@ -98,10 +141,7 @@ def _write(value, out: list[str], level: int) -> None:
         out[-1] = "\n"  # no comma after the last item
         out.append("  " * level + "]")
     else:
-        text = _other_scalar(value)
-        if text is None:
-            raise TypeError(f"cannot serialize {type(value).__name__}")
-        out.append(text)
+        out.append(scalar(value))
 
 
 def dumps(value) -> str:

@@ -14,6 +14,7 @@ import pytest
 
 from qkdsim.adversary import (
     PRESETS,
+    TIMINGS,
     AttackScript,
     EveAction,
     compile_schedule,
@@ -211,6 +212,42 @@ class TestSchedules:
             batch = np.random.default_rng([adversary._BASIS_STREAM, seed])
             assert batch.integers(2, size=rounds).tolist() == bases
             assert batch.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("preset", PRESETS + ("custom",))
+    def test_slots_are_split_once_per_action_tuple(self, preset):
+        # actions(r, timing) is the per-round filter, and rounds that share an action
+        # tuple share its slots
+        config = ProtocolConfig(d=3, rounds=40, key_seed=0, seed=5)
+        if preset == "custom":
+            tap = EveAction.apply(GateSpec.controlled_add("k", "e", 1))
+            late = EveAction.measurement("e", "post_decode")
+            shared = (tap, late, tap)
+            script = AttackScript({1: shared, 2: (late,), 4: shared, "7": [tap, late],
+                                   9: [tap, late], 11: ()})
+        else:
+            script = compile_schedule(preset, config)
+        tuples = {id(actions) for actions in script.rounds.values()}
+        for r in range(config.rounds + 2):
+            for timing in TIMINGS:
+                assert script.actions(r, timing) == tuple(
+                    a for a in script.rounds.get(r, ()) if a.timing == timing)
+        for r, s in product(script.rounds, repeat=2):
+            if script.rounds[r] is script.rounds[s]:
+                assert all(script.actions(r, t) is script.actions(s, t) for t in TIMINGS)
+        assert len({id(script.actions(r, t)) for r in script.rounds
+                    for t in TIMINGS}) <= len(TIMINGS) * len(tuples)
+
+    @pytest.mark.parametrize("key,message", [
+        (0, "round indices start at 1, got 0"),
+        (-3, "round indices start at 1, got -3"),
+        (np.int64(0), "round indices start at 1, got 0"),
+        ("0", "round indices start at 1, got 0"),
+        (False, "round key False is not an integer"),
+        (2.0, "round key 2.0 is not an integer"),
+    ])
+    def test_every_round_key_refusal_stays(self, key, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            AttackScript({1: (), key: (EveAction.measurement("e"),)})
 
     def test_unknown_preset(self):
         config = ProtocolConfig(d=2, rounds=1, keys=(0,))

@@ -30,6 +30,7 @@ from qkdsim.errors import (
     UnknownRegister,
     ValueOutOfRange,
 )
+from qkdsim.serialize import dumps
 
 REPO = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "data"
@@ -654,6 +655,80 @@ class TestToleranceResolution:
         path = write_scenario(tmp_path, d=2, template="stage5_round1")
         cli.main(["search", path, "--tol", "1e-6"])
         assert json.loads(capsys.readouterr().out)["rank_tol"] == 1e-6
+
+
+def reference_report(path: str, tol: float = protocol.SCHMIDT_TOL) -> str:
+    """The run report as dumps writes it from the reference documents, to_json_dict."""
+    scenario = cli.load_scenario(path)
+    config, script, attack = cli._checked_session(scenario, needed=True)
+    transcripts = protocol.run_session(config, script, scenario.get("diagnostics", ()), tol)
+    check = protocol.control_check(transcripts, config.control_rounds)
+    return dumps({
+        "schema_version": "transcript/1", "d": config.d, "rounds": config.rounds,
+        "seed": config.seed, "tolerance": tol, "attack": attack,
+        "transcripts": [t.to_json_dict() for t in transcripts],
+        "control_check": {"checked": check.checked, "mismatches": check.mismatches,
+                          "rate": check.rate},
+    })
+
+
+class TestJsonRows:
+    """The run report's rows, written through templates, against dumps of the
+    reference documents."""
+
+    def assert_matches_reference(self, path, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == reference_report(path)
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in (REPO / "scenarios").glob("*.json")
+        if "rounds" in json.loads(path.read_text(encoding="utf-8"))))
+    def test_bundled_sessions(self, name, tmp_path):
+        self.assert_matches_reference(str(REPO / "scenarios" / name), tmp_path)
+
+    @pytest.mark.parametrize("stages", [(), ("post_decode",), protocol.STAGES])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_presets(self, preset, d, stages, tmp_path):
+        path = write_scenario(tmp_path, d=d, rounds=24, keys={"seed": d}, seed=7,
+                              control_rounds=[1, 5, 6], attack={"preset": preset},
+                              diagnostics=list(stages))
+        self.assert_matches_reference(path, tmp_path)
+
+    def test_several_records_in_one_round(self, tmp_path):
+        measure = {"op": "measure", "register": "e", "timing": "post_decode"}
+        tap = {"op": "cadd", "control": "k", "target": "e", "s": 1}
+        fourier = {"op": "fourier", "target": "e", "timing": "post_decode"}
+        path = write_scenario(
+            tmp_path, d=3, rounds=5, keys=[0, 1, 2, 1, 0], eve_registers=2, seed=3,
+            attack={"script": {"rounds": {
+                "1": [tap, measure, fourier, measure],
+                "3": [{"op": "measure", "register": "k"}, tap, measure, measure]}}},
+            diagnostics=["post_attack", "round_end"])
+        self.assert_matches_reference(path, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert [len(t["eve_records"]) for t in report["transcripts"]] == [2, 0, 3, 0, 0]
+
+    def test_every_field_form(self):
+        # None spectra and entropies, an entropy of -0.0 (written 0), decode_ok as
+        # None, True and False, empty and several-key rank dicts, records or none
+        diag = analysis.StageDiagnostics
+        transcripts = [
+            protocol.RoundTranscript(1, "message", 0, 0, (), {}),
+            protocol.RoundTranscript(2, "control", 1, 2, ((2, "k", 1), (2, "e2", 0)), {
+                "post_encode": diag(2, "post_encode", (0.5, 0.5, -0.0), -0.0,
+                                    {"e|abk": 1, "a|bke": 3}, None),
+                "post_decode": diag(2, "post_decode", None, None, {}, True),
+                "round_end": diag(2, "round_end", None, 0.25, {"e|ab": 2}, False)}),
+            protocol.RoundTranscript(3, "message", 2, 2, ((3, "k", 0),), {
+                "post_encode": diag(3, "post_encode", (0.5, 0.5, 0.0), 0.0,
+                                    {"e|abk": 1, "a|bke": 3}, None),
+                "round_end": diag(3, "round_end", None, 1 / 3, {"e|ab": 2}, True)}),
+        ]
+        for rows in (transcripts, transcripts[:1], []):
+            assert (dumps({"transcripts": cli._json_rows(rows)})
+                    == dumps({"transcripts": [t.to_json_dict() for t in rows]}))
 
 
 class TestSearch:

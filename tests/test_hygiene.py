@@ -167,7 +167,7 @@ def test_importing_the_cli_fills_no_cache():
     sizes = json.loads(proc.stdout)
     assert {"qkdsim.qudit._gate_table", "qkdsim.qudit._split", "qkdsim.qudit._fold",
             "qkdsim.qudit.RegisterLayout.insert", "qkdsim.qudit.RegisterLayout.drop",
-            "qkdsim.analysis._cut_plan"} <= set(sizes)
+            "qkdsim.analysis._cut_plan", "qkdsim.serialize.template"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size} == {}
 
 

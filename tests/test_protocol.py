@@ -584,6 +584,63 @@ class TestStepTable:
         gc.collect()
         assert len(tables) == 1 and tables[0]() is None and len(transcripts) == 50
 
+    def test_the_table_is_freed_when_the_session_returns(self, monkeypatch):
+        # the loop empties its held rows when it ends, so reference counting frees
+        # the table: no cycle waits for the cyclic collector
+        import gc
+        import weakref
+
+        tables = []
+
+        class Recorded(protocol._Steps):
+            def __init__(self):
+                super().__init__()
+                tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(protocol, "_Steps", Recorded)
+        config = ProtocolConfig(d=3, rounds=200, key_seed=1)
+        script = compile_schedule("persistent_entangle", config)
+        gc.disable()
+        try:
+            transcripts = run_session(config, script, diagnostics=protocol.STAGES)
+            assert len(tables) == 1 and tables[0]() is None
+        finally:
+            gc.enable()
+        assert len(transcripts) == 200
+
+    def test_a_decode_on_a_held_row_is_one_step(self, monkeypatch):
+        # the decode stores its draw table and the kept row per drawn value, not the
+        # gated row between them
+        config = ProtocolConfig(d=5, rounds=300, key_seed=3, seed=4, eve_registers=2)
+        script = compile_schedule("none", config)
+        loop = protocol._round_loop(protocol._start(config), protocol.resolved_keys(config), 1,
+                                    script, np.random.default_rng(0))
+        for r, _, name, stage, decoded in loop:
+            if name == "post_attack":
+                held = stage.held
+            elif name == "post_decode" and r == 3:  # round 3 is the first on held rows
+                break
+        assert held is not None and "decode" in held and ("decode", decoded) in held
+        assert id(protocol._DECODE) not in held
+        loop.close()
+        assert not held  # the loop's end empties every held row
+        # so the 50 KB encoded rows of this session stay held: fewer gates than rounds,
+        # where the gated rows used to crowd them out and every round gated at least once
+        calls = Counter()
+        gated = protocol._gated
+
+        def counting(*args):
+            calls["gate"] += 1
+            return gated(*args)
+
+        monkeypatch.setattr(protocol, "_gated", counting)
+        cached = run_session(config, script)
+        assert calls["gate"] < config.rounds
+        calls.clear()
+        monkeypatch.setattr(protocol, "STEP_TABLE_BYTES", 0)
+        assert run_session(config, script) == cached
+        assert calls["gate"] == 2 * config.rounds  # encode and decode, every round
+
     def test_every_round_still_calls_its_steps(self, monkeypatch):
         encode, decode, calls = protocol.Stage.encode, protocol.Stage.decode, Counter()
         monkeypatch.setattr(protocol.Stage, "encode",

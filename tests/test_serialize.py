@@ -7,7 +7,7 @@ import pytest
 
 from qkdsim.adversary import compile_schedule
 from qkdsim.protocol import STAGES, ProtocolConfig, run_session
-from qkdsim.serialize import dumps, format_float
+from qkdsim.serialize import Raw, dumps, flat, format_float, nested, template
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -200,6 +200,31 @@ def test_writer_keeps_the_reference_bytes():
     for value in ([], {}, (), [[]], {"": {}}, [{}, []], SCALARS, {s: s for s in STRINGS},
                   transcripts, {"rounds": 6, "transcripts": transcripts}):
         assert dumps(value) == reference_dumps(value)
+
+
+def _templated(value, level):
+    """value written through template, flat and nested alone, as a run report's rows are."""
+    if isinstance(value, dict):
+        return template(tuple(value), level) % tuple(
+            _templated(item, level + 1) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        if all(_reference_is_scalar(item) for item in value):
+            return flat([_reference_scalar(item) for item in value])
+        return nested([_templated(item, level + 1) for item in value], level)
+    return _reference_scalar(value)
+
+
+def test_templates_write_what_dumps_writes():
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        tree = random_tree(rng, 4)
+        assert _templated(tree, 0) + "\n" == reference_dumps(tree)
+    for value in ([], {}, [[]], {"": {}}, {"%s": 1, "a%%d": {"%": [1, "%s"]}, "%(x)s": []}):
+        assert _templated(value, 0) + "\n" == reference_dumps(value)
+    transcripts = run_transcripts()
+    rows = Raw(nested([_templated(t, 2) for t in transcripts], 1))
+    assert dumps({"rounds": 6, "transcripts": rows}) == reference_dumps(
+        {"rounds": 6, "transcripts": transcripts})
 
 
 @pytest.mark.parametrize("bad", [

@@ -554,7 +554,7 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     from . import analysis  # imported here to avoid a module cycle
 
     rng = np.random.default_rng([_SESSION_STREAM, config.seed])
-    control, transcripts = config.control_rounds, []
+    transcripts = []
     diag: dict = {}
     for r, q, name, stage, decoded in _round_loop(
             _start(config), resolved_keys(config), 1, script, rng):
@@ -579,7 +579,7 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
         if abs(norm - 1.0) > 1e-10:
             raise InvariantViolation(f"state norm drifted to {norm:.12f} after round {r}")
         transcripts.append(RoundTranscript(
-            r, "control" if r in control else "message", q, decoded,
+            r, "control" if r in config.control_rounds else "message", q, decoded,
             stage.records(0) if stage.header else (), diag))
         diag = {}
     return transcripts

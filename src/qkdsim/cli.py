@@ -198,8 +198,8 @@ def _json_rows(transcripts) -> Raw:
     """The report's transcript list, as dumps writes [t.to_json_dict() for t in
     transcripts] at level 1, one template per row.  The templates take their keys
     from those reference documents.  A stage entry is rendered once per (stage,
-    spectrum, entropy, decode_ok, ranks) and keeps a slot for its round: rounds on a
-    held row share one snapshot."""
+    spectrum, entropy, decode_ok, ranks) and keeps a slot for its round: rounds whose
+    stage is on the same step-table row share one stored snapshot."""
     probe = StageDiagnostics(0, "", None, None, {}, None)
     plain, full = (template(tuple(RoundTranscript(0, "", 0, 0, (), diag).to_json_dict()), 2)
                    for diag in ({}, {"": probe}))

@@ -16,17 +16,17 @@ With `run_session`'s rng each measurement draws one outcome: one row.
 exact analysis (`adversary.eve_conditional_states`) stacks key prefixes as rows.
 
 Because the carrier comes back after every decode, a sampled session keeps
-revisiting a few rows.  So the loop gives it a step table (`_Steps`) for the
-session's life: rows interned by (layout, bytes) at round start, and for each
-held row the result of each step once (the encode per key value, each gate,
-a measurement's draw table and kept rows, Bob's decode as one step with no
-gated row held, `analysis.diagnose`), stored as the Stage the step leads to,
-so a warm round is a few lookups.  Every measurement still draws from the
-session rng, so outputs keep every bit.  The norm check runs every round, once
-per held row.  The table holds at most STEP_TABLE_BYTES, closes on steps that
-do not come back, and is emptied when the loop ends, so reference counting
-frees it.  A round's record, `RoundTranscript`, is a tuple; `cli` writes the
-`run` report's rows from it through `serialize`'s templates.
+revisiting a few rows.  So `run_session` runs its loop through a step table
+(`_Steps`) that holds the session rng: rows are ints, interned by (layout,
+bytes) at round start, and each held row keeps the result of each step once
+(the encode per key value, each gate, a measurement's draw table and kept
+rows, Bob's decode as one step with no gated row held, `analysis.diagnose`,
+the norm), a step's result as the row it leads to, so a warm round is a few
+lookups.  Every measurement still draws from the session rng, so outputs
+keep every bit.  The table holds at most STEP_TABLE_BYTES and closes on steps
+that do not come back; nothing in it refers back to it, so reference counting
+frees it with the session.  A round's record, `RoundTranscript`, is a tuple;
+`cli` writes the `run` report's rows from it through `serialize`'s templates.
 """
 
 from __future__ import annotations
@@ -168,41 +168,42 @@ def init_carrier(d: int) -> PureState:
 class _Steps:
     """One sampled session's step table: each distinct (held row, step) is computed once.
 
-    The table holds rows as `_Held` entries, each a read-only row, its norm
-    once read, and its steps' results by step key, so no row is known by its
-    id().  A round's start row is interned by (layout, bytes): it is held from
-    the second visit of its bytes on, or at once if the round before ended on
-    a held row.  A step on a held row stores the record-free Stage it leads
-    to, over a held row, so a hit builds nothing; a measurement also stores
-    its draw table.  A stage carries its row's entry, or None, and the other
-    rounds run the plain steps.  A held row is charged its bytes plus
-    ENTRY_BYTES, each stored result ENTRY_BYTES plus, if it is not a Stage,
-    OBJECT_BYTES, and each noted start its bytes, against STEP_TABLE_BYTES;
-    past it nothing more is held.  The table closes, and every later round
-    runs without it, once its misses (steps computed on held rows, and first
-    visits) outnumber its hits by SLACK: rows that do not come back then cost
-    nothing more.  Draws are never cached.  The round loop closes the table
-    when it ends (`release`), so no held row outlives it in a cycle.
+    The table is plain data.  A row is an int, an index into `rows`, the record-free
+    Stages over the read-only amplitudes it holds; `results[row]` maps a step key to
+    the step's result on that row: the row it leads to, a draw table, a diagnostics
+    snapshot or the norm.  Round starts are interned by (layout, bytes).  `row` is
+    the row the last step led to, and a stage is on it only while it has that row's
+    amplitudes (`held`, the one check), so a stage that drifts off it reads nothing.
+    Each step method runs the plain Stage step on a stage on no row, which is every
+    stage of an exhaustive loop: its table has no rng and starts no round.  A held
+    row costs its bytes plus ENTRY_BYTES, which covers its norm; another result
+    ENTRY_BYTES, plus OBJECT_BYTES if it is not a row; a noted start its bytes; past
+    STEP_TABLE_BYTES nothing more is held.  The table closes, and later rounds run
+    the plain steps, once its misses (steps computed on held rows, and first visits)
+    outnumber its hits by SLACK.  Draws are never cached.  No entry names the table
+    or another entry by object, so reference counting frees it with its session.
     """
 
     ENTRY_BYTES = 256  # a dict entry and its key, with an array header, a Stage or a norm
-    OBJECT_BYTES = 1024  # a result that is not a Stage: a draw table or a diagnostics snapshot
+    OBJECT_BYTES = 1024  # a result that is not a row: a draw table or a diagnostics snapshot
     SLACK = 64
 
     def __init__(self):
-        self.room = STEP_TABLE_BYTES
-        self.balance = 0  # hits less misses
-        self.gates = {}  # id -> gate, for every gate a step key names by id
+        self.rng = None  # a sampled session's rng; None keeps every outcome
+        self.room, self.balance = STEP_TABLE_BYTES, 0  # balance: hits less misses
+        self.row, self.rows, self.results = None, [], []
         self._starts = {}  # (layout, bytes) -> the held start row, or None after one visit
-        self.rows = []  # every held row, so release() can empty them
 
-    def release(self):
-        """Empty every held row: their stored stages name each other and the start table
-        names them, so without this the table lives until the cyclic collector runs."""
-        for held in self.rows:
-            held.clear()
-        self.rows.clear()
-        self._starts.clear()
+    def held(self, stage: "Stage") -> dict | None:
+        """The results of the row the stage is on, or None if it is on no row."""
+        row = self.row
+        return None if row is None or self.rows[row].amps is not stage.amps else self.results[row]
+
+    def hit(self, results: dict, key):
+        """The stored result of the step `key` on the loop's row, or None; either counts."""
+        hit = results.get(key)
+        self.balance += 1 if hit is not None else -1
+        return hit
 
     def fits(self, size: int) -> bool:
         """Take size bytes of the budget if they are left."""
@@ -211,92 +212,144 @@ class _Steps:
         self.room -= size
         return True
 
-    def start(self, stage: "Stage") -> "Stage":
-        """The stage a sampled round starts from: no records, over the held row with
-        the stage's layout and bytes if there is one."""
-        if self.balance < -self.SLACK:  # closed
-            return Stage(stage.layout, stage.amps, stage.probs, (), _NO_RECORDS)
-        held = stage.held
-        if held is not None and held.amps is not stage.amps:
-            held = None
-        start = None if held is None else held.get("start")
-        if start is None:
-            entry = self._intern(stage.layout, stage.amps, held)
-            start = Stage(stage.layout, stage.amps if entry is None else entry.amps, stage.probs,
-                          (), _NO_RECORDS, entry)
-            if held is not None and entry is not None and self.fits(self.ENTRY_BYTES):
-                held["start"] = start  # the next visit of this row finds it in one lookup
-        return start
+    def store(self, results: dict, key, value):
+        """value, stored as the step `key`'s result if it fits: a draw table or a snapshot."""
+        if self.fits(self.ENTRY_BYTES + self.OBJECT_BYTES):
+            results[key] = value
+        return value
 
-    def _intern(self, layout: RegisterLayout, amps: np.ndarray, held) -> "_Held | None":
-        key = layout, amps.tobytes()
-        start = self._starts.get(key, self)
-        if start is self and held is None:  # a first visit notes the bytes
+    def _hold(self, stage: "Stage") -> int:
+        """A new row: the record-free stage, its amplitudes made read-only."""
+        stage.amps.setflags(write=False)
+        self.rows.append(stage)
+        self.results.append({})
+        return len(self.rows) - 1
+
+    def _keep(self, results: dict, key, new: "Stage") -> int | None:
+        """The row of `new`, the record-free result of the step `key` on the loop's row,
+        stored if it fits, else None: a new row costs its bytes and an entry, the same row
+        only the key."""
+        same = new.amps is self.rows[self.row].amps
+        if not self.fits(self.ENTRY_BYTES + (0 if same else new.amps.nbytes + self.ENTRY_BYTES)):
+            return None
+        row = results[key] = self.row if same else self._hold(new)
+        return row
+
+    def _at(self, row: int | None, new: "Stage | None", stage: "Stage") -> "Stage":
+        """The loop's next stage: the held `row`, else the record-free `new`, with the
+        records of `stage`."""
+        self.row, new = row, new if row is None else self.rows[row]
+        return new if not stage.header else Stage(new.layout, new.amps, *stage[2:])
+
+    def start(self, stage: "Stage") -> "Stage":
+        """The stage a sampled round starts from: no records, on the held row with the
+        stage's layout and bytes if there is one."""
+        row = None
+        if self.balance >= -self.SLACK:  # open
+            results = self.held(stage)
+            row = None if results is None else results.get("start")
+            if row is None:
+                row = self._intern(stage, results is not None)
+                if results is not None and row is not None and self.fits(self.ENTRY_BYTES):
+                    results["start"] = row  # the next visit of this row finds it in one lookup
+        self.row = row
+        if row is None:
+            return Stage(stage.layout, stage.amps, stage.probs, (), _NO_RECORDS)
+        return self.rows[row]
+
+    def _intern(self, stage: "Stage", on_row: bool) -> int | None:
+        key = stage.layout, stage.amps.tobytes()
+        row = self._starts.get(key, self)
+        if row is self and not on_row:  # a first visit notes the bytes
             self.balance -= 1
             if self.fits(len(key[1])):
                 self._starts[key] = None
             return None
-        if start is self or start is None:  # a second visit, or one that ends a held round
-            if held is None and self.fits(amps.nbytes + self.ENTRY_BYTES):
-                held = _Held(amps, self)
-            if held is not None and self.fits(len(key[1])):
-                self._starts[key] = held
-            return held
-        return start
+        if row is self or row is None:  # a second visit, or one that ends a held round
+            if on_row:
+                row = self.row
+            elif self.fits(stage.amps.nbytes + self.ENTRY_BYTES):
+                row = self._hold(Stage(stage.layout, stage.amps, stage.probs, (), _NO_RECORDS))
+            else:
+                row = None
+            if row is not None and self.fits(len(key[1])):
+                self._starts[key] = row
+        return row
 
+    def step(self, stage: "Stage", key, fn, arg) -> "Stage":
+        """fn(stage, arg), Stage.encode or Stage.gate, looked up under `key` on a held row."""
+        results = self.held(stage)
+        if results is None:
+            return fn(stage, arg)
+        row, new = self.hit(results, key), None
+        if row is None:
+            new = fn(self.rows[self.row], arg)
+            row = self._keep(results, key, new)
+        return self._at(row, new, stage)
 
-class _Held(dict):
-    """A row the step table holds: its read-only amplitudes, its norm once read, and
-    each step's result on it by step key: the record-free Stage the step leads to, a
-    measurement's draw table, or a diagnostics snapshot."""
-
-    __slots__ = ("amps", "table", "norm")
-
-    def __init__(self, amps: np.ndarray, table: _Steps):  # an empty dict: no super() call
-        amps.setflags(write=False)
-        self.amps, self.table, self.norm = amps, table, None
-        table.rows.append(self)
-
-    def hit(self, key):
-        """The stored result of the step `key` on this row, or None; either counts."""
-        hit = self.get(key)
-        self.table.balance += 1 if hit is not None else -1
-        return hit
-
-    def keep(self, key, layout: RegisterLayout, amps: np.ndarray, probs: np.ndarray) -> "Stage":
-        """The record-free Stage over `amps`, the step `key`'s new row, stored if it fits:
-        a new row costs its bytes and an entry, the identity only the key."""
-        table, held = self.table, None
-        size = table.ENTRY_BYTES + (0 if amps is self.amps else amps.nbytes + table.ENTRY_BYTES)
-        if size <= table.room:
-            table.room -= size
-            held = self if amps is self.amps else _Held(amps, table)
-        stage = Stage(layout, amps, probs, (), _NO_RECORDS, held)
-        if held is not None:
-            self[key] = stage
+    def act(self, stage: "Stage", actions: Sequence, round_index: int) -> "Stage":
+        """Eve's actions in order; callers check their registers first.  The validated
+        script holds every gate for the loop's life, so a gate's id names it in a step key."""
+        for action in actions:
+            stage = (self.step(stage, id(action.gate), Stage.gate, action.gate)
+                     if action.gate is not None else
+                     self.measure(stage, action.measure, (round_index, action.measure)))
         return stage
 
-    def store(self, key, value):
-        """value, stored as the step `key`'s result if it fits: a draw table or a snapshot."""
-        if self.table.fits(self.table.ENTRY_BYTES + self.table.OBJECT_BYTES):
-            self[key] = value
-        return value
+    def measure(self, stage: "Stage", register: str, record: tuple[int, str]) -> "Stage":
+        """Eve's recorded measurement, Stage.measure.  A held row's draw table and kept row
+        per drawn value are computed once; the draw runs every time."""
+        results = self.held(stage)
+        if results is None:
+            return stage.measure(register, self.rng, record)[0]
+        draws = self.hit(results, ("draws", register))
+        if draws is None:  # each miss splits: a warm round builds nothing before its lookups
+            draws = self.store(results, ("draws", register),
+                               _draws(_marginal(stage.amps, _split(stage.layout, register))))
+        value, prob = _draw(draws, self.rng)
+        row = self.hit(results, (register, value))
+        if row is None:
+            kept = _kept(stage.amps, _split(stage.layout, register), None, value, prob, False)
+            new = Stage(stage.layout, kept, stage.probs, (), _NO_RECORDS)
+            row = self._keep(results, (register, value), new)
+        self.row, new = row, new if row is None else self.rows[row]
+        outcomes = np.empty((1, len(stage.header) + 1), np.intp)
+        outcomes[0, :-1], outcomes[0, -1] = stage.outcomes[0], value
+        return Stage(new.layout, new.amps, stage.probs, stage.header + (record,), outcomes)
+
+    def decode(self, stage: "Stage"):
+        """Bob's step, Stage.decode.  On a held row it is one step: its draw table and the
+        kept row per drawn value are stored, the gated row between them is not."""
+        results = self.held(stage)
+        if results is None:
+            return stage.decode(self.rng)
+        gated = new = None
+        draws = self.hit(results, "decode")
+        if draws is None:
+            gated = _gated(stage.layout, stage.amps, _DECODE)
+            marginal = _marginal(gated, _split(stage.layout, KEY))
+            draws = self.store(results, "decode", _draws(marginal))
+        value, prob = _draw(draws, self.rng)
+        row = self.hit(results, ("decode", value))
+        if row is None:
+            if gated is None:
+                gated = _gated(stage.layout, stage.amps, _DECODE)
+            kept = _kept(gated, _split(stage.layout, KEY), None, value, prob, True)
+            new = Stage(stage.layout.drop(KEY), kept, stage.probs, (), _NO_RECORDS)
+            row = self._keep(results, ("decode", value), new)
+        return self._at(row, new, stage), value
 
 
 class Stage(NamedTuple):
     """A session's branches at one stage, as rows over one layout: amps is
     (B, layout.dim), probs (B,), and Eve's records (and the exact walk's key
-    prefix) a header of (round, register) columns over a (B, len(header)) matrix.
-    A sampled stage (B is 1) whose row its session's step table holds carries
-    the row's entry, else None; each step on it reads the entry first, and takes
-    a stored result with this stage's own records (`_recorded`)."""
+    prefix) a header of (round, register) columns over a (B, len(header)) matrix."""
 
     layout: RegisterLayout
     amps: np.ndarray
     probs: np.ndarray
     header: tuple
     outcomes: np.ndarray
-    held: _Held | None = None
 
     @classmethod
     def of(cls, state: PureState) -> "Stage":
@@ -309,105 +362,43 @@ class Stage(NamedTuple):
         """The row's (round, register, outcome) records, oldest first."""
         return tuple((*column, v) for column, v in zip(self.header, self.outcomes[row].tolist()))
 
-    def _recorded(self, stored: "Stage") -> "Stage":
-        """A stored record-free step result with this stage's records."""
-        if not self.header:
-            return stored
-        return Stage(stored.layout, stored.amps, self.probs, self.header, self.outcomes,
-                     stored.held)
-
     def gate(self, gate: GateSpec) -> "Stage":
-        held = self.held
-        if held is None or held.amps is not self.amps:  # no entry, or another row's
-            return Stage(self.layout, _gated(self.layout, self.amps, gate), *self[2:5])
-        stored = held.hit(id(gate))
-        if stored is None:
-            held.table.gates[id(gate)] = gate  # the step key names the gate by id
-            stored = held.keep(id(gate), self.layout, _gated(self.layout, self.amps, gate),
-                               self.probs)
-        return self._recorded(stored)
+        return Stage(self.layout, _gated(self.layout, self.amps, gate), *self[2:])
 
     def measure(self, register: str, rng: np.random.Generator | None,
                 record: tuple[int, str] | None = None):
         """(stage, outcome): with an rng one drawn outcome (B is 1), else each row
         repeated once per outcome above BRANCH_PRUNE, one outcome per row, refused
         past BRANCH_CAP rows before they are built.  A `record` adds a header column
-        and collapses the register in place; without one the register is sliced away.
-        A held row's draw table and kept rows are computed once; the draw runs every time."""
-        split, drop, held, amps = _split(self.layout, register), record is None, self.held, self.amps
-        if held is not None and held.amps is amps:  # one draw on a held row
-            draws = held.hit(("draws", register))
-            if draws is None:
-                draws = held.store(("draws", register), _draws(_marginal(amps, split)))
-            values, probs = _draw(draws, rng)
-            stored = held.hit((register, values, drop))
-            if stored is None:
-                stored = held.keep((register, values, drop),
-                                   self.layout.drop(register) if drop else self.layout,
-                                   _kept(amps, split, None, values, probs, drop), self.probs)
-            if drop:
-                return self._recorded(stored), values
-            rows, layout, kept, weights, held = None, *stored[:3], stored.held
-        else:
-            rows, values, probs = _outcomes(_marginal(amps, split), rng)
-            if rows is not None and len(rows) > BRANCH_CAP:
-                raise ExplosionGuard(f"branch count {len(rows)} exceeds the cap of {BRANCH_CAP}")
-            layout, kept, held = (self.layout.drop(register) if drop else self.layout,
-                                  _kept(amps, split, rows, values, probs, drop), None)
-            weights = self.probs if rows is None else self.probs.take(rows) * probs
+        and collapses the register in place; without one the register is sliced away."""
+        split, drop = _split(self.layout, register), record is None
+        rows, values, probs = _outcomes(_marginal(self.amps, split), rng)
+        if rows is not None and len(rows) > BRANCH_CAP:
+            raise ExplosionGuard(f"branch count {len(rows)} exceeds the cap of {BRANCH_CAP}")
+        kept = _kept(self.amps, split, rows, values, probs, drop)
+        weights = self.probs if rows is None else self.probs.take(rows) * probs
         outcomes = self.outcomes if rows is None else self.outcomes.take(rows, 0)
         if not drop:
             grown = np.empty((len(outcomes), len(self.header) + 1), np.intp)
             grown[:, :-1], grown[:, -1] = outcomes, values
             outcomes = grown
-        return Stage(layout, kept, weights, self.header + (() if drop else (record,)), outcomes,
-                     held), values
+        return Stage(self.layout.drop(register) if drop else self.layout, kept, weights,
+                     self.header + (() if drop else (record,)), outcomes), values
 
     def act(self, actions: Sequence, round_index: int, rng) -> "Stage":
-        """Eve's actions in order; callers check their registers first."""
-        stage = self
-        for action in actions:
-            stage = (stage.gate(action.gate) if action.gate is not None else
-                     stage.measure(action.measure, rng, (round_index, action.measure))[0])
-        return stage
+        """Eve's actions in order on every row, off any step table (`_Steps.act`)."""
+        steps = _Steps()
+        steps.rng = rng
+        return steps.act(self, actions, round_index)
 
     def encode(self, q) -> "Stage":
         """Alice's step, unchecked: adjoin k in |q>, q an int or one per row, add "a" onto it."""
-        held = self.held
-        if held is None or held.amps is not self.amps:
-            new = self.layout.insert(KEY, self.layout.axis(BOB) + 1)
-            return Stage(new, _encoded(self.amps, new, q), *self[2:5])
-        stored = held.hit(("encode", q))
-        if stored is None:
-            new = self.layout.insert(KEY, self.layout.axis(BOB) + 1)
-            stored = held.keep(("encode", q), new, _encoded(self.amps, new, q), self.probs)
-        return self._recorded(stored)
+        new = self.layout.insert(KEY, self.layout.axis(BOB) + 1)
+        return Stage(new, _gated(new, _inserted(self.amps, new, KEY, q), _ENCODE), *self[2:])
 
     def decode(self, rng: np.random.Generator | None):
-        """Bob subtracts "b" from k, measures k unrecorded and slices it away.  On a held
-        row this is one step: its draw table and the kept row per drawn value are
-        stored, the gated row between them is not."""
-        held = self.held
-        if held is None or held.amps is not self.amps:
-            return self.gate(_DECODE).measure(KEY, rng)
-        split, gated = _split(self.layout, KEY), None
-        draws = held.hit("decode")
-        if draws is None:
-            gated = _gated(self.layout, self.amps, _DECODE)
-            draws = held.store("decode", _draws(_marginal(gated, split)))
-        value, prob = _draw(draws, rng)
-        stored = held.hit(("decode", value))
-        if stored is None:
-            if gated is None:
-                gated = _gated(self.layout, self.amps, _DECODE)
-            stored = held.keep(("decode", value), self.layout.drop(KEY),
-                               _kept(gated, split, None, value, prob, True), self.probs)
-        return self._recorded(stored), value
-
-
-def _encoded(amps: np.ndarray, layout: RegisterLayout, q) -> np.ndarray:
-    """Rows of amps with k adjoined in |q> over `layout`, and "a" added onto it."""
-    return _gated(layout, _inserted(amps, layout, KEY, q), _ENCODE)
+        """Bob subtracts "b" from k, measures k unrecorded and slices it away."""
+        return self.gate(_DECODE).measure(KEY, rng)
 
 
 def alice_encode(state: PureState, q: int) -> PureState:
@@ -511,30 +502,27 @@ def _start(config: ProtocolConfig) -> Stage:
 
 
 def _round_loop(stage: Stage, keys: Iterable[int], first_round: int,
-                script: adversary.AttackScript, rng: np.random.Generator | None):
+                script: adversary.AttackScript, steps: _Steps | None):
     """The one round loop, over the rows of a Stage.
 
     Runs one round per key (an int, or one per row) from round first_round on.
     After each of STAGES it yields (round, key, stage name, Stage, Bob's outcome,
     one per row without an rng, or None); Stage.measure refuses more than BRANCH_CAP rows.
-    With an rng, one step table (`_Steps`) serves the loop's rounds.
+    A sampled session passes its step table (`_Steps`), which holds the session rng
+    and serves every round; with None every measurement keeps each outcome as a row.
     """
-    steps = None if rng is None else _Steps()
-    try:
-        for r, q in enumerate(keys, start=first_round):
-            if steps is not None:  # sampled: each round's records are read at its end
-                stage = steps.start(stage)
-            stage = stage.encode(q)
-            yield r, q, "post_encode", stage, None
-            stage = stage.act(script.actions(r, "pre_bob"), r, rng)
-            yield r, q, "post_attack", stage, None
-            stage, decoded = stage.decode(rng)
-            yield r, q, "post_decode", stage, decoded
-            stage = stage.act(script.actions(r, "post_decode"), r, rng)
-            yield r, q, "round_end", stage, decoded
-    finally:
-        if steps is not None:  # reference counting frees the table once the loop ends
-            steps.release()
+    steps = _Steps() if steps is None else steps
+    for r, q in enumerate(keys, start=first_round):
+        if steps.rng is not None:  # sampled: each round's records are read at its end
+            stage = steps.start(stage)
+        stage = steps.step(stage, ("encode", q), Stage.encode, q)
+        yield r, q, "post_encode", stage, None
+        stage = steps.act(stage, script.actions(r, "pre_bob"), r)
+        yield r, q, "post_attack", stage, None
+        stage, decoded = steps.decode(stage)
+        yield r, q, "post_decode", stage, decoded
+        stage = steps.act(stage, script.actions(r, "post_decode"), r)
+        yield r, q, "round_end", stage, decoded
 
 
 def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = None,
@@ -553,29 +541,31 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
         raise ConfigError(f"unknown diagnostic stages {sorted(unknown_stages)}")
     from . import analysis  # imported here to avoid a module cycle
 
-    rng = np.random.default_rng([_SESSION_STREAM, config.seed])
+    steps = _Steps()
+    steps.rng = np.random.default_rng([_SESSION_STREAM, config.seed])
     transcripts = []
     diag: dict = {}
     for r, q, name, stage, decoded in _round_loop(
-            _start(config), resolved_keys(config), 1, script, rng):
+            _start(config), resolved_keys(config), 1, script, steps):
         if name in stages:
             ok = None if decoded is None else decoded == q
-            held = stage.held
-            if held is None or held.amps is not stage.amps:
+            held = steps.held(stage)
+            if held is None:
                 diag[name] = analysis.diagnose(stage.state(0), r, name, ok, schmidt_tol)
             else:  # once per held row, stamped with each round's own fields
-                snapshot = held.hit("diagnose") or held.store("diagnose", analysis.diagnose(
-                    stage.state(0), r, name, ok, schmidt_tol))
+                snapshot = steps.hit(held, "diagnose") or steps.store(held, "diagnose", (
+                    analysis.diagnose(stage.state(0), r, name, ok, schmidt_tol)))
                 diag[name] = analysis.StageDiagnostics(
                     r, name, snapshot.rho_k_spectrum, snapshot.entropy_k,
                     dict(snapshot.schmidt_ranks), ok)
         if name != "round_end":
             continue
-        held = stage.held
-        if held is None or held.amps is not stage.amps:
+        held = steps.held(stage)
+        norm = None if held is None else held.get("norm")
+        if norm is None:
             norm = stage.state(0).norm()
-        else:  # a held row is read-only: its norm once
-            norm = held.norm = stage.state(0).norm() if held.norm is None else held.norm
+            if held is not None:  # a held row is read-only: its norm once
+                held["norm"] = norm
         if abs(norm - 1.0) > 1e-10:
             raise InvariantViolation(f"state norm drifted to {norm:.12f} after round {r}")
         transcripts.append(RoundTranscript(

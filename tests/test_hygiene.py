@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports, no module-level functions nothing calls, no
-reads of the process environment, and runtime dependencies that match the imports.
+"""Source hygiene: no unused imports, no module-level functions, private classes or
+private methods nothing references, no reads of the process environment, and
+runtime dependencies that match the imports.
 
 Every module under src/qkdsim is parsed with ast, never imported, so the
 check sees the code as written; only the import-time check imports the
@@ -71,6 +72,15 @@ def test_no_unused_imports_or_unreferenced_private_functions():
         problems += [f"{name}: function {node.name} is never referenced"
                      for node in tree.body
                      if isinstance(node, ast.FunctionDef)
+                     and not node.name.startswith("__") and node.name not in referenced]
+        problems += [f"{name}: class {node.name} is never referenced"
+                     for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name.startswith("_") and node.name not in referenced]
+        problems += [f"{name}: method {cls.name}.{node.name} is never referenced"
+                     for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for node in cls.body
+                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                      and not node.name.startswith("__") and node.name not in referenced]
     assert not problems, "\n".join(problems)
 

@@ -333,14 +333,14 @@ class TestSession:
 
     def test_a_round_that_loses_norm_is_named(self, monkeypatch):
         # the second decode keeps 0.9 of each amplitude: round 2 ends at norm 0.9
-        decode, calls = protocol.Stage.decode, []
+        decode, calls = protocol._Steps.decode, []
 
-        def leaky_decode(stage, rng):
-            calls.append(rng)
-            stage, outcome = decode(stage, rng)
+        def leaky_decode(steps, stage):
+            calls.append(steps.rng)
+            stage, outcome = decode(steps, stage)
             return (stage._replace(amps=stage.amps * 0.9) if len(calls) == 2 else stage), outcome
 
-        monkeypatch.setattr(protocol.Stage, "decode", leaky_decode)
+        monkeypatch.setattr(protocol._Steps, "decode", leaky_decode)
         config = ProtocolConfig(d=3, rounds=3, keys=(0, 1, 2))
         with pytest.raises(InvariantViolation, match=r"drifted to 0\.9000.* after round 2"):
             run_session(config)
@@ -552,19 +552,33 @@ class TestStepTable:
             out = kept(amps, split, rows, values, probs, drop)
             return out * 1.001 if drop and rows is None and values == 2 else out
 
-        class Recorded(protocol._Held):
-            __slots__ = ()
-
-            def __init__(self, amps, table):
-                super().__init__(amps, table)
-                held.append(amps)
+        class Recorded(protocol._Steps):
+            def _hold(self, stage):
+                held.append(stage.amps)
+                return super()._hold(stage)
 
         monkeypatch.setattr(protocol, "_kept", drifting)
-        monkeypatch.setattr(protocol, "_Held", Recorded)
+        monkeypatch.setattr(protocol, "_Steps", Recorded)
         config = ProtocolConfig(d=3, rounds=12, keys=(0, 0, 0, 1, 0, 1, 2, 2, 0, 2, 1, 2))
         with pytest.raises(InvariantViolation, match=r"drifted to 1\.001000000000 after round 7$"):
             run_session(config, compile_schedule(preset, config))
         assert abs(np.linalg.norm(held[-1]) - 1.0) > 1e-6  # the last row held drifted
+
+    def test_a_stage_that_drifts_off_its_held_row_reads_none_of_its_results(self, monkeypatch):
+        # round 9 decodes on a held row whose norm round 2 stored; the stage then
+        # drifts off that row, so the stored norm is not read and the check catches it
+        decode, held = protocol._Steps.decode, []
+
+        def leaky_decode(steps, stage):
+            stage, outcome = decode(steps, stage)
+            held.append(steps.held(stage) is not None)
+            return (stage._replace(amps=stage.amps * 0.9) if len(held) == 9 else stage), outcome
+
+        monkeypatch.setattr(protocol._Steps, "decode", leaky_decode)
+        config = ProtocolConfig(d=3, rounds=12, keys=(0,) * 12)
+        with pytest.raises(InvariantViolation, match=r"drifted to 0\.9000.* after round 9$"):
+            run_session(config)
+        assert held == [False] + [True] * 8
 
     def test_no_table_outlives_its_session(self, monkeypatch):
         import gc
@@ -585,8 +599,8 @@ class TestStepTable:
         assert len(tables) == 1 and tables[0]() is None and len(transcripts) == 50
 
     def test_the_table_is_freed_when_the_session_returns(self, monkeypatch):
-        # the loop empties its held rows when it ends, so reference counting frees
-        # the table: no cycle waits for the cyclic collector
+        # no entry names the table or another entry by object, so reference counting
+        # frees the table: no cycle waits for the cyclic collector
         import gc
         import weakref
 
@@ -608,22 +622,66 @@ class TestStepTable:
             gc.enable()
         assert len(transcripts) == 200
 
+    def test_the_table_is_freed_on_every_way_out(self, monkeypatch):
+        # nothing empties the table, and no entry names another by object, so
+        # reference counting frees it when a refused session's error is dropped and
+        # when a loop is closed early
+        import gc
+        import weakref
+
+        tables, kept = [], protocol._kept
+
+        class Recorded(protocol._Steps):
+            def __init__(self):
+                super().__init__()
+                tables.append(weakref.ref(self))
+
+        def drifting(amps, split, rows, values, probs, drop):
+            out = kept(amps, split, rows, values, probs, drop)
+            return out * 1.001 if drop and rows is None and values == 2 else out
+
+        monkeypatch.setattr(protocol, "_Steps", Recorded)
+        config = ProtocolConfig(d=3, rounds=12, keys=(0, 0, 0, 1, 0, 1, 2, 2, 0, 2, 1, 2))
+        script = compile_schedule("persistent_entangle", config)
+        gc.disable()
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(protocol, "_kept", drifting)
+                try:
+                    run_session(config, script)
+                except InvariantViolation as error:
+                    message = str(error)
+            assert message.endswith("after round 7") and tables[0]() is None
+            steps = Recorded()
+            steps.rng = np.random.default_rng(0)
+            loop = protocol._round_loop(protocol._start(config), config.keys, 1, script, steps)
+            del steps
+            for r, _, name, *_ in loop:
+                if (r, name) == (3, "round_end"):
+                    break
+            assert tables[1]() is not None
+            loop.close()
+            assert len(tables) == 2 and tables[1]() is None
+        finally:
+            gc.enable()
+
     def test_a_decode_on_a_held_row_is_one_step(self, monkeypatch):
         # the decode stores its draw table and the kept row per drawn value, not the
         # gated row between them
         config = ProtocolConfig(d=5, rounds=300, key_seed=3, seed=4, eve_registers=2)
         script = compile_schedule("none", config)
+        steps = protocol._Steps()
+        steps.rng = np.random.default_rng(0)
         loop = protocol._round_loop(protocol._start(config), protocol.resolved_keys(config), 1,
-                                    script, np.random.default_rng(0))
+                                    script, steps)
         for r, _, name, stage, decoded in loop:
             if name == "post_attack":
-                held = stage.held
+                held = steps.held(stage)
             elif name == "post_decode" and r == 3:  # round 3 is the first on held rows
                 break
         assert held is not None and "decode" in held and ("decode", decoded) in held
         assert id(protocol._DECODE) not in held
         loop.close()
-        assert not held  # the loop's end empties every held row
         # so the 50 KB encoded rows of this session stay held: fewer gates than rounds,
         # where the gated rows used to crowd them out and every round gated at least once
         calls = Counter()
@@ -642,11 +700,11 @@ class TestStepTable:
         assert calls["gate"] == 2 * config.rounds  # encode and decode, every round
 
     def test_every_round_still_calls_its_steps(self, monkeypatch):
-        encode, decode, calls = protocol.Stage.encode, protocol.Stage.decode, Counter()
-        monkeypatch.setattr(protocol.Stage, "encode",
-                            lambda stage, q: calls.update(["encode"]) or encode(stage, q))
-        monkeypatch.setattr(protocol.Stage, "decode",
-                            lambda stage, rng: calls.update(["decode"]) or decode(stage, rng))
+        step, decode, calls = protocol._Steps.step, protocol._Steps.decode, Counter()
+        monkeypatch.setattr(protocol._Steps, "step", lambda steps, stage, key, fn, arg: (
+            calls.update([fn.__name__]) or step(steps, stage, key, fn, arg)))
+        monkeypatch.setattr(protocol._Steps, "decode",
+                            lambda steps, stage: calls.update(["decode"]) or decode(steps, stage))
         run_session(ProtocolConfig(d=3, rounds=200, key_seed=1), diagnostics=("round_end",))
         assert calls == {"encode": 200, "decode": 200}
 

@@ -8,23 +8,26 @@ the same pair serves every round.
 
 One round loop runs every kind of session on a `Stage`, whose branches are
 rows of arrays, so each encode, gate, measurement and decode is one array
-operation, and each round is four `Stage` steps: encode, Eve's pre_bob
-actions, decode, her post_decode actions.  `alice_encode` and `bob_decode` are
-the checked one-row views of the encode and decode steps.
-With `run_session`'s rng each measurement draws one outcome: one row.
-`run_session_branches` passes None, so each row repeats once per outcome.  The
-exact analysis (`adversary.eve_conditional_states`) stacks key prefixes as rows.
+operation, and each round is four steps, run through a step table (`_Steps`):
+encode, Eve's pre_bob actions, decode, her post_decode actions.  The table owns
+every sampled draw: `run_session`'s table holds the session rng, and each of
+Eve's measurements and Bob's decode draws one outcome from it, one row.
+`run_session_branches` passes no table, so its table has no rng and
+`Stage.measure` repeats each row once per outcome.  The exact analysis
+(`adversary.eve_conditional_states`) stacks key prefixes as rows.
+`alice_encode` is the checked one-row view of the encode, `bob_decode` of a
+table's decode.
 
 Because the carrier comes back after every decode, a sampled session keeps
-revisiting a few rows.  So `run_session` runs its loop through a step table
-(`_Steps`) that holds the session rng: rows are ints, interned by (layout,
-bytes) at round start, and each held row keeps the result of each step once
-(the encode per key value, each gate, a measurement's draw table and kept
-rows, Bob's decode as one step with no gated row held, `analysis.diagnose`,
-the norm), a step's result as the row it leads to, so a warm round is a few
-lookups.  Every measurement still draws from the session rng, so outputs
-keep every bit.  The table holds at most STEP_TABLE_BYTES and closes on steps
-that do not come back; nothing in it refers back to it, so reference counting
+revisiting a few rows.  So `run_session`'s table keeps them: rows are ints,
+interned by (layout, bytes) at round start, and each held row keeps the result
+of each step once (the encode per key value, each gate, a measurement's draw
+table and kept rows, Bob's decode as one step with no gated row held,
+`analysis.diagnose`, the norm), a step's result as the row it leads to, so a
+warm round is a few lookups.  A stage on no held row takes the same steps and
+stores nothing.  Every measurement still draws from the session rng, so
+outputs keep every bit.  The table holds at most STEP_TABLE_BYTES and closes
+on steps that do not come back; nothing in it refers back to it, so reference counting
 frees it with the session.  A round's record, `RoundTranscript`, is a tuple;
 `cli` writes the `run` report's rows from it through `serialize`'s templates.
 """
@@ -50,6 +53,7 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _check_rng,
     _check_side,
     _check_tol,
     _check_value,
@@ -166,7 +170,8 @@ def init_carrier(d: int) -> PureState:
 
 
 class _Steps:
-    """One sampled session's step table: each distinct (held row, step) is computed once.
+    """A round loop's steps: with an rng, every sampled draw of one session, each
+    distinct (held row, step) computed once.
 
     The table is plain data.  A row is an int, an index into `rows`, the record-free
     Stages over the read-only amplitudes it holds; `results[row]` maps a step key to
@@ -174,12 +179,13 @@ class _Steps:
     snapshot or the norm.  Round starts are interned by (layout, bytes).  `row` is
     the row the last step led to, and a stage is on it only while it has that row's
     amplitudes (`held`, the one check), so a stage that drifts off it reads nothing.
-    Each step method runs the plain Stage step on a stage on no row, which is every
-    stage of an exhaustive loop: its table has no rng and starts no round.  A held
+    A stage on no row takes a step's misses and stores nothing.  The table of an
+    exhaustive loop has no rng and starts no round, so its steps are the plain Stage
+    steps, and its measurements Stage.measure, which keeps every outcome.  A held
     row costs its bytes plus ENTRY_BYTES, which covers its norm; another result
     ENTRY_BYTES, plus OBJECT_BYTES if it is not a row; a noted start its bytes; past
     STEP_TABLE_BYTES nothing more is held.  The table closes, and later rounds run
-    the plain steps, once its misses (steps computed on held rows, and first visits)
+    on no row, once its misses (steps computed on held rows, and first visits)
     outnumber its hits by SLACK.  Draws are never cached.  No entry names the table
     or another entry by object, so reference counting frees it with its session.
     """
@@ -188,8 +194,8 @@ class _Steps:
     OBJECT_BYTES = 1024  # a result that is not a row: a draw table or a diagnostics snapshot
     SLACK = 64
 
-    def __init__(self):
-        self.rng = None  # a sampled session's rng; None keeps every outcome
+    def __init__(self, rng: np.random.Generator | None = None):
+        self.rng = rng  # a sampled session's rng; None keeps every outcome
         self.room, self.balance = STEP_TABLE_BYTES, 0  # balance: hits less misses
         self.row, self.rows, self.results = None, [], []
         self._starts = {}  # (layout, bytes) -> the held start row, or None after one visit
@@ -199,8 +205,11 @@ class _Steps:
         row = self.row
         return None if row is None or self.rows[row].amps is not stage.amps else self.results[row]
 
-    def hit(self, results: dict, key):
-        """The stored result of the step `key` on the loop's row, or None; either counts."""
+    def hit(self, results: dict | None, key):
+        """The stored result of the step `key` on the loop's row, or None; either counts.
+        A stage on no row (results None) has none and counts nothing."""
+        if results is None:
+            return None
         hit = results.get(key)
         self.balance += 1 if hit is not None else -1
         return hit
@@ -212,9 +221,9 @@ class _Steps:
         self.room -= size
         return True
 
-    def store(self, results: dict, key, value):
+    def store(self, results: dict | None, key, value):
         """value, stored as the step `key`'s result if it fits: a draw table or a snapshot."""
-        if self.fits(self.ENTRY_BYTES + self.OBJECT_BYTES):
+        if results is not None and self.fits(self.ENTRY_BYTES + self.OBJECT_BYTES):
             results[key] = value
         return value
 
@@ -225,10 +234,12 @@ class _Steps:
         self.results.append({})
         return len(self.rows) - 1
 
-    def _keep(self, results: dict, key, new: "Stage") -> int | None:
+    def _keep(self, results: dict | None, key, new: "Stage") -> int | None:
         """The row of `new`, the record-free result of the step `key` on the loop's row,
         stored if it fits, else None: a new row costs its bytes and an entry, the same row
-        only the key."""
+        only the key.  A stage on no row (results None) keeps nothing."""
+        if results is None:
+            return None
         same = new.amps is self.rows[self.row].amps
         if not self.fits(self.ENTRY_BYTES + (0 if same else new.amps.nbytes + self.ENTRY_BYTES)):
             return None
@@ -293,51 +304,47 @@ class _Steps:
         for action in actions:
             stage = (self.step(stage, id(action.gate), Stage.gate, action.gate)
                      if action.gate is not None else
-                     self.measure(stage, action.measure, (round_index, action.measure)))
+                     self.measure(stage, action.measure, (round_index, action.measure),
+                                  None)[0])
         return stage
 
-    def measure(self, stage: "Stage", register: str, record: tuple[int, str]) -> "Stage":
-        """Eve's recorded measurement, Stage.measure.  A held row's draw table and kept row
-        per drawn value are computed once; the draw runs every time."""
+    def measure(self, stage: "Stage", register: str = KEY,
+                record: tuple[int, str] | None = None, gate: GateSpec | None = _DECODE):
+        """(stage, outcome) of one measurement of `register` after `gate`: Eve's, with no
+        gate and a `record` column, collapsed in place, or by default Bob's decode
+        (`decode`), the _DECODE gate and an unrecorded measurement of k, sliced away.
+        The session rng draws every outcome.  On a held row the draw table and the kept
+        row per drawn value are computed once, under Eve's register or "decode", and the
+        gated row between them is not stored; a stage on no row takes the same misses
+        and stores nothing.  With no rng, Stage.measure keeps every outcome as a row."""
         results = self.held(stage)
-        if results is None:
-            return stage.measure(register, self.rng, record)[0]
-        draws = self.hit(results, ("draws", register))
+        if results is None and self.rng is None:
+            return (stage if gate is None else stage.gate(gate)).measure(register, record)
+        name, gated = register if gate is None else "decode", None
+        draws = self.hit(results, name)
         if draws is None:  # each miss splits: a warm round builds nothing before its lookups
-            draws = self.store(results, ("draws", register),
-                               _draws(_marginal(stage.amps, _split(stage.layout, register))))
+            gated = stage.amps if gate is None else _gated(stage.layout, stage.amps, gate)
+            draws = self.store(results, name,
+                               _draws(_marginal(gated, _split(stage.layout, register))))
         value, prob = _draw(draws, self.rng)
-        row = self.hit(results, (register, value))
+        row, new = self.hit(results, (name, value)), None
         if row is None:
-            kept = _kept(stage.amps, _split(stage.layout, register), None, value, prob, False)
-            new = Stage(stage.layout, kept, stage.probs, (), _NO_RECORDS)
-            row = self._keep(results, (register, value), new)
+            if gated is None:
+                gated = stage.amps if gate is None else _gated(stage.layout, stage.amps, gate)
+            drop = record is None
+            kept = _kept(gated, _split(stage.layout, register), None, value, prob, drop)
+            new = Stage(stage.layout.drop(register) if drop else stage.layout, kept,
+                        stage.probs, (), _NO_RECORDS)
+            row = self._keep(results, (name, value), new)
+        if record is None:
+            return self._at(row, new, stage), value
         self.row, new = row, new if row is None else self.rows[row]
         outcomes = np.empty((1, len(stage.header) + 1), np.intp)
         outcomes[0, :-1], outcomes[0, -1] = stage.outcomes[0], value
-        return Stage(new.layout, new.amps, stage.probs, stage.header + (record,), outcomes)
+        header = stage.header + (record,)
+        return Stage(new.layout, new.amps, stage.probs, header, outcomes), value
 
-    def decode(self, stage: "Stage"):
-        """Bob's step, Stage.decode.  On a held row it is one step: its draw table and the
-        kept row per drawn value are stored, the gated row between them is not."""
-        results = self.held(stage)
-        if results is None:
-            return stage.decode(self.rng)
-        gated = new = None
-        draws = self.hit(results, "decode")
-        if draws is None:
-            gated = _gated(stage.layout, stage.amps, _DECODE)
-            marginal = _marginal(gated, _split(stage.layout, KEY))
-            draws = self.store(results, "decode", _draws(marginal))
-        value, prob = _draw(draws, self.rng)
-        row = self.hit(results, ("decode", value))
-        if row is None:
-            if gated is None:
-                gated = _gated(stage.layout, stage.amps, _DECODE)
-            kept = _kept(gated, _split(stage.layout, KEY), None, value, prob, True)
-            new = Stage(stage.layout.drop(KEY), kept, stage.probs, (), _NO_RECORDS)
-            row = self._keep(results, ("decode", value), new)
-        return self._at(row, new, stage), value
+    decode = measure  # Bob's step: measure's defaults
 
 
 class Stage(NamedTuple):
@@ -365,19 +372,18 @@ class Stage(NamedTuple):
     def gate(self, gate: GateSpec) -> "Stage":
         return Stage(self.layout, _gated(self.layout, self.amps, gate), *self[2:])
 
-    def measure(self, register: str, rng: np.random.Generator | None,
-                record: tuple[int, str] | None = None):
-        """(stage, outcome): with an rng one drawn outcome (B is 1), else each row
-        repeated once per outcome above BRANCH_PRUNE, one outcome per row, refused
-        past BRANCH_CAP rows before they are built.  A `record` adds a header column
-        and collapses the register in place; without one the register is sliced away."""
+    def measure(self, register: str, record: tuple[int, str] | None = None):
+        """(stage, outcomes): each row repeated once per outcome above BRANCH_PRUNE, one
+        outcome per row, refused past BRANCH_CAP rows before they are built.  A `record`
+        adds a header column and collapses the register in place; without one the
+        register is sliced away.  A sampled draw is `_Steps.measure`."""
         split, drop = _split(self.layout, register), record is None
-        rows, values, probs = _outcomes(_marginal(self.amps, split), rng)
-        if rows is not None and len(rows) > BRANCH_CAP:
+        rows, values, probs = _outcomes(_marginal(self.amps, split))
+        if len(rows) > BRANCH_CAP:
             raise ExplosionGuard(f"branch count {len(rows)} exceeds the cap of {BRANCH_CAP}")
         kept = _kept(self.amps, split, rows, values, probs, drop)
-        weights = self.probs if rows is None else self.probs.take(rows) * probs
-        outcomes = self.outcomes if rows is None else self.outcomes.take(rows, 0)
+        weights = self.probs.take(rows) * probs
+        outcomes = self.outcomes.take(rows, 0)
         if not drop:
             grown = np.empty((len(outcomes), len(self.header) + 1), np.intp)
             grown[:, :-1], grown[:, -1] = outcomes, values
@@ -385,20 +391,10 @@ class Stage(NamedTuple):
         return Stage(self.layout.drop(register) if drop else self.layout, kept, weights,
                      self.header + (() if drop else (record,)), outcomes), values
 
-    def act(self, actions: Sequence, round_index: int, rng) -> "Stage":
-        """Eve's actions in order on every row, off any step table (`_Steps.act`)."""
-        steps = _Steps()
-        steps.rng = rng
-        return steps.act(self, actions, round_index)
-
     def encode(self, q) -> "Stage":
         """Alice's step, unchecked: adjoin k in |q>, q an int or one per row, add "a" onto it."""
         new = self.layout.insert(KEY, self.layout.axis(BOB) + 1)
         return Stage(new, _gated(new, _inserted(self.amps, new, KEY, q), _ENCODE), *self[2:])
-
-    def decode(self, rng: np.random.Generator | None):
-        """Bob subtracts "b" from k, measures k unrecorded and slices it away."""
-        return self.gate(_DECODE).measure(KEY, rng)
 
 
 def alice_encode(state: PureState, q: int) -> PureState:
@@ -412,10 +408,11 @@ def bob_decode(state: PureState, rng: np.random.Generator) -> tuple[int, PureSta
     """Subtract "b" from the key qudit, measure it, and drop it.
 
     Honest traffic makes the outcome certain; under attack it may be random,
-    and rng drives the sampling, as in qudit.measure.
+    and rng, a numpy Generator, drives the sampling, as in qudit.measure.
     """
     _require(state, BOB, KEY)
-    stage, outcome = Stage.of(state).decode(rng)
+    _check_rng(rng)
+    stage, outcome = _Steps(rng).decode(Stage.of(state))
     return outcome, stage.state(0)
 
 
@@ -508,8 +505,9 @@ def _round_loop(stage: Stage, keys: Iterable[int], first_round: int,
     Runs one round per key (an int, or one per row) from round first_round on.
     After each of STAGES it yields (round, key, stage name, Stage, Bob's outcome,
     one per row without an rng, or None); Stage.measure refuses more than BRANCH_CAP rows.
-    A sampled session passes its step table (`_Steps`), which holds the session rng
-    and serves every round; with None every measurement keeps each outcome as a row.
+    A sampled session passes its step table (`_Steps`), which holds the session rng,
+    makes every draw and serves every round; with None every measurement runs
+    Stage.measure, which keeps each outcome as a row.
     """
     steps = _Steps() if steps is None else steps
     for r, q in enumerate(keys, start=first_round):
@@ -541,23 +539,18 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
         raise ConfigError(f"unknown diagnostic stages {sorted(unknown_stages)}")
     from . import analysis  # imported here to avoid a module cycle
 
-    steps = _Steps()
-    steps.rng = np.random.default_rng([_SESSION_STREAM, config.seed])
+    steps = _Steps(np.random.default_rng([_SESSION_STREAM, config.seed]))
     transcripts = []
     diag: dict = {}
     for r, q, name, stage, decoded in _round_loop(
             _start(config), resolved_keys(config), 1, script, steps):
-        if name in stages:
-            ok = None if decoded is None else decoded == q
-            held = steps.held(stage)
-            if held is None:
-                diag[name] = analysis.diagnose(stage.state(0), r, name, ok, schmidt_tol)
-            else:  # once per held row, stamped with each round's own fields
-                snapshot = steps.hit(held, "diagnose") or steps.store(held, "diagnose", (
-                    analysis.diagnose(stage.state(0), r, name, ok, schmidt_tol)))
-                diag[name] = analysis.StageDiagnostics(
-                    r, name, snapshot.rho_k_spectrum, snapshot.entropy_k,
-                    dict(snapshot.schmidt_ranks), ok)
+        if name in stages:  # once per held row, stamped with each round's own fields
+            ok, held = None if decoded is None else decoded == q, steps.held(stage)
+            snapshot = steps.hit(held, "diagnose") or steps.store(held, "diagnose", (
+                analysis.diagnose(stage.state(0), r, name, ok, schmidt_tol)))
+            diag[name] = analysis.StageDiagnostics(
+                r, name, snapshot.rho_k_spectrum, snapshot.entropy_k,
+                dict(snapshot.schmidt_ranks), ok)
         if name != "round_end":
             continue
         held = steps.held(stage)

@@ -12,12 +12,13 @@ transpose cached per (layout, targets) in `_fold`; the partial trace and the
 Schmidt rank fold the same way.  Every gate kind can also be expanded to an
 explicit dense unitary, an independent cross-check path.
 
-Every measurement is one Born-rule step: `_marginal` over all rows,
-`_outcomes` to draw one outcome (`_draw`, from the marginal's `_draws` table)
-or keep each above BRANCH_PRUNE (exactly certain when every row keeps one),
-and `_kept` to build the post rows, collapsed in place or sliced over a
-smaller layout.  The Schmidt-rank cutoff (`_ranks`, one batched SVD) and the
-CERTAINTY rule (`_certain_values`) run on rows too.
+Every measurement is one Born-rule step: `_marginal` over all rows, then
+either `_draw`, one outcome drawn from the marginal's `_draws` table with an
+rng (`measure`; a session's draws are `protocol._Steps.measure`), or
+`_outcomes`, each outcome above BRANCH_PRUNE kept (exactly certain when every
+row keeps one), and `_kept` to build the post rows, collapsed in place or
+sliced over a smaller layout.  The Schmidt-rank cutoff (`_ranks`, one
+batched SVD) and the CERTAINTY rule (`_certain_values`) run on rows too.
 """
 
 from __future__ import annotations
@@ -501,22 +502,17 @@ def _marginal(amps: np.ndarray, split: tuple[int, int, int]) -> np.ndarray:
     return np.add.reduce((np.abs(amps) ** 2).reshape(amps.shape[:-1] + split), axis=(-3, -1))
 
 
-def _outcomes(marginals: np.ndarray, rng: np.random.Generator | None) -> tuple:
-    """The one Born-rule choice over (B, d) marginals: (rows, values, probs).
-
-    With None, every (row, outcome) above BRANCH_PRUNE, row-major, as arrays.
-    Each row is normalized, so it keeps at least one outcome; when every row
-    keeps exactly one, that outcome is certain and its probability is exactly
-    1.0, not the marginal's rounded sum.  A batch where some row keeps more
-    than one keeps every marginal as it is.
-    With an rng, one outcome drawn for the one row: rows None, an int and a float.
+def _outcomes(marginals: np.ndarray) -> tuple:
+    """Every (row, outcome) above BRANCH_PRUNE of (B, d) marginals, row-major, as
+    arrays (rows, values, probs).  Each row is normalized, so it keeps at least one
+    outcome; when every row keeps exactly one, that outcome is certain and its
+    probability is exactly 1.0, not the marginal's rounded sum.  A batch where some
+    row keeps more than one keeps every marginal as it is.
     """
-    if rng is None:
-        kept = marginals > BRANCH_PRUNE
-        rows, values = kept.nonzero()
-        certain = len(rows) == len(marginals)  # one outcome kept in every row
-        return rows, values, np.ones(len(rows)) if certain else marginals[kept]
-    return (None, *_draw(_draws(marginals), rng))
+    kept = marginals > BRANCH_PRUNE
+    rows, values = kept.nonzero()
+    certain = len(rows) == len(marginals)  # one outcome kept in every row
+    return rows, values, np.ones(len(rows)) if certain else marginals[kept]
 
 
 def _draws(marginal: np.ndarray) -> tuple[list, list]:
@@ -525,6 +521,12 @@ def _draws(marginal: np.ndarray) -> tuple[list, list]:
     rounds as np.cumsum does."""
     probs = marginal.ravel().tolist()
     return [*accumulate(probs)], probs
+
+
+def _check_rng(rng) -> None:
+    """The one rule for a sampling rng: a numpy Generator; nothing stands in for one."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
 
 
 def _draw(draws: tuple[list, list], rng: np.random.Generator) -> tuple[int, float]:
@@ -550,8 +552,9 @@ def _kept(amps: np.ndarray, split: tuple[int, int, int], rows, values, probs,
           drop: bool) -> np.ndarray:
     """Post-measurement rows for an _outcomes choice on amps, (..., dim): row
     rows[i] at values[i] of the split's middle axis over sqrt(probs[i]), in a
-    zeroed row, or alone with `drop`; with rows None, the one row at the one
-    value.  Division by exactly 1 is skipped: it would turn -0.0 into +0.0."""
+    zeroed row, or alone with `drop`; with rows None, the one row at one value
+    and its probability, a `_draw` or a certain value.  Division by exactly 1 is
+    skipped: it would turn -0.0 into +0.0."""
     if rows is None:
         index = _slots(split)[values]
         kept, scale = amps.reshape(-1)[index], math.sqrt(probs)
@@ -578,13 +581,14 @@ def measurement_branches(state: PureState, register: str) -> list[tuple[int, flo
     measured register stays in the layout, collapsed to its outcome.
     """
     split, amps = _split(state.layout, register), state.amplitudes[None]
-    rows, values, probs = _outcomes(_marginal(amps, split), None)
+    rows, values, probs = _outcomes(_marginal(amps, split))
     return [(v, p, PureState._trusted(state.layout, post)) for v, p, post in
             zip(values.tolist(), probs.tolist(), _kept(amps, split, rows, values, probs, False))]
 
 
 def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[int, PureState]:
     """Sample one outcome by the Born rule; deterministic given the rng state."""
+    _check_rng(rng)
     split = _split(state.layout, register)
     value, p = _draw(_draws(_marginal(state.amplitudes, split)), rng)
     return value, PureState._trusted(state.layout,

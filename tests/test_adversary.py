@@ -250,12 +250,12 @@ class TestSchedules:
 
 
 class TestApplyScript:
-    """The one action interpreter, protocol.Stage.act, on a single sampled row."""
+    """The one action interpreter, protocol._Steps.act, on a single sampled row."""
 
     @staticmethod
     def apply(state, script, timing="pre_bob", seed=0):
-        stage = protocol.Stage.of(state).act(script.actions(1, timing), 1,
-                                             np.random.default_rng(seed))
+        stage = protocol._Steps(np.random.default_rng(seed)).act(
+            protocol.Stage.of(state), script.actions(1, timing), 1)
         assert stage.probs.tolist() == [1.0]
         return stage.state(0), stage.records(0)
 

@@ -280,10 +280,17 @@ class TestDecode:
         with pytest.raises(MissingRegister):
             bob_decode(init_carrier(3), np.random.default_rng(0))
 
-    def test_needs_an_rng(self):
-        # as qudit.measure does: no unseeded generator stands in for a missing one
+    def test_needs_an_rng(self, monkeypatch):
+        # as qudit.measure does: no unseeded generator stands in for a missing one,
+        # and None, which used to return every outcome's array, is refused before
+        # the decode gate runs
+        state, calls = alice_encode(init_carrier(3), 1), []
+        monkeypatch.setattr(protocol, "_gated", lambda *args: calls.append(args))
         with pytest.raises(TypeError):
-            bob_decode(alice_encode(init_carrier(3), 1))
+            bob_decode(state)
+        with pytest.raises(TypeError, match="^rng must be a numpy Generator, got None$"):
+            bob_decode(state, None)
+        assert calls == []
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("eve_registers", [1, 2])
@@ -301,7 +308,7 @@ class TestDecode:
         state = apply_gate(state, GateSpec.dense(targets, unitary))
         decoded = apply_gate(state, protocol._DECODE)
 
-        rows, outcomes = protocol.Stage.of(state).decode(None)
+        rows, outcomes = protocol._Steps().decode(protocol.Stage.of(state))
         expected = measurement_branches(decoded, "k")
         assert len(rows.probs) == len(expected) > 1
         assert outcomes.tolist() == [v for v, _, _ in expected]
@@ -311,7 +318,8 @@ class TestDecode:
             assert post.layout == reference.layout
             assert np.array_equal(post.amplitudes, reference.amplitudes)
 
-        rows, outcome = protocol.Stage.of(state).decode(np.random.default_rng(7))
+        rows, outcome = protocol._Steps(np.random.default_rng(7)).decode(
+            protocol.Stage.of(state))
         post = rows.state(0)
         drawn, projected = measure(decoded, "k", np.random.default_rng(7))
         assert outcome == drawn
@@ -539,8 +547,9 @@ class TestStepTable:
         built.clear()
         monkeypatch.setattr(protocol, "STEP_TABLE_BYTES", 0)
         assert run_session(config, script) == cached
-        # without the table: start, encode, gate, measure, and the pre_bob gate of round 1
-        assert built["stage"] >= 4 * config.rounds
+        # without the table: start, encode and decode each round, Stage.of, and the
+        # pre_bob gate of round 1
+        assert built["stage"] == 3 * config.rounds + 2
 
     @pytest.mark.parametrize("preset", ["none", "persistent_entangle"])
     def test_a_held_row_that_drifts_is_refused_in_its_first_round(self, preset, monkeypatch):
@@ -587,8 +596,8 @@ class TestStepTable:
         tables = []
 
         class Recorded(protocol._Steps):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, *args):
+                super().__init__(*args)
                 tables.append(weakref.ref(self))
 
         monkeypatch.setattr(protocol, "_Steps", Recorded)
@@ -607,8 +616,8 @@ class TestStepTable:
         tables = []
 
         class Recorded(protocol._Steps):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, *args):
+                super().__init__(*args)
                 tables.append(weakref.ref(self))
 
         monkeypatch.setattr(protocol, "_Steps", Recorded)
@@ -632,8 +641,8 @@ class TestStepTable:
         tables, kept = [], protocol._kept
 
         class Recorded(protocol._Steps):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, *args):
+                super().__init__(*args)
                 tables.append(weakref.ref(self))
 
         def drifting(amps, split, rows, values, probs, drop):
@@ -652,8 +661,7 @@ class TestStepTable:
                 except InvariantViolation as error:
                     message = str(error)
             assert message.endswith("after round 7") and tables[0]() is None
-            steps = Recorded()
-            steps.rng = np.random.default_rng(0)
+            steps = Recorded(np.random.default_rng(0))
             loop = protocol._round_loop(protocol._start(config), config.keys, 1, script, steps)
             del steps
             for r, _, name, *_ in loop:
@@ -670,8 +678,7 @@ class TestStepTable:
         # gated row between them
         config = ProtocolConfig(d=5, rounds=300, key_seed=3, seed=4, eve_registers=2)
         script = compile_schedule("none", config)
-        steps = protocol._Steps()
-        steps.rng = np.random.default_rng(0)
+        steps = protocol._Steps(np.random.default_rng(0))
         loop = protocol._round_loop(protocol._start(config), protocol.resolved_keys(config), 1,
                                     script, steps)
         for r, _, name, stage, decoded in loop:
@@ -763,6 +770,31 @@ class TestControlCheck:
 
 
 class TestBranchExecutor:
+    def test_the_exhaustive_paths_never_draw(self, monkeypatch):
+        # only a sampled step table and qudit.measure draw an outcome; every
+        # exhaustive path keeps each outcome as a row
+        from qkdsim import analysis, qudit
+
+        def draw(*args):
+            raise AssertionError("an exhaustive path drew an outcome")
+
+        monkeypatch.setattr(protocol, "_draw", draw)
+        monkeypatch.setattr(qudit, "_draw", draw)
+        for d in (2, 3):
+            config = ProtocolConfig(d=d, rounds=3, key_seed=0, seed=1)
+            for preset in PRESETS:
+                script = compile_schedule(preset, config)
+                branches = run_session_branches(config, script)
+                assert abs(sum(b.probability for b in branches) - 1.0) <= 1e-12
+                assert eve_conditional_states(config, script).blocks
+            assert len(measurement_branches(init_carrier(d), "a")) == d
+            assert analysis.feasibility_search("post_round1_round2", d, max_depth=1).candidates
+        # the control: the sampled paths reach the patched draws
+        with pytest.raises(AssertionError, match="drew"):
+            run_session(ProtocolConfig(d=2, rounds=1, keys=(0,)))
+        with pytest.raises(AssertionError, match="drew"):
+            measure(init_carrier(2), "a", np.random.default_rng(0))
+
     def test_honest_session_has_single_branch(self):
         config = ProtocolConfig(d=3, rounds=2, keys=(1, 2))
         branches = run_session_branches(config)

@@ -57,7 +57,7 @@ from qkdsim.qudit import (
     to_dense,
     von_neumann_entropy,
 )
-from qkdsim.protocol import _DECODE, Stage, init_carrier
+from qkdsim.protocol import _DECODE, Stage, _Steps, init_carrier
 
 
 def digits(index, d, n):
@@ -607,8 +607,9 @@ class TestMeasurement:
 
         The expected outcome is drawn on a twin generator with cumsum and
         searchsorted; the expected post-state zeroes the other slices of
-        the tensor and divides the kept one by sqrt(p).  A Stage measure
-        without a record (Bob's decode) returns that kept slice alone, over the
+        the tensor and divides the kept one by sqrt(p).  A measure without a
+        record (Bob's decode, here with no gate), sampled by a step table or
+        exhaustive by Stage.measure, returns that kept slice alone, over the
         layout without the register.
         """
         gen = np.random.default_rng(100 + d)
@@ -629,11 +630,11 @@ class TestMeasurement:
                     assert rng.random() == twin.random()
                     branches = measurement_branches(state, label)
                     if n > 1:
-                        rows, values = Stage.of(state).measure(label, None)
+                        rows, values = Stage.of(state).measure(label)
                         dropped = [(v, p, rows.state(i)) for i, (v, p) in
                                    enumerate(zip(values.tolist(), rows.probs.tolist()))]
-                        row, sampled_v = Stage.of(state).measure(
-                            label, np.random.default_rng(seed))
+                        row, sampled_v = _Steps(np.random.default_rng(seed)).measure(
+                            Stage.of(state), label, None, None)
                         sampled = row.state(0)
                         assert (sampled_v, row.probs.tolist()) == (outcome, [1.0])
                     for v in range(d):
@@ -672,13 +673,22 @@ class TestMeasurement:
                 [(_, p, branch)] = measurement_branches(state, label)
                 assert p == 1.0
                 assert branch.amplitudes.tobytes() == state.amplitudes.tobytes()
-                rows, _ = Stage.of(state).measure(label, None)
+                rows, _ = Stage.of(state).measure(label)
                 assert rows.state(0).amplitudes.tobytes() == \
                     remove_register(state, label).amplitudes.tobytes()
 
     def test_unknown_register(self):
         with pytest.raises(UnknownRegister):
             measure(pair_state(2), "z", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rng", [None, 0, np.random.RandomState(0)],
+                             ids=["None", "int", "RandomState"])
+    def test_needs_a_generator(self, rng):
+        # None used to fail deep inside, at rng.random(); it is refused before any
+        # work, ahead of the register check
+        for register in ("a", "z"):
+            with pytest.raises(TypeError, match="^rng must be a numpy Generator, got "):
+                measure(pair_state(2), register, rng)
 
     def test_branches_cover_the_born_rule(self):
         state = random_state(RegisterLayout(3, ("a", "b")), seed=17)

@@ -23,7 +23,6 @@ from .errors import (
     NonUnitaryMatrix,
     QkdSimError,
     RegisterCollision,
-    RegisterNotSeparable,
     ScriptRegisterUnknown,
     UnknownPreset,
     UnknownRegister,
@@ -36,13 +35,10 @@ from .qudit import (
     RegisterLayout,
     apply_gate,
     apply_gate_dense,
-    basis_state,
     gate_unitary,
     insert_register,
     measure,
-    measurement_branches,
     partial_trace,
-    remove_register,
     schmidt_rank,
     states_equal_up_to_phase,
     to_dense,
@@ -72,7 +68,6 @@ from .adversary import (
     eve_entangle,
     gate_from_obj,
     script_from_obj,
-    script_to_obj,
 )
 from .analysis import (
     CandidateVerdict,

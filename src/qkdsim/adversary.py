@@ -29,12 +29,13 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
-    _certain_value,
+    _certain_values,
     _fold,
     _fourier_matrix,
     _is_integer,
     _reduced,
     _require,
+    _split,
     apply_gate,
 )
 
@@ -106,14 +107,21 @@ class AttackScript:
             if r in normalized:
                 raise ConfigError(
                     f"round keys {keys[r]!r} and {round_index!r} both name round {r}")
-            normalized[r], keys[r] = tuple(actions), round_index
+            try:
+                normalized[r], keys[r] = tuple(actions), round_index
+            except TypeError:  # a bare action or gate: refused below, naming its round
+                normalized[r], keys[r] = actions, round_index
         object.__setattr__(self, "rounds", normalized)
         # actions(r, timing) is a lookup; an absent slot holds no actions.  Each
-        # distinct action tuple is split once: the presets share one across rounds
+        # distinct action tuple is checked and split once: the presets share one across rounds
         split, slots = {}, {}
         for r, actions in normalized.items():
             pair = split.get(id(actions))
             if pair is None:
+                if not (isinstance(actions, tuple)
+                        and all(isinstance(a, EveAction) for a in actions)):
+                    raise ConfigError(f"round {r} must hold a sequence of EveActions, "
+                                      f"got {actions!r}")
                 pair = split[id(actions)] = [
                     tuple(a for a in actions if a.timing == timing) for timing in TIMINGS]
             slots[r, TIMINGS[0]], slots[r, TIMINGS[1]] = pair
@@ -133,7 +141,7 @@ def eve_entangle(state: PureState) -> PureState:
     still applied.
     """
     _require(state, "k", "e")
-    if _certain_value(state, "e") != 0:
+    if _certain_values(state.amplitudes[None], _split(state.layout, "e")) != [0]:
         warnings.warn("memory register 'e' is not in |0>; entangling anyway",
                       RuntimeWarning, stacklevel=2)
     return apply_gate(state, GateSpec.controlled_add("k", "e", 1))
@@ -395,21 +403,8 @@ def gate_from_obj(obj: Mapping) -> GateSpec:
     return _from_wire(obj, timed=False)
 
 
-def action_to_obj(action: EveAction) -> dict:
-    if action.gate is None:
-        return {"op": "measure", "register": action.measure, "timing": action.timing}
-    return {**gate_to_obj(action.gate), "timing": action.timing}
-
-
 def action_from_obj(obj: Mapping) -> EveAction:
     return _from_wire(obj, timed=True)
-
-
-def script_to_obj(script: AttackScript) -> dict:
-    rounds = {}
-    for r in sorted(script.rounds):
-        rounds[str(r)] = [action_to_obj(a) for a in script.rounds[r]]
-    return {"rounds": rounds}
 
 
 def script_from_obj(obj: Mapping) -> AttackScript:

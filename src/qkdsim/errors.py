@@ -45,10 +45,6 @@ class LayoutMismatch(QkdSimError):
     """Two states do not share the same register layout."""
 
 
-class RegisterNotSeparable(QkdSimError):
-    """A register holds more than one basis value and cannot be dropped."""
-
-
 class ScriptRegisterUnknown(InputError):
     """An attack script references a register the session does not have."""
 

@@ -53,6 +53,7 @@ from .qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
+    _check_names,
     _check_rng,
     _check_side,
     _check_tol,
@@ -531,6 +532,7 @@ def run_session(config: ProtocolConfig, script: adversary.AttackScript | None = 
     `diagnostics` selects stages (subset of STAGES) at which to attach a
     StageDiagnostics snapshot to the round transcript.
     """
+    _check_names(diagnostics, "diagnostics")
     script = _validate_script(config, script)
     _check_tol(schmidt_tol)
     stages = tuple(diagnostics)

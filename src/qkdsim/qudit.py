@@ -16,9 +16,10 @@ Every measurement is one Born-rule step: `_marginal` over all rows, then
 either `_draw`, one outcome drawn from the marginal's `_draws` table with an
 rng (`measure`; a session's draws are `protocol._Steps.measure`), or
 `_outcomes`, each outcome above BRANCH_PRUNE kept (exactly certain when every
-row keeps one), and `_kept` to build the post rows, collapsed in place or
-sliced over a smaller layout.  The Schmidt-rank cutoff (`_ranks`, one
-batched SVD) and the CERTAINTY rule (`_certain_values`) run on rows too.
+row keeps one; `protocol.Stage.measure`), and `_kept` to build the post rows,
+collapsed in place or sliced over a smaller layout.  The Schmidt-rank cutoff
+(`_ranks`, one batched SVD) and the CERTAINTY rule (`_certain_values`) run on
+rows too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import (
     MissingRegister,
     NonUnitaryMatrix,
     RegisterCollision,
-    RegisterNotSeparable,
     UnknownRegister,
     ValueOutOfRange,
 )
@@ -67,18 +67,14 @@ def _is_integer(value) -> bool:
 
 def _check_value(value, label: str, d: int) -> None:
     """The one rule for a register value: an integer (not a bool) in [0, d)."""
-    if not _below(value, d):
+    if not (_is_integer(value) and 0 <= value < d):
         raise ValueOutOfRange(f"value {value!r} for register {label!r} not in [0, {d})")
 
 
-def _check_index(index, dim: int) -> None:
-    """The same rule for a flat amplitude index: an integer (not a bool) in [0, dim)."""
-    if not _below(index, dim):
-        raise ValueOutOfRange(f"index {index!r} not in [0, {dim})")
-
-
-def _below(value, bound: int) -> bool:
-    return _is_integer(value) and 0 <= value < bound
+def _check_names(names, argument: str) -> None:
+    """The one refusal of a bare string given as names: iterating it splits it into characters."""
+    if isinstance(names, str):
+        raise TypeError(f"{argument} must be a collection of names, not the string {names!r}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +85,7 @@ class RegisterLayout:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        _check_names(self.labels, "labels")
         object.__setattr__(self, "labels", tuple(self.labels))
         if not _is_integer(self.d) or self.d < 2:
             raise InvalidDimension(f"d must be an integer >= 2, got {self.d!r}")
@@ -128,14 +125,6 @@ class RegisterLayout:
             _check_value(v, label, self.d)
             index = index * self.d + v
         return index
-
-    def values_of(self, index: int) -> tuple[int, ...]:
-        _check_index(index, self.dim)
-        values = []
-        for _ in self.labels:
-            index, v = divmod(index, self.d)
-            values.append(v)
-        return tuple(reversed(values))
 
     # insert and drop are interned: each (layout, label[, position]) is built and
     # validated once, and every state on that layout shares the same object
@@ -187,10 +176,6 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def probabilities(self, register: str) -> np.ndarray:
-        """Born-rule marginal distribution of one register."""
-        return _marginal(self.amplitudes, _split(self.layout, register))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -221,13 +206,6 @@ class DensityMatrix:
             raise ValueError("density matrix has an eigenvalue below the PSD floor")
 
 
-def basis_state(layout: RegisterLayout, values: Sequence[int]) -> PureState:
-    """Computational basis state |values> with amplitude exactly 1."""
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.index_of(values)] = 1.0
-    return PureState(layout, amps)
-
-
 @dataclass(frozen=True)
 class GateSpec:
     """One gate: a mod-d permutation, a phase, a Fourier, or a dense unitary.
@@ -243,6 +221,7 @@ class GateSpec:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_names(self.targets, "targets")
         object.__setattr__(self, "targets", tuple(self.targets))
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
@@ -299,7 +278,7 @@ class GateSpec:
 
     @staticmethod
     def dense(targets: Sequence[str], matrix: np.ndarray) -> "GateSpec":
-        return GateSpec("dense", tuple(targets), matrix=matrix)
+        return GateSpec("dense", targets, matrix=matrix)
 
 
 def _phase_table(d: int) -> np.ndarray:
@@ -430,6 +409,7 @@ def apply_gate_dense(state: PureState, gate: GateSpec) -> PureState:
 
 def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:
     """Reduced density matrix over `keep`, labels ordered as in the layout."""
+    _check_names(keep, "keep")
     keep = set(keep)
     if not keep:
         raise EmptyKeepSet("partial_trace needs at least one kept register")
@@ -442,6 +422,7 @@ def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:
 
 def schmidt_rank(state: PureState, side_a: Iterable[str], tol: float = SCHMIDT_TOL) -> int:
     """Number of Schmidt coefficients above tol across the cut side_a | rest."""
+    _check_names(side_a, "side_a")
     side = set(side_a)
     labels = set(state.layout.labels)
     if not side or not side < labels:
@@ -574,18 +555,6 @@ def _kept(amps: np.ndarray, split: tuple[int, int, int], rows, values, probs,
     return kept.reshape(len(rows), -1)
 
 
-def measurement_branches(state: PureState, register: str) -> list[tuple[int, float, PureState]]:
-    """All nonzero-probability outcomes of a computational measurement.
-
-    Returns (outcome, probability, renormalized post state) triples; the
-    measured register stays in the layout, collapsed to its outcome.
-    """
-    split, amps = _split(state.layout, register), state.amplitudes[None]
-    rows, values, probs = _outcomes(_marginal(amps, split))
-    return [(v, p, PureState._trusted(state.layout, post)) for v, p, post in
-            zip(values.tolist(), probs.tolist(), _kept(amps, split, rows, values, probs, False))]
-
-
 def measure(state: PureState, register: str, rng: np.random.Generator) -> tuple[int, PureState]:
     """Sample one outcome by the Born rule; deterministic given the rng state."""
     _check_rng(rng)
@@ -632,20 +601,3 @@ def _certain_values(amps: np.ndarray, split: tuple[int, int, int]) -> list[int |
     probs = _marginal(amps, split)
     return [v if row[v] >= CERTAINTY else None
             for row, v in zip(probs.tolist(), probs.argmax(-1).tolist())]
-
-
-def _certain_value(state: PureState, register: str) -> int | None:
-    """The one-row view of _certain_values."""
-    return _certain_values(state.amplitudes[None], _split(state.layout, register))[0]
-
-
-def remove_register(state: PureState, label: str) -> PureState:
-    """Drop a register that holds one basis value with certainty (CERTAINTY).
-
-    Raises RegisterNotSeparable otherwise; no renormalization is performed.
-    """
-    value = _certain_value(state, label)
-    if value is None:
-        raise RegisterNotSeparable(f"register {label!r} holds several basis values")
-    return PureState._trusted(state.layout.drop(label), _kept(
-        state.amplitudes, _split(state.layout, label), None, value, 1.0, True))

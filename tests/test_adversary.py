@@ -24,7 +24,6 @@ from qkdsim.adversary import (
     gate_from_obj,
     gate_to_obj,
     script_from_obj,
-    script_to_obj,
 )
 from qkdsim.errors import (
     ConfigError,
@@ -47,7 +46,8 @@ from qkdsim.qudit import (
     GateSpec,
     PureState,
     RegisterLayout,
-    basis_state,
+    _marginal,
+    _split,
     insert_register,
     partial_trace,
     schmidt_rank,
@@ -82,7 +82,9 @@ class TestEntangle:
 
     def test_on_basis_input(self):
         layout = RegisterLayout(3, ("k", "e"))
-        out = eve_entangle(basis_state(layout, (2, 0)))
+        amps = np.zeros(layout.dim)
+        amps[layout.index_of((2, 0))] = 1.0
+        out = eve_entangle(PureState(layout, amps))
         assert out.amplitudes[layout.index_of((2, 2))] == 1.0
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -124,7 +126,7 @@ class TestDisentangle:
             amps[layout.index_of((j, j, (j + q2) % d, (j + q1) % d))] = 1 / np.sqrt(d)
         out = eve_disentangle(PureState(layout, amps))
         assert schmidt_rank(out, {"e"}) == 1
-        probs = out.probabilities("e")
+        probs = _marginal(out.amplitudes, _split(layout, "e"))
         assert probs[(q1 - q2) % d] == pytest.approx(1.0, abs=1e-12)
 
     def test_needs_registers(self):
@@ -154,6 +156,15 @@ class TestActions:
     def test_round_indices_start_at_one(self):
         with pytest.raises(ConfigError):
             AttackScript({0: (EveAction.measurement("k"),)})
+
+    @pytest.mark.parametrize("actions", [
+        (GateSpec.shift("e", 1),), EveAction.measurement("e"), "e",
+        [EveAction.measurement("e"), None]], ids=["gate", "bare_action", "str", "none"])
+    def test_a_round_holds_a_sequence_of_actions(self, actions):
+        # a gate used to fail with an AttributeError on .timing, and a bare action
+        # with "'EveAction' object is not iterable"
+        with pytest.raises(ConfigError, match="^round 2 must hold a sequence of EveActions"):
+            AttackScript({1: (), "2": actions})
 
 
 class TestSchedules:
@@ -280,7 +291,8 @@ class TestApplyScript:
         assert len(records) == 2
         outcome = records[0][2]
         assert records == ((1, "k", outcome), (1, "k", outcome))
-        assert out.probabilities("k")[outcome] == pytest.approx(1.0, abs=1e-12)
+        probs = _marginal(out.amplitudes, _split(out.layout, "k"))
+        assert probs[outcome] == pytest.approx(1.0, abs=1e-12)
 
     def test_memory_only_actions_cannot_shift_the_carrier(self):
         state = in_transit_state(3, 2)
@@ -912,8 +924,19 @@ class TestWireFormat:
         for preset in ("persistent_entangle", "reply_odd_stop_restart",
                        "intercept_resend"):
             script = compile_schedule(preset, config)
-            obj = script_to_obj(script)
-            assert script_to_obj(script_from_obj(obj)) == obj
+            obj = {"rounds": {str(r): [
+                {"op": "measure", "register": a.measure, "timing": a.timing}
+                if a.gate is None else {**gate_to_obj(a.gate), "timing": a.timing}
+                for a in actions] for r, actions in script.rounds.items()}}
+            back = script_from_obj(obj)
+            assert list(back.rounds) == list(script.rounds)
+            for r, actions in script.rounds.items():
+                assert len(back.rounds[r]) == len(actions)
+                for got, want in zip(back.rounds[r], actions):
+                    assert (got.timing, got.measure) == (want.timing, want.measure)
+                    assert (got.gate is None) == (want.gate is None)
+                    if want.gate is not None:
+                        assert gate_to_obj(got.gate) == gate_to_obj(want.gate)
 
     def test_script_wire_example(self):
         obj = {"rounds": {"1": [

@@ -428,6 +428,35 @@ class TestReadmeExamples:
         for i, block in enumerate(blocks):
             exec(compile(block, f"README.md python block {i}", "exec"), {})
 
+    def test_dotted_names_resolve(self):
+        """Every backticked dotted name, such as `qudit._marginal` or
+        `protocol._Steps.measure`, names something that exists; file names are
+        skipped.  A name starts at a qkdsim module, a class one defines or
+        imports, or numpy or json."""
+        import importlib
+
+        import numpy
+
+        roots = {"qkdsim": importlib.import_module("qkdsim"), "np": numpy, "numpy": numpy,
+                 "json": json}
+        for name in ("adversary", "analysis", "cli", "errors", "protocol", "qudit", "serialize"):
+            module = roots[name] = importlib.import_module(f"qkdsim.{name}")
+            roots.update((key, value) for key, value in vars(module).items()
+                         if isinstance(value, type))
+        names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", self.README))
+        missing = []
+        for name in sorted(names):
+            if name.endswith((".py", ".json")):
+                continue
+            first, *rest = name.split(".")
+            obj = roots.get(first)
+            for attr in rest:
+                obj = getattr(obj, attr, None)
+            if obj is None:
+                missing.append(name)
+        assert len(names) > 25
+        assert not missing, missing
+
     def test_json_scenarios_validate(self, tmp_path, capsys):
         """Every scenario block passes `validate`, which builds the session
         `run` would build."""

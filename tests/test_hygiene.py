@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, no module-level functions, private classes or
-private methods nothing references, no reads of the process environment, and
+private methods nothing references, no public function or method without a caller
+in src/ unless listed with its reason, no reads of the process environment, and
 runtime dependencies that match the imports.
 
 Every module under src/qkdsim is parsed with ast, never imported, so the
@@ -16,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkdsim"
@@ -83,6 +85,59 @@ def test_no_unused_imports_or_unreferenced_private_functions():
                      if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                      and not node.name.startswith("__") and node.name not in referenced]
     assert not problems, "\n".join(problems)
+
+
+# public names with no reference in src/, each kept for a caller outside it:
+# an acceptance criterion (tests/test_acceptance.py), a benchmark entry point
+# (perfbench/workloads.py) or an independent oracle the tests check fast paths against
+_UNCALLED = {
+    "adversary.eve_entangle": "acceptance: criterion 3's tap",
+    "adversary.eve_disentangle": "acceptance: criterion 4's release",
+    "adversary.eve_conditional_states": "benchmark: the exact workload",
+    "adversary.gate_from_obj": "benchmark: the search workload reads candidates' gates",
+    "analysis.verify_candidate": "acceptance and benchmark: criterion 5, search re-verification",
+    "protocol.alice_encode": "acceptance: criteria 1 to 3's encode",
+    "protocol.bob_decode": "acceptance: criteria 1 and 3's decode",
+    "protocol.run_session_branches": "benchmark: the exact workload's branch count",
+    "qudit.RegisterLayout.index_of": "acceptance: criterion 3's expected amplitudes",
+    "qudit.PureState.tensor": "acceptance: criterion 4's released memory",
+    "qudit.DensityMatrix.validate": "oracle: Hermitian, unit trace and PSD",
+    "qudit.apply_gate_dense": "oracle and acceptance: criterion 6's dense path",
+    "qudit.partial_trace": "acceptance: criterion 2's reduced state",
+    "qudit.schmidt_rank": "acceptance: criteria 3 and 4's memory rank",
+    "qudit.von_neumann_entropy": "oracle: diagnose's entropy is checked against it",
+    "qudit.states_equal_up_to_phase": "acceptance: criterion 1's restored carrier",
+}
+
+
+def _identifiers(node):
+    """How often each identifier is read under node, as a bare name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    """A public module-level function, or a public method of a public class, needs a
+    reference somewhere in src/ outside its own body; __init__.py's re-exports are
+    not references.  The rest are the exact list _UNCALLED, each with its reason, so
+    a listed name that gains a caller or disappears fails too.  A reference is any
+    name or attribute that spells the function's name, so a clash hides one: a local
+    `build` or `spectrum` counts for RoundTemplate.build and DensityMatrix.spectrum."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    read = sum((_identifiers(tree) for tree in trees.values()), Counter())
+    uncalled = set()
+    for module, tree in trees.items():
+        functions = [(f"{module}.{node.name}", node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{module}.{cls.name}.{node.name}", node) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                      for node in cls.body if isinstance(node, ast.FunctionDef)]
+        uncalled |= {name for name, node in functions if not node.name.startswith("_")
+                     and read[node.name] == _identifiers(node)[node.name]}
+    listed = set(_UNCALLED)
+    assert uncalled == listed, (f"no caller and not listed: {sorted(uncalled - listed)}; "
+                                f"listed but called or gone: {sorted(listed - uncalled)}")
 
 
 def test_no_refusal_is_written_twice():

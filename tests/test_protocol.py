@@ -49,13 +49,19 @@ from qkdsim.qudit import (
     apply_gate,
     insert_register,
     measure,
-    measurement_branches,
     partial_trace,
-    remove_register,
     states_equal_up_to_phase,
 )
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def measured(state, register, record=(1, "x")):
+    """(outcome, probability, post state) for each outcome of measuring register, the
+    register collapsed in place: one Stage.measure on the state's one row."""
+    rows, values = protocol.Stage.of(state).measure(register, record)
+    return [(v, p, rows.state(i))
+            for i, (v, p) in enumerate(zip(values.tolist(), rows.probs.tolist()))]
 
 
 class TestConfig:
@@ -295,8 +301,8 @@ class TestDecode:
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("eve_registers", [1, 2])
     def test_decode_equals_remove_register_of_the_projection(self, d, eve_registers):
-        # the decode measures k once and slices it away; dropping k from the
-        # projected state through the checked remove_register gives the same bits
+        # the decode measures k once and slices it away; slicing k's outcome out of
+        # the projected state's tensor gives the same bits
         rng = np.random.default_rng(10 * d + eve_registers)
         config = ProtocolConfig(d=d, rounds=1, keys=(0,), eve_registers=eve_registers)
         state = protocol._start(config).state(0)
@@ -309,21 +315,22 @@ class TestDecode:
         decoded = apply_gate(state, protocol._DECODE)
 
         rows, outcomes = protocol._Steps().decode(protocol.Stage.of(state))
-        expected = measurement_branches(decoded, "k")
+        expected = measured(decoded, "k")
+        axis = decoded.layout.axis("k")
         assert len(rows.probs) == len(expected) > 1
         assert outcomes.tolist() == [v for v, _, _ in expected]
-        for i, (_, p, projected) in enumerate(expected):
+        for i, (v, p, projected) in enumerate(expected):
             assert rows.probs[i] == p
-            post, reference = rows.state(i), remove_register(projected, "k")
-            assert post.layout == reference.layout
-            assert np.array_equal(post.amplitudes, reference.amplitudes)
+            post = rows.state(i)
+            assert post.layout == decoded.layout.drop("k")
+            assert np.array_equal(post.amplitudes, np.take(projected.tensor, v, axis).ravel())
 
         rows, outcome = protocol._Steps(np.random.default_rng(7)).decode(
             protocol.Stage.of(state))
         post = rows.state(0)
         drawn, projected = measure(decoded, "k", np.random.default_rng(7))
         assert outcome == drawn
-        assert np.array_equal(post.amplitudes, remove_register(projected, "k").amplitudes)
+        assert np.array_equal(post.amplitudes, np.take(projected.tensor, drawn, axis).ravel())
 
 
 class TestSession:
@@ -787,7 +794,7 @@ class TestBranchExecutor:
                 branches = run_session_branches(config, script)
                 assert abs(sum(b.probability for b in branches) - 1.0) <= 1e-12
                 assert eve_conditional_states(config, script).blocks
-            assert len(measurement_branches(init_carrier(d), "a")) == d
+            assert len(measured(init_carrier(d), "a")) == d
             assert analysis.feasibility_search("post_round1_round2", d, max_depth=1).candidates
         # the control: the sampled paths reach the patched draws
         with pytest.raises(AssertionError, match="drew"):
@@ -906,8 +913,9 @@ class TestBranchCap:
 
 
 def reference_branches(config, script):
-    """run_session_branches' definition, one branch at a time, from the public
-    one-row functions only: (probability, state, records) triples."""
+    """run_session_branches' definition, one branch at a time, from one-row steps
+    only: (probability, state, records) triples.  Bob drops his certain k by
+    slicing its value out of the collapsed state's tensor."""
     state = init_carrier(config.d)
     for label in eve_register_labels(config.eve_registers):
         state = insert_register(state, label, 0, len(state.layout))
@@ -920,7 +928,7 @@ def reference_branches(config, script):
             else:
                 branches = [(p * pv, post, rec + ((r, action.measure, v),))
                             for p, s, rec in branches
-                            for v, pv, post in measurement_branches(s, action.measure)]
+                            for v, pv, post in measured(s, action.measure)]
         return branches
 
     for r, q in enumerate(resolved_keys(config), start=1):
@@ -928,9 +936,10 @@ def reference_branches(config, script):
                                    GateSpec.controlled_add("a", "k", 1)), rec)
                     for p, s, rec in branches]
         branches = act(branches, script.actions(r, "pre_bob"), r)
-        branches = [(p * pv, remove_register(post, "k"), rec)
+        branches = [(p * pv, PureState(post.layout.drop("k"),
+                                       np.take(post.tensor, v, post.layout.axis("k"))), rec)
                     for p, s, rec in branches
-                    for _, pv, post in measurement_branches(
+                    for v, pv, post in measured(
                         apply_gate(s, GateSpec.controlled_add("b", "k", -1)), "k")]
         branches = act(branches, script.actions(r, "post_decode"), r)
     return branches

@@ -9,7 +9,6 @@ import cmath
 import dataclasses
 import itertools
 import math
-import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -27,7 +26,6 @@ from qkdsim.errors import (
     LayoutMismatch,
     NonUnitaryMatrix,
     RegisterCollision,
-    RegisterNotSeparable,
     UnknownRegister,
     ValueOutOfRange,
 )
@@ -45,19 +43,16 @@ from qkdsim.qudit import (
     _split,
     apply_gate,
     apply_gate_dense,
-    basis_state,
     gate_unitary,
     insert_register,
     measure,
-    measurement_branches,
     partial_trace,
-    remove_register,
     schmidt_rank,
     states_equal_up_to_phase,
     to_dense,
     von_neumann_entropy,
 )
-from qkdsim.protocol import _DECODE, Stage, _Steps, init_carrier
+from qkdsim.protocol import _DECODE, ProtocolConfig, Stage, _Steps, init_carrier, run_session
 
 
 def digits(index, d, n):
@@ -127,6 +122,22 @@ def signed_zero_state(layout, seed):
     return PureState(layout, amps)
 
 
+def basis_state(layout, values):
+    """The computational basis state |values>, one amplitude exactly 1."""
+    amps = np.zeros(layout.dim, dtype=complex)
+    amps[layout.index_of(values)] = 1.0
+    return PureState(layout, amps)
+
+
+def measured(state, label, record=(1, "x")):
+    """(outcome, probability, post state) for each outcome of measuring label: one
+    Stage.measure, which collapses in place under a record and slices label away
+    without one."""
+    rows, values = Stage.of(state).measure(label, record)
+    return [(v, p, rows.state(i))
+            for i, (v, p) in enumerate(zip(values.tolist(), rows.probs.tolist()))]
+
+
 def pair_state(d):
     """Equal superposition of |j,j> on registers a, b."""
     layout = RegisterLayout(d, ("a", "b"))
@@ -140,14 +151,14 @@ class TestRegisterLayout:
     def test_mixed_radix_indexing(self):
         layout = RegisterLayout(3, ("a", "b"))
         assert layout.index_of((2, 1)) == 7
-        assert layout.values_of(7) == (2, 1)
         layout = RegisterLayout(2, ("a", "b", "k"))
         assert layout.index_of((1, 0, 1)) == 5
 
     def test_index_roundtrip(self):
+        # every value tuple, first register most significant, lands on its own index
         layout = RegisterLayout(3, ("a", "b", "k", "e"))
-        for index in range(layout.dim):
-            assert layout.index_of(layout.values_of(index)) == index
+        indices = [layout.index_of(values) for values in np.ndindex((3,) * 4)]
+        assert indices == list(range(layout.dim))
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(InvalidDimension):
@@ -215,14 +226,20 @@ class TestRefusals:
         with pytest.raises(ValueError, match=message):
             build()
 
-    @pytest.mark.parametrize("index", [9, -1, True, np.int64(9), 1.0],
-                             ids=["above", "negative", "bool", "numpy_above", "float"])
-    def test_values_of_refuses_what_index_of_refuses(self, index):
-        # values_of once wrapped 9 to (0, 0), -1 to (2, 2) and True to (0, 1)
-        layout = RegisterLayout(3, ("a", "b"))
-        with pytest.raises(ValueOutOfRange, match=re.escape(f"index {index!r} not in [0, 9)")):
-            layout.values_of(index)
-        assert layout.values_of(np.int64(8)) == (2, 2)
+    @pytest.mark.parametrize("call, argument", [
+        (lambda: RegisterLayout(2, "ab"), "labels"),
+        (lambda: GateSpec.dense("e2", np.eye(4)), "targets"),
+        (lambda: partial_trace(init_carrier(2), "ab"), "keep"),
+        (lambda: schmidt_rank(init_carrier(2), "a"), "side_a"),
+        (lambda: run_session(ProtocolConfig(d=2, rounds=1, keys=(0,)),
+                             diagnostics="round_end"), "diagnostics"),
+    ], ids=["layout", "dense_gate", "partial_trace", "schmidt_rank", "run_session"])
+    def test_a_bare_string_is_not_a_collection_of_names(self, call, argument):
+        # a string used to be split into one-character names: registers "a" and "b",
+        # targets ("e", "2"), "no register 'e'" and unknown stages "r", "o", ...
+        with pytest.raises(TypeError, match=f"^{argument} must be a collection of names, "
+                                            f"not the string '"):
+            call()
 
 
 class TestBasisState:
@@ -240,7 +257,7 @@ class TestBasisState:
     def test_value_out_of_range(self, value):
         # True used to index like 1 and build |1, 0> without a word
         with pytest.raises(ValueOutOfRange, match="register 'a'"):
-            basis_state(RegisterLayout(2, ("a", "b")), (value, 0))
+            RegisterLayout(2, ("a", "b")).index_of((value, 0))
 
 
 class TestPermutationGates:
@@ -628,11 +645,9 @@ class TestMeasurement:
                     drawn = np.searchsorted(edges, twin.random() * edges[-1], side="right")
                     assert outcome == min(int(drawn), d - 1)
                     assert rng.random() == twin.random()
-                    branches = measurement_branches(state, label)
+                    branches = measured(state, label)
                     if n > 1:
-                        rows, values = Stage.of(state).measure(label)
-                        dropped = [(v, p, rows.state(i)) for i, (v, p) in
-                                   enumerate(zip(values.tolist(), rows.probs.tolist()))]
+                        dropped = measured(state, label, None)
                         row, sampled_v = _Steps(np.random.default_rng(seed)).measure(
                             Stage.of(state), label, None, None)
                         sampled = row.state(0)
@@ -670,12 +685,13 @@ class TestMeasurement:
                 outcome, post = measure(state, label, np.random.default_rng(0))
                 assert outcome == (2 if label == "a" else 1)
                 assert post.amplitudes.tobytes() == state.amplitudes.tobytes()
-                [(_, p, branch)] = measurement_branches(state, label)
+                [(_, p, branch)] = measured(state, label)
                 assert p == 1.0
                 assert branch.amplitudes.tobytes() == state.amplitudes.tobytes()
-                rows, _ = Stage.of(state).measure(label)
-                assert rows.state(0).amplitudes.tobytes() == \
-                    remove_register(state, label).amplitudes.tobytes()
+                [(_, p, sliced)] = measured(state, label, None)
+                assert p == 1.0
+                assert sliced.amplitudes.tobytes() == \
+                    np.take(state.tensor, outcome, layout.axis(label)).tobytes()
 
     def test_unknown_register(self):
         with pytest.raises(UnknownRegister):
@@ -692,15 +708,15 @@ class TestMeasurement:
 
     def test_branches_cover_the_born_rule(self):
         state = random_state(RegisterLayout(3, ("a", "b")), seed=17)
-        branches = measurement_branches(state, "a")
+        branches = measured(state, "a")
         assert abs(sum(p for _, p, _ in branches) - 1.0) <= 1e-12
         for outcome, p, post in branches:
             assert abs(post.norm() - 1.0) <= 1e-10
-            assert np.allclose(post.probabilities("a")[outcome], 1.0)
+            assert np.allclose(_marginal(post.amplitudes, _split(post.layout, "a"))[outcome], 1.0)
 
     def test_branches_prune_impossible_outcomes(self):
         state = basis_state(RegisterLayout(3, ("a", "b")), (1, 0))
-        branches = measurement_branches(state, "a")
+        branches = measured(state, "a")
         assert len(branches) == 1
         assert branches[0][0] == 1
         assert branches[0][1] == 1.0
@@ -728,8 +744,8 @@ class TestRegisterEditing:
         state = random_state(RegisterLayout(3, ("a", "b")), seed=6)
         grown = insert_register(state, "k", 2, 1)
         assert grown.layout.labels == ("a", "k", "b")
-        back = remove_register(grown, "k")
-        assert np.array_equal(back.amplitudes, state.amplitudes)
+        back = np.take(grown.tensor, 2, grown.layout.axis("k"))
+        assert np.array_equal(back.reshape(-1), state.amplitudes)
 
     @pytest.mark.parametrize("value", [2, 1.0, True, "1", np.float64(1.0)],
                              ids=["above", "float", "bool", "str", "numpy_float"])
@@ -752,10 +768,6 @@ class TestRegisterEditing:
             assert np.array_equal(grown.amplitudes,
                                   basis_state(grown.layout, values).amplitudes)
 
-    def test_remove_entangled_register_rejected(self):
-        with pytest.raises(RegisterNotSeparable):
-            remove_register(pair_state(2), "b")
-
 
 class TestCertaintyRule:
     """One cut, CERTAINTY = 1 - 1e-9, decides whether a register holds a value."""
@@ -777,12 +789,6 @@ class TestCertaintyRule:
 
     def test_the_cut_lies_between_the_two_weights(self):
         assert 1 - self.INSIDE >= CERTAINTY > 1 - self.OUTSIDE
-
-    def test_remove_register(self):
-        kept = remove_register(self.leaning(self.INSIDE), "e")
-        assert kept.layout.labels == ("a", "b", "k")
-        with pytest.raises(RegisterNotSeparable):
-            remove_register(self.leaning(self.OUTSIDE), "e")
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_search_evaluation(self, dense):
@@ -837,7 +843,7 @@ class TestRowKernels:
             batched = _marginal(rows, split)
             assert batched.shape == (count, d)
             for row, got in zip(rows, batched):
-                assert got.tobytes() == PureState(layout, row).probabilities(label).tobytes()
+                assert got.tobytes() == _marginal(row, split).tobytes()
 
     @pytest.mark.parametrize("d,n,count", CASES)
     def test_reduced_rows_match_partial_trace(self, d, n, count):
